@@ -12,26 +12,25 @@
 import argparse
 import sys
 
+import numpy as np
+
 from ahgeom.config import ModelParams
-from ahgeom.convexity import hessian_r2, second_derivative_signs
+from ahgeom.convexity import hessian_r2_diagonal, second_derivative_signs
 from ahgeom.ode import integrate
 
 
 def tube_modulus(profile, n: int = 400) -> float:
-    m = profile.params.m
-    delta = float("inf")
-    for i in range(1, n + 1):
-        r = (m / 10.0) * i / n
-        h = hessian_r2(profile.at(r))
-        delta = min(delta, h.min2sum / (r * r))
-    return delta
+    r = (profile.params.m / 10.0) * np.arange(1, n + 1) / n
+    eig = np.sort(np.broadcast_arrays(
+        *hessian_r2_diagonal(profile.eval(r))), axis=0)
+    return float(np.min((eig[0] + eig[1]) / (r * r)))
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--m", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     ap.add_argument("--tol", type=float, default=1e-10)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'m':>6} {'delta (min2/r^2, r<=m/10)':>28} "
           f"{'2/m^2':>10} {'c'' crossing':>14} {'crossing/m':>12}")

@@ -5,14 +5,14 @@ bound, and two-convexity of the squared distance function."""
 
 from .config import ModelParams, RunConfig
 from .convexity import (HessianSpectrum, SignReport, brute_force_plane_min,
-                        chain_margins, hessian_r2, min_trace_over_kplanes,
-                        second_derivative_signs)
+                        chain_margins, hessian_r2, hessian_r2_diagonal,
+                        min_trace_over_kplanes, second_derivative_signs)
 from .curvature import (ConnectionCoefficients, CurvatureComponents,
                         asd_residual, connection_coefficients,
                         curvature_components, fiber_gauss_curvature, kappa,
                         kappa_at_zero)
 from .ode import (CoefficientSample, IntegrationError, MetricProfile,
-                  ShapePoint, bootstrap, integrate, product_identity_residual,
+                  ShapePoint, integrate, product_identity_residual,
                   region_margins, rhs, rhs_apq, sample_from_series,
                   sample_from_state, second_derivatives, shape_point)
 from .series import SeriesCoefficients, expand, formal_residual_ok

@@ -14,6 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+
+import numpy as np
 
 from .config import RunConfig
 from .curvature import (asd_residual, curvature_components,
@@ -30,47 +33,38 @@ SOLVE_COLUMNS = ("r", "a", "b", "c", "da", "db", "dc", "dda", "ddb", "ddc", "x",
 CURV_COLUMNS = ("r", "k1", "k2", "k3", "asd1", "asd2", "asd3", "Kfiber")
 
 
-def _fmt(x: float) -> str:
-    # full-precision scientific/shortest form; outputs double as fixtures
-    return f"{x:.17g}"
-
-
-def _write_text(text: str, path: str | None):
+def _write(chunks, path: str | None):
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="\n") as f:
-            f.write(text)
+            f.writelines(chunks)
 
 
-def _table_text(columns, rows, fmt: str) -> str:
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    payload = {
-        "columns": list(columns),
-        "rows": [[v for v in row] for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def _rows(columns):
+    """Rows of Python floats, one at a time, from a list of column arrays."""
+    return zip(*(col.tolist() for col in columns))
+
+
+def _csv_lines(header, rows):
+    # full-precision shortest form; outputs double as fixtures
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return chain([",".join(header) + "\n"], (line % row for row in rows))
 
 
 def _solve_grid(config: RunConfig):
-    r_max = config.params().r_max
     n = config.grid_points
-    return [r_max * i / (n - 1) for i in range(n)]
+    return config.params().r_max * np.arange(n) / (n - 1)
 
 
 def cmd_solve(config: RunConfig) -> int:
     profile = integrate(config.params())
-    rows = []
-    for r in _solve_grid(config):
-        s = profile.at(r)
-        sp = shape_point(s)
-        rows.append((s.r, s.a, s.b, s.c, s.da, s.db, s.dc,
-                     s.dda, s.ddb, s.ddc, sp.x, sp.y))
+    s = profile.eval(_solve_grid(config))
+    sp = shape_point(s)
+    rows = _rows((s.r, s.a, s.b, s.c, s.da, s.db, s.dc,
+                  s.dda, s.ddb, s.ddc, sp.x, sp.y))
     if config.fmt == "csv":
-        text = _table_text(SOLVE_COLUMNS, rows, "csv")
+        chunks = _csv_lines(SOLVE_COLUMNS, rows)
     else:
         payload = {
             "params": {"m": profile.params.m, "r_max": profile.params.r_max,
@@ -78,28 +72,29 @@ def cmd_solve(config: RunConfig) -> int:
                        "grid_points": config.grid_points},
             "samples": [dict(zip(SOLVE_COLUMNS, row)) for row in rows],
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    _write_text(text, config.output)
+        chunks = [json.dumps(payload, indent=2) + "\n"]
+    _write(chunks, config.output)
     return EXIT_OK
 
 
 def cmd_curvature(config: RunConfig) -> int:
     params = config.params()
     profile = integrate(params)
-    rows = []
-    for r in _solve_grid(config):
-        if r == 0.0:
-            k0 = kappa_at_zero(params.m)
-            # the anti-self-duality residuals extend continuously to 0 at r=0
-            rows.append((0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0,
-                         1.5 / params.m ** 2))
-            continue
-        s = profile.at(r)
-        k = curvature_components(s)
-        e1, e2, e3 = asd_residual(s)
-        rows.append((s.r, k.k1, k.k2, k.k3, e1, e2, e3,
-                     fiber_gauss_curvature(s)))
-    _write_text(_table_text(CURV_COLUMNS, rows, config.fmt), config.output)
+    # the grid starts at r = 0, where kappa is 0/0: that row holds the exact
+    # limits, and the anti-self-duality residuals extend continuously to 0
+    k0 = kappa_at_zero(params.m)
+    zero = (0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, 1.5 / params.m ** 2)
+    s = profile.eval(_solve_grid(config)[1:])
+    k = curvature_components(s)
+    rows = chain([zero], _rows((s.r, k.k1, k.k2, k.k3, *asd_residual(s),
+                                fiber_gauss_curvature(s))))
+    if config.fmt == "csv":
+        chunks = _csv_lines(CURV_COLUMNS, rows)
+    else:
+        payload = {"columns": list(CURV_COLUMNS),
+                   "rows": [list(row) for row in rows]}
+        chunks = [json.dumps(payload, indent=2) + "\n"]
+    _write(chunks, config.output)
     return EXIT_OK
 
 
@@ -109,7 +104,7 @@ def cmd_verify(config: RunConfig) -> int:
         state = "PASS" if c.passed else "FAIL"
         print(f"{state} {c.name}: worst={c.worst:.3e} "
               f"({c.direction} {c.budget:g}); {c.note}", file=sys.stderr)
-    _write_text(json.dumps(report.to_dict(), indent=2) + "\n", config.output)
+    _write([json.dumps(report.to_dict(), indent=2) + "\n"], config.output)
     if not report.all_pass:
         first = report.first_failure
         print(f"verification failed: {first.name}", file=sys.stderr)

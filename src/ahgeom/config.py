@@ -1,6 +1,7 @@
 """Dataclass configs for the model and for CLI runs."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,10 +21,11 @@ class ModelParams:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if not self.r_max > 0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        if not 0 < self.m < math.inf:
+            raise ValueError(f"m must be positive and finite, got {self.m}")
+        if not 0 < self.r_max < math.inf:
+            raise ValueError(
+                f"r_max must be positive and finite, got {self.r_max}")
         if not 0 < self.tol < 1e-2:
             raise ValueError(f"tol must lie in (0, 1e-2), got {self.tol}")
 

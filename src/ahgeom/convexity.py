@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -36,6 +35,17 @@ class HessianSpectrum:
         return math.fsum(self.eig[:k])
 
 
+def hessian_r2_diagonal(sample: CoefficientSample) -> tuple:
+    """Hess(r^2) in the orthonormal co-frame: the diagonal
+    (2, 2r a'/a, 2r b'/b, 2r c'/c), unsorted.  Elementwise on a sample of
+    arrays, where the radial entry stays the scalar 2."""
+    r = sample.r
+    return (2.0,
+            2.0 * r * sample.da / sample.a,
+            2.0 * r * sample.db / sample.b,
+            2.0 * r * sample.dc / sample.c)
+
+
 def hessian_r2(sample: CoefficientSample, limit_at_zero: bool = False) -> HessianSpectrum:
     """Spectrum of Hess(r^2).  At r = 0 the Hessian degenerates to the
     normal-plane limit diag(2, 2, 0, 0); request it explicitly via
@@ -44,12 +54,8 @@ def hessian_r2(sample: CoefficientSample, limit_at_zero: bool = False) -> Hessia
         if not limit_at_zero:
             raise ValueError("Hess(r^2) at r = 0 only via limit_at_zero=True")
         return HessianSpectrum(r=0.0, eig=(0.0, 0.0, 2.0, 2.0), min2sum=0.0)
-    r = sample.r
-    lam = sorted((2.0,
-                  2.0 * r * sample.da / sample.a,
-                  2.0 * r * sample.db / sample.b,
-                  2.0 * r * sample.dc / sample.c))
-    return HessianSpectrum(r=r, eig=tuple(lam), min2sum=lam[0] + lam[1])
+    lam = sorted(hessian_r2_diagonal(sample))
+    return HessianSpectrum(r=sample.r, eig=tuple(lam), min2sum=lam[0] + lam[1])
 
 
 def min_trace_over_kplanes(spectrum: HessianSpectrum, k: int) -> float:
@@ -58,7 +64,7 @@ def min_trace_over_kplanes(spectrum: HessianSpectrum, k: int) -> float:
     return spectrum.smallest_sum(k)
 
 
-def chain_margins(profile: MetricProfile, grid: Iterable[float]):
+def chain_margins(profile: MetricProfile, grid):
     """Worst (smallest) values over the grid of the four strict gaps in
 
         1 > r a'/a > r c'/c > -r b'/b > 0.
@@ -70,16 +76,14 @@ def chain_margins(profile: MetricProfile, grid: Iterable[float]):
 
     which is the same quantity by the quotient rule applied to x = a/c.
     """
-    worst = [math.inf] * 4
-    for r in grid:
-        s = profile.at(r)
-        g1 = 1.0 - r * s.da / s.a
-        sp = shape_point(s)
-        g2 = r * sp.one_minus_x * (1.0 + sp.x - sp.y) / (s.c * sp.x * (-sp.y))
-        g3 = r * s.dc / s.c + r * s.db / s.b
-        g4 = -r * s.db / s.b
-        worst = [min(w, g) for w, g in zip(worst, (g1, g2, g3, g4))]
-    return tuple(worst)
+    r = np.asarray(grid, dtype=float)
+    s = profile.eval(r)
+    sp = shape_point(s)
+    gaps = (1.0 - r * s.da / s.a,
+            r * sp.one_minus_x * (1.0 + sp.x - sp.y) / (s.c * sp.x * (-sp.y)),
+            r * s.dc / s.c + r * s.db / s.b,
+            -r * s.db / s.b)
+    return tuple(float(np.min(g, initial=math.inf)) for g in gaps)
 
 
 def brute_force_plane_min(sample: CoefficientSample, k: int,
@@ -101,11 +105,7 @@ def brute_force_plane_min(sample: CoefficientSample, k: int,
         raise ValueError(f"k must be in 1..4, got {k}")
     if trials < 1000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
-    r = sample.r
-    d = np.array([2.0,
-                  2.0 * r * sample.da / sample.a,
-                  2.0 * r * sample.db / sample.b,
-                  2.0 * r * sample.dc / sample.c])
+    d = np.array(hessian_r2_diagonal(sample))
     rng = np.random.default_rng(seed)
     best = math.inf
     top_frames = []
@@ -147,23 +147,18 @@ class SignReport:
     c_crossing: float | None  # bisected crossing radius, if bracketed
 
 
-def second_derivative_signs(profile: MetricProfile,
-                            grid: Iterable[float]) -> SignReport:
+def second_derivative_signs(profile: MetricProfile, grid) -> SignReport:
     """Check a'' < 0 and b'' < 0 on the grid and locate the sign change of
     c'' (positive near the zero section, negative far out) by bisection to
     1e-10 relative in r."""
-    grid = list(grid)
-    dda = [profile.at(r).dda for r in grid]
-    ddb = [profile.at(r).ddb for r in grid]
-    ddc = [profile.at(r).ddc for r in grid]
-    brackets = [
-        (grid[i], grid[i + 1])
-        for i in range(len(grid) - 1)
-        if (ddc[i] > 0.0) != (ddc[i + 1] > 0.0)
-    ]
+    grid = np.asarray(grid, dtype=float)
+    s = profile.eval(grid)
+    positive = s.ddc > 0.0
+    brackets = np.flatnonzero(positive[:-1] != positive[1:])
     crossing = None
-    if brackets:
-        lo, hi = brackets[0]
+    if brackets.size:
+        i = brackets[0]
+        lo, hi = float(grid[i]), float(grid[i + 1])
         flo = profile.at(lo).ddc
         while hi - lo > 1e-10 * hi:
             mid = 0.5 * (lo + hi)
@@ -173,10 +168,11 @@ def second_derivative_signs(profile: MetricProfile,
             else:
                 hi = mid
         crossing = 0.5 * (lo + hi)
+    max_dda, max_ddb = float(np.max(s.dda)), float(np.max(s.ddb))
     return SignReport(
-        a_concave=max(dda) < 0.0,
-        b_concave=max(ddb) < 0.0,
-        max_dda=max(dda),
-        max_ddb=max(ddb),
+        a_concave=max_dda < 0.0,
+        b_concave=max_ddb < 0.0,
+        max_dda=max_dda,
+        max_ddb=max_ddb,
         c_sign_changes=len(brackets),
         c_crossing=crossing)

@@ -10,7 +10,7 @@ Riemann components are its cyclic permutations,
 their cyclic sum vanishes (Ricci-flatness), and the anti-self-duality of the
 connection is equivalent to three scalar identities in the first
 derivatives.  All functions are pure and accept numpy arrays where division
-makes sense.
+makes sense, including samples whose fields are arrays.
 """
 from __future__ import annotations
 
@@ -28,11 +28,15 @@ def kappa(a, b, c):
     if np.any(np.asarray(a * b * c) == 0.0):
         raise ValueError("kappa is singular where abc = 0; the r = 0 values "
                          "come from kappa_at_zero")
-    d2 = (b - c) ** 2
+    # near r = 0 the numerator cancels to O(r^2) from O(1) terms, so its
+    # rounding shows; np.float_power is libm's pow, as Python's ** on floats
+    # is (numpy's ** is not), so arrays and floats give the same bits
+    pw = np.float_power
+    d2 = pw(b - c, 2)
     s = b + c
-    num = 2.0 * a ** 4 - a * a * d2 - a ** 3 * s + a * d2 * s - s * s * d2
+    num = 2.0 * pw(a, 4) - a * a * d2 - pw(a, 3) * s + a * d2 * s - s * s * d2
     # associate the product as a*(bc) so swapping b and c is bit-exact
-    return num / (2.0 * (a * (b * c)) ** 2)
+    return num / (2.0 * pw(a * (b * c), 2))
 
 
 def kappa_term_scale(a, b, c):
@@ -45,7 +49,8 @@ def kappa_term_scale(a, b, c):
 
 @dataclass(frozen=True)
 class CurvatureComponents:
-    """The three independent sectional values at one radius."""
+    """The three independent sectional values at one radius (arrays for a
+    sample of arrays)."""
 
     k1: float  # kappa(a, b, c) = a''/a
     k2: float  # kappa(b, c, a) = b''/b
@@ -65,7 +70,7 @@ def kappa_at_zero(m: float) -> CurvatureComponents:
 
 
 def curvature_components(sample: CoefficientSample) -> CurvatureComponents:
-    if sample.r <= 0.0:
+    if np.any(sample.r <= 0.0):
         raise ValueError("curvature_components needs r > 0; use kappa_at_zero")
     a, b, c = sample.a, sample.b, sample.c
     return CurvatureComponents(k1=kappa(a, b, c), k2=kappa(b, c, a), k3=kappa(c, a, b))
@@ -86,7 +91,7 @@ class ConnectionCoefficients:
 
 
 def connection_coefficients(sample: CoefficientSample) -> ConnectionCoefficients:
-    if sample.r <= 0.0:
+    if np.any(sample.r <= 0.0):
         raise ValueError("connection coefficients diverge at r = 0")
     a, b, c = sample.a, sample.b, sample.c
     den = 2.0 * a * b * c
@@ -116,6 +121,6 @@ def fiber_gauss_curvature(sample: CoefficientSample) -> float:
     """Gauss curvature of the totally geodesic fiber surface with induced
     metric dr^2 + (a^2/4) dpsi^2, i.e. K = -a''/a.  At r = 0 both a and a''
     vanish; the limit is 3/(2 m^2) with m = -b(0)."""
-    if sample.r == 0.0:
-        return 1.5 / sample.b ** 2
-    return -sample.dda / sample.a
+    at_zero = sample.r == 0.0
+    a = np.where(at_zero, 1.0, sample.a)
+    return np.where(at_zero, 1.5 / sample.b ** 2, -sample.dda / a)[()]

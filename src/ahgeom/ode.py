@@ -5,10 +5,12 @@
 with a(0) = 0, b(0) = -m, c(0) = m.  The system has a regular singular point
 at r = 0 (every right-hand side divides by a coefficient that vanishes
 there), so integration starts from an exact series bootstrap at a small
-radius r0 and proceeds with an adaptive embedded Runge-Kutta pair.  Profiles
-store values plus first and second derivatives at every accepted step and
-evaluate anywhere in [0, r_max]: by series below r0, by cubic Hermite
-interpolation above.
+radius r0 and proceeds with an adaptive embedded Runge-Kutta pair.  A
+profile stores its accepted steps as one sample of arrays (radius, values,
+first and second derivatives, gap) and evaluates a whole array of radii in
+[0, r_max] at once with `MetricProfile.eval`: by series below r0, by cubic
+Hermite interpolation above.  `MetricProfile.at` is the one-radius call of
+the same code.
 
 The difference c - a closes exponentially (rate ~ 3/m), so beyond r ~ 12 m
 it falls below the floating-point resolution of c itself and the rounded
@@ -25,8 +27,8 @@ as `gap`, at full relative precision at every radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from array import array
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,15 +44,17 @@ class IntegrationError(RuntimeError):
         self.r_reached = r_reached
 
 
-def rhs(a: float, b: float, c: float):
-    """Right-hand side (a', b', c') of the coefficient system."""
-    if a == 0.0 or b == 0.0 or c == 0.0:
+def rhs(a, b, c):
+    """Right-hand side (a', b', c') of the coefficient system, elementwise
+    on arrays.  For Python floats, a vanishing a, b or c raises ValueError."""
+    try:
+        return ((a * a - (b - c) ** 2) / (2.0 * b * c),
+                (b * b - (c - a) ** 2) / (2.0 * c * a),
+                (c * c - (a - b) ** 2) / (2.0 * a * b))
+    except ZeroDivisionError:
         raise ValueError(
             "coefficient ODE is singular where a, b or c vanishes; "
-            "use the series bootstrap at r = 0")
-    return ((a * a - (b - c) ** 2) / (2.0 * b * c),
-            (b * b - (c - a) ** 2) / (2.0 * c * a),
-            (c * c - (a - b) ** 2) / (2.0 * a * b))
+            "use the series bootstrap at r = 0") from None
 
 
 def rhs_apq(a: float, p: float, q: float):
@@ -90,7 +94,8 @@ def second_derivatives(a, b, c, da, db, dc):
 
 @dataclass(frozen=True)
 class CoefficientSample:
-    """The metric's full local data at one radius.
+    """The metric's full local data at one radius, or at an array of radii
+    when every field is an array of the same shape.
 
     gap carries c - a at full relative precision (it underflows the plain
     float subtraction c - a beyond r ~ 12 m); dgap is its r-derivative.
@@ -106,14 +111,12 @@ class CoefficientSample:
     dda: float
     ddb: float
     ddc: float
-    gap: float = None  # type: ignore[assignment]
-    dgap: float = None  # type: ignore[assignment]
+    gap: float
+    dgap: float
 
-    def __post_init__(self):
-        if self.gap is None:
-            object.__setattr__(self, "gap", self.c - self.a)
-        if self.dgap is None:
-            object.__setattr__(self, "dgap", self.dc - self.da)
+    def __len__(self) -> int:
+        """Number of radii of an array sample."""
+        return len(self.r)
 
     @property
     def p(self) -> float:
@@ -138,7 +141,7 @@ class ShapePoint:
 
 
 def shape_point(sample: CoefficientSample) -> ShapePoint:
-    if sample.c == 0.0:
+    if np.any(sample.c == 0.0):
         raise ValueError("shape coordinates are undefined where c = 0")
     return ShapePoint(x=sample.a / sample.c, y=sample.b / sample.c,
                       one_minus_x=sample.gap / sample.c)
@@ -160,7 +163,8 @@ def region_margins(sample: CoefficientSample):
 def sample_from_state(r: float, a: float, b: float, c: float,
                       gap: float | None = None) -> CoefficientSample:
     """Sample with derivatives from the ODE and second derivatives from its
-    analytic differentiation (valid only away from the singular locus)."""
+    analytic differentiation (valid only away from the singular locus);
+    elementwise on arrays."""
     da, db, dc = rhs(a, b, c)
     dda, ddb, ddc = second_derivatives(a, b, c, da, db, dc)
     if gap is None:
@@ -169,8 +173,9 @@ def sample_from_state(r: float, a: float, b: float, c: float,
                              gap=gap, dgap=gap * gap_rate(a, b, c))
 
 
-def sample_from_series(series: SeriesCoefficients, r: float) -> CoefficientSample:
-    """Sample with all fields from term-wise series differentiation."""
+def sample_from_series(series: SeriesCoefficients, r) -> CoefficientSample:
+    """Sample with all fields from term-wise series differentiation;
+    elementwise on arrays."""
     a, p, q, da, dp, dq, dda, ddp, ddq = series.apq(r)
     b, c = 0.5 * (p - q), 0.5 * (p + q)
     db, dc = 0.5 * (dp - dq), 0.5 * (dp + dq)
@@ -178,18 +183,6 @@ def sample_from_series(series: SeriesCoefficients, r: float) -> CoefficientSampl
         r=r, a=a, b=b, c=c, da=da, db=db, dc=dc,
         dda=dda, ddb=0.5 * (ddp - ddq), ddc=0.5 * (ddp + ddq),
         gap=c - a, dgap=dc - da)
-
-
-def bootstrap(params: ModelParams, order: int = 10,
-              r0: float | None = None) -> CoefficientSample:
-    """Series-evaluated sample at the bootstrap radius r0 (auto-chosen so the
-    series truncation estimate sits below params.tol/10)."""
-    series = expand(params.m, order)
-    if r0 is None:
-        r0 = series.truncation_radius(params.tol)
-    if not r0 > 0:
-        raise ValueError(f"bootstrap radius must be positive, got {r0}")
-    return sample_from_series(series, r0)
 
 
 # Dormand-Prince 5(4) embedded pair; the fifth-order solution propagates and
@@ -246,11 +239,13 @@ def integrate(params: ModelParams, series_order: int = 10) -> "MetricProfile":
 
     start = sample_from_series(series, r0)
     y = (start.a, start.b, start.c, start.gap)
-    samples = [sample_from_state(r0, start.a, start.b, start.c, gap=start.gap)]
+    k1 = _f4(y)
+    # one row (r, a, b, c, gap, da, db, dc, dgap) per accepted state, with
+    # the derivatives taken from its FSAL stage
+    rows = array("d", (r0, *y, *k1))
 
     r = r0
     h = min(h_max, r0)
-    k1 = _f4(y)
     while r < params.r_max:
         last = r + h >= params.r_max
         if last:
@@ -274,9 +269,11 @@ def integrate(params: ModelParams, series_order: int = 10) -> "MetricProfile":
                 raise IntegrationError(
                     "state left the physical region a > 0 > b, c > a; "
                     "integrator failure", r_new)
-            samples.append(sample_from_state(r_new, a, b, c, gap=u))
             r, y = r_new, y_new
             k1 = ks[6]  # FSAL
+            rows.append(r)
+            rows.extend(y)
+            rows.extend(k1)
             fac = 5.0 if norm == 0.0 else min(5.0, 0.9 * norm ** -0.2)
             h = min(h * fac, h_max)
         else:
@@ -284,51 +281,88 @@ def integrate(params: ModelParams, series_order: int = 10) -> "MetricProfile":
         if h < h_min and r < params.r_max:
             raise IntegrationError("step size underflow", r)
 
-    return MetricProfile(params=params, bootstrap=series, r0=r0,
-                         samples=tuple(samples))
+    r, a, b, c, gap, da, db, dc, dgap = np.array(rows).reshape(-1, 9).T.copy()
+    dda, ddb, ddc = second_derivatives(a, b, c, *rhs(a, b, c))
+    nodes = CoefficientSample(r, a, b, c, da, db, dc, dda, ddb, ddc, gap, dgap)
+    return MetricProfile(params=params, bootstrap=series, r0=r0, samples=nodes)
 
 
 @dataclass(frozen=True)
 class MetricProfile:
-    """Numerically constructed metric: ordered samples over [r0, r_max] plus
-    the series used below r0.  Immutable after construction; evaluation is
-    safe from concurrent readers."""
+    """Numerically constructed metric: the accepted integration steps over
+    [r0, r_max] as one sample of arrays, plus the series used below r0.
+    Immutable after construction; evaluation is safe from concurrent
+    readers."""
 
     params: ModelParams
     bootstrap: SeriesCoefficients
     r0: float
-    samples: tuple
-    _radii: np.ndarray = field(init=False, repr=False, compare=False)
+    samples: CoefficientSample
 
     def __post_init__(self):
-        radii = np.array([s.r for s in self.samples])
-        if not np.all(np.diff(radii) > 0):
+        if not np.all(np.diff(self.samples.r) > 0):
             raise ValueError("profile samples must have strictly increasing r")
-        object.__setattr__(self, "_radii", radii)
 
     @property
     def r_max(self) -> float:
         return self.params.r_max
 
-    def at(self, r: float) -> CoefficientSample:
-        """Metric data at any radius in [0, r_max]: exact series limit below
-        the bootstrap radius, cubic Hermite interpolation of the stored
-        values and derivatives elsewhere.
+    def eval(self, r) -> CoefficientSample:
+        """Metric data at every radius of the array r, each in [0, r_max],
+        as one sample of arrays: exact series limit below the bootstrap
+        radius, cubic Hermite interpolation of the stored values and
+        derivatives elsewhere.
 
         Interpolated samples carry the Hermite derivative as (da, db, dc) and
         analytic second derivatives of the interpolated state, so residual
-        checks against the ODE measure genuine interpolation error.
+        checks against the ODE measure genuine interpolation error.  Stored
+        nodes come back exactly: there t is 0 or 1, where the Hermite
+        weights select one node's value and derivative.
         """
-        if not 0.0 <= r <= self.r_max * (1.0 + 1e-12):
-            raise ValueError(f"r = {r:g} outside [0, {self.r_max:g}]")
-        if r < self.r0:
-            return sample_from_series(self.bootstrap, r)
-        r = min(r, self.samples[-1].r)
-        i = int(np.searchsorted(self._radii, r))
-        if i < len(self.samples) and self.samples[i].r == r:
-            return self.samples[i]
-        lo, hi = self.samples[i - 1], self.samples[i]
-        return _hermite(lo, hi, r)
+        r = np.array(r, dtype=float, ndmin=1)
+        inside = (r >= 0.0) & (r <= self.r_max * (1.0 + 1e-12))
+        if not inside.all():
+            raise ValueError(
+                f"r = {r[~inside][0]:g} outside [0, {self.r_max:g}]")
+        nodes = self.samples
+        x = np.clip(r, self.r0, nodes.r[-1])
+        hi = np.clip(np.searchsorted(nodes.r, x), 1, len(nodes) - 1)
+        lo = hi - 1
+        h = nodes.r[hi] - nodes.r[lo]
+        t = (x - nodes.r[lo]) / h
+        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
+        h10 = t * (1.0 - t) ** 2
+        h01 = t * t * (3.0 - 2.0 * t)
+        h11 = t * t * (t - 1.0)
+        d00 = 6.0 * t * (t - 1.0) / h
+        d10 = 3.0 * t * t - 4.0 * t + 1.0
+        d11 = 3.0 * t * t - 2.0 * t
+
+        def interp(y, dy):
+            y0, y1, m0, m1 = y[lo], y[hi], dy[lo], dy[hi]
+            v = h00 * y0 + h * (h10 * m0 + h11 * m1) + h01 * y1
+            dv = d00 * (y0 - y1) + d10 * m0 + d11 * m1
+            return v, dv
+
+        a, da = interp(nodes.a, nodes.da)
+        b, db = interp(nodes.b, nodes.db)
+        c, dc = interp(nodes.c, nodes.dc)
+        gap, dgap = interp(nodes.gap, nodes.dgap)
+        dda, ddb, ddc = second_derivatives(a, b, c, *rhs(a, b, c))
+        out = CoefficientSample(x, a, b, c, da, db, dc, dda, ddb, ddc, gap, dgap)
+        below = r < self.r0
+        if below.any():
+            series = sample_from_series(self.bootstrap, r[below])
+            for f in fields(out):
+                getattr(out, f.name)[below] = getattr(series, f.name)
+        return out
+
+    def at(self, r: float) -> CoefficientSample:
+        """Metric data at one radius in [0, r_max], as floats: `eval` of a
+        one-element array."""
+        one = self.eval(r)
+        return CoefficientSample(*(getattr(one, f.name).item()
+                                   for f in fields(one)))
 
     def grid(self, n: int, include_zero: bool = False):
         """Evenly spaced radii r_max * i/n for i = 1..n (plus 0 on request)."""
@@ -336,33 +370,7 @@ class MetricProfile:
         return ([0.0] + pts) if include_zero else pts
 
 
-def _hermite(lo: CoefficientSample, hi: CoefficientSample, r: float) -> CoefficientSample:
-    h = hi.r - lo.r
-    t = (r - lo.r) / h
-    h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-    h10 = t * (1.0 - t) ** 2
-    h01 = t * t * (3.0 - 2.0 * t)
-    h11 = t * t * (t - 1.0)
-    d00 = 6.0 * t * (t - 1.0) / h
-    d10 = 3.0 * t * t - 4.0 * t + 1.0
-    d11 = 3.0 * t * t - 2.0 * t
-
-    def interp(y0, y1, m0, m1):
-        v = h00 * y0 + h * (h10 * m0 + h11 * m1) + h01 * y1
-        dv = d00 * (y0 - y1) + d10 * m0 + d11 * m1
-        return v, dv
-
-    a, da = interp(lo.a, hi.a, lo.da, hi.da)
-    b, db = interp(lo.b, hi.b, lo.db, hi.db)
-    c, dc = interp(lo.c, hi.c, lo.dc, hi.dc)
-    gap, dgap = interp(lo.gap, hi.gap, lo.dgap, hi.dgap)
-    dda, ddb, ddc = second_derivatives(a, b, c, *rhs(a, b, c))
-    return CoefficientSample(r, a, b, c, da, db, dc, dda, ddb, ddc,
-                             gap=gap, dgap=dgap)
-
-
-def product_identity_residual(profile: MetricProfile,
-                              grid: Iterable[float]) -> float:
+def product_identity_residual(profile: MetricProfile, grid) -> float:
     """Worst residual of the product-form identities
 
         (ca + ab)' = 2 (ca)(ab) / (abc)    and cyclic companions
@@ -371,14 +379,11 @@ def product_identity_residual(profile: MetricProfile,
     stored derivatives.  An algebraic consequence of the coefficient system,
     so this measures integration plus interpolation error only.
     """
-    worst = 0.0
-    for r in grid:
-        s = profile.at(r)
-        a, b, c = s.a, s.b, s.c
-        da, db, dc = s.da, s.db, s.dc
-        den = a * b * c
-        e1 = (dc * a + c * da + da * b + a * db) - 2.0 * (c * a) * (a * b) / den
-        e2 = (da * b + a * db + db * c + b * dc) - 2.0 * (a * b) * (b * c) / den
-        e3 = (db * c + b * dc + dc * a + c * da) - 2.0 * (b * c) * (c * a) / den
-        worst = max(worst, abs(e1), abs(e2), abs(e3))
-    return worst
+    s = profile.eval(grid)
+    a, b, c = s.a, s.b, s.c
+    da, db, dc = s.da, s.db, s.dc
+    den = a * b * c
+    e1 = (dc * a + c * da + da * b + a * db) - 2.0 * (c * a) * (a * b) / den
+    e2 = (da * b + a * db + db * c + b * dc) - 2.0 * (a * b) * (b * c) / den
+    e3 = (db * c + b * dc + dc * a + c * da) - 2.0 * (b * c) * (c * a) / den
+    return float(np.max(np.abs([e1, e2, e3]), initial=0.0))

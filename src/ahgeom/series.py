@@ -184,19 +184,6 @@ class SeriesCoefficients:
         m = self.m
         return (m * a, m * p, m * q, da, dp, dq, dda / m, ddp / m, ddq / m)
 
-    def last_term_bounds(self, r: float):
-        """Magnitudes of the last retained term of a, p, q at radius r.
-
-        The standard heuristic truncation estimate: the first omitted term is
-        comparable to the last retained one.
-        """
-        s = abs(r) / self.m
-        out = []
-        for unit in (self.unit_a, self.unit_p, self.unit_q):
-            k = max(i for i, c in enumerate(unit) if c != 0)
-            out.append(self.m * abs(float(unit[k])) * s ** k)
-        return tuple(out)
-
     def truncation_radius(self, tol: float) -> float:
         """Largest radius where the last retained term of a/r, p/r and q/m
         stays below tol/10, i.e. where truncating the series is safely below

@@ -14,10 +14,12 @@ import numpy as np
 
 from .config import ModelParams, RunConfig
 from .convexity import (brute_force_plane_min, chain_margins, hessian_r2,
-                        min_trace_over_kplanes, second_derivative_signs)
+                        hessian_r2_diagonal, min_trace_over_kplanes,
+                        second_derivative_signs)
 from .curvature import (asd_residual, curvature_components,
                         fiber_gauss_curvature, kappa_term_scale)
-from .ode import MetricProfile, integrate, product_identity_residual, region_margins
+from .ode import (MetricProfile, integrate, product_identity_residual,
+                  region_margins, rhs)
 from .zero_section import calibration_check, stability_operator
 
 
@@ -84,19 +86,12 @@ class VerifyContext:
 
 
 def check_ode_residuals(ctx: VerifyContext) -> CheckResult:
-    from .ode import rhs
-
     tols = tolerances(ctx.tol)
-    worst_stored = 0.0
-    for s in ctx.profile.samples:
-        fa, fb, fc = rhs(s.a, s.b, s.c)
-        worst_stored = max(
-            worst_stored,
-            abs(s.da - fa) / max(1.0, abs(fa)),
-            abs(s.db - fb) / max(1.0, abs(fb)),
-            abs(s.dc - fc) / max(1.0, abs(fc)))
-    nodes = [s.r for s in ctx.profile.samples]
-    mids = [0.5 * (nodes[i] + nodes[i + 1]) for i in range(len(nodes) - 1)]
+    n = ctx.profile.samples
+    worst_stored = max(
+        float(np.max(np.abs(d - f) / np.maximum(1.0, np.abs(f))))
+        for d, f in zip((n.da, n.db, n.dc), rhs(n.a, n.b, n.c)))
+    mids = 0.5 * (n.r[:-1] + n.r[1:])
     worst_mid = product_identity_residual(ctx.profile, mids)
     ratio = max(worst_stored / tols["ode_stored_rel"],
                 worst_mid / tols["ode2_interp_abs"])
@@ -105,7 +100,7 @@ def check_ode_residuals(ctx: VerifyContext) -> CheckResult:
         anchor="coefficient system residuals on stored nodes; "
                "product identities (ca+ab)' = 2(ca)(ab)/(abc) at midpoints",
         passed=ratio <= 1.0, worst=ratio, budget=1.0, direction="<=",
-        grid=len(nodes) + len(mids),
+        grid=len(n) + len(mids),
         note=f"stored={worst_stored:.3e} (<= {tols['ode_stored_rel']:.1e}), "
              f"interp={worst_mid:.3e} (<= {tols['ode2_interp_abs']:.1e})")
 
@@ -136,9 +131,8 @@ def check_series_expansion(ctx: VerifyContext) -> CheckResult:
 
 
 def check_shape_region(ctx: VerifyContext) -> CheckResult:
-    worst = float("inf")
-    for r in ctx.grid:
-        worst = min(worst, min(region_margins(ctx.profile.at(r))))
+    worst = min(float(np.min(g))
+                for g in region_margins(ctx.profile.eval(ctx.grid)))
     return CheckResult(
         name="shape_region",
         anchor="shape curve (x, y) = (a/c, b/c) stays in "
@@ -150,19 +144,15 @@ def check_shape_region(ctx: VerifyContext) -> CheckResult:
 
 def check_hyperkahler_certificate(ctx: VerifyContext) -> CheckResult:
     tols = tolerances(ctx.tol)
-    asd_stored = max(
-        max(abs(e) for e in asd_residual(s)) for s in ctx.profile.samples)
-    asd_interp = 0.0
-    cyc = 0.0
-    cert = 0.0
-    for r in ctx.grid:
-        s = ctx.profile.at(r)
-        asd_interp = max(asd_interp, max(abs(e) for e in asd_residual(s)))
-        k = curvature_components(s)
-        cyc = max(cyc, abs(k.cyclic_sum) / kappa_term_scale(s.a, s.b, s.c))
+    asd_stored = float(np.max(np.abs(asd_residual(ctx.profile.samples))))
+    s = ctx.profile.eval(ctx.grid)
+    asd_interp = float(np.max(np.abs(asd_residual(s))))
+    k = curvature_components(s)
+    cyc = float(np.max(np.abs(k.cyclic_sum) / kappa_term_scale(s.a, s.b, s.c)))
+    cert = max(
+        float(np.max(np.abs(du / u - ki) / np.maximum(1.0, np.abs(ki))))
         for du, u, ki in ((s.dda, s.a, k.k1), (s.ddb, s.b, k.k2),
-                          (s.ddc, s.c, k.k3)):
-            cert = max(cert, abs(du / u - ki) / max(1.0, abs(ki)))
+                          (s.ddc, s.c, k.k3)))
     ratio = max(asd_stored / tols["asd_stored_abs"],
                 asd_interp / tols["asd_interp_abs"],
                 cyc / tols["kappa_cyclic_rel"],
@@ -220,10 +210,10 @@ def check_derivative_chain(ctx: VerifyContext) -> CheckResult:
 
 
 def check_two_convexity(ctx: VerifyContext) -> CheckResult:
-    worst = float("inf")
-    for r in ctx.grid:
-        h = hessian_r2(ctx.profile.at(r))
-        worst = min(worst, h.min2sum, h.smallest_sum(3), -h.eig[0])
+    eig = np.sort(np.broadcast_arrays(
+        *hessian_r2_diagonal(ctx.profile.eval(ctx.grid))), axis=0)
+    worst = float(min(np.min(eig[0] + eig[1]),
+                      np.min(eig[0] + eig[1] + eig[2]), np.min(-eig[0])))
     return CheckResult(
         name="two_convexity",
         anchor="sum of two (and of three) smallest Hess(r^2) eigenvalues "
@@ -280,15 +270,15 @@ def check_scale_covariance(ctx: VerifyContext) -> CheckResult:
     p1 = ctx.profile.params
     p2 = ModelParams(m=2.0 * p1.m, r_max=2.0 * p1.r_max, tol=p1.tol)
     prof2 = integrate(p2)
-    worst = 0.0
-    for i in range(1, 101):
-        r = p2.r_max * i / 100.0
-        s2 = prof2.at(r)
-        s1 = ctx.profile.at(r / 2.0)
-        for v2, v1 in ((s2.a, s1.a), (s2.b, s1.b), (s2.c, s1.c)):
-            worst = max(worst, abs(v2 - 2.0 * v1) / max(p2.m, abs(v2)))
-        worst = max(worst, abs(s2.da - s1.da) / max(1.0, abs(s2.da)))
-        worst = max(worst, abs(s2.dda - 0.5 * s1.dda) / max(1.0 / p2.m, abs(s2.dda)))
+    r = p2.r_max * np.arange(1, 101) / 100.0
+    s2 = prof2.eval(r)
+    s1 = ctx.profile.eval(r / 2.0)
+    worst = max(
+        float(np.max(np.abs(got - want) / np.maximum(floor, np.abs(got))))
+        for got, want, floor in (
+            (s2.a, 2.0 * s1.a, p2.m), (s2.b, 2.0 * s1.b, p2.m),
+            (s2.c, 2.0 * s1.c, p2.m), (s2.da, s1.da, 1.0),
+            (s2.dda, 0.5 * s1.dda, 1.0 / p2.m)))
     return CheckResult(
         name="scale_covariance",
         anchor="coefficients at parameter 2m are the doubled rescaling "

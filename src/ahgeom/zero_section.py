@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -81,39 +81,26 @@ class CalibrationResult:
     strict_after_zero: bool
 
 
-def calibration_check(profile: MetricProfile,
-                      grid: Iterable[float]) -> CalibrationResult:
+def calibration_check(profile: MetricProfile, grid) -> CalibrationResult:
     """Verify bc <= -m^2 with equality only at r = 0 and bc strictly
     decreasing.  The product bc starts at -m^2 and (bc)' < 0 for r > 0; that
     is exactly the comass-one condition of the calibrating form, whose
     comass at radius r is m^2/|bc|."""
     m2 = profile.params.m ** 2
     slack = 1.0 - 1e-8
-    min_abs = math.inf
-    worst_excess = -math.inf
-    bound = True
-    strict = True
-    monotone = True
-    prev_bc = None
-    for r in grid:
-        s = profile.at(r)
-        bc = s.b * s.c
-        min_abs = min(min_abs, abs(bc))
-        worst_excess = max(worst_excess, bc + m2)
-        if bc > -m2 * slack:
-            bound = False
-        if r > 0.0:
-            if bc >= -m2:
-                strict = False
-            dbc = s.db * s.c + s.b * s.dc
-            if dbc >= 0.0:
-                monotone = False
-        if prev_bc is not None and bc >= prev_bc:
-            monotone = False
-        prev_bc = bc
-    return CalibrationResult(min_abs_bc=min_abs, monotone=monotone,
-                             bound_holds=bound, worst_excess=worst_excess,
-                             strict_after_zero=strict)
+    r = np.asarray(grid, dtype=float)
+    s = profile.eval(r)
+    bc = s.b * s.c
+    dbc = s.db * s.c + s.b * s.dc
+    after_zero = r > 0.0
+    monotone = not (np.any(dbc[after_zero] >= 0.0)
+                    or np.any(bc[1:] >= bc[:-1]))
+    return CalibrationResult(
+        min_abs_bc=float(np.min(np.abs(bc), initial=math.inf)),
+        monotone=monotone,
+        bound_holds=not np.any(bc > -m2 * slack),
+        worst_excess=float(np.max(bc + m2, initial=-math.inf)),
+        strict_after_zero=not np.any(bc[after_zero] >= -m2))
 
 
 def zero_section_area(m: float) -> float:

@@ -1,9 +1,11 @@
 """CLI contracts: table formats, exit codes, determinism, config precedence."""
 import json
+import math
 
 import pytest
 
 from ahgeom.cli import main
+from ahgeom.config import ModelParams, RunConfig
 
 FAST = ["--r-max", "6", "--grid", "60"]
 
@@ -127,6 +129,19 @@ class TestConfigHandling:
         code, _, err = run(["solve", "--m", "-1"], capsys)
         assert code == 2
         assert "positive" in err
+
+    def test_usage_error_infinite_m(self, capsys):
+        code, _, err = run(["solve", "--m", "inf"], capsys)
+        assert code == 2
+        assert "ahgeom: m must be positive and finite" in err
+
+    @pytest.mark.parametrize("field", ["m", "r_max"])
+    def test_non_finite_params_rejected(self, field):
+        # an infinite horizon would keep the integrator stepping forever
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ModelParams(**{"m": 1.0, "r_max": 20.0, field: math.inf})
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            RunConfig(**{field: math.inf})
 
     def test_usage_error_bad_tol(self, capsys):
         code, _, err = run(["verify", "--tol", "1e-2"], capsys)

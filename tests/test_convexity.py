@@ -1,11 +1,12 @@
 """Convexity machinery: Hessian spectrum, derivative chain, k-plane minima."""
 import math
 
+import numpy as np
 import pytest
 
 from ahgeom.convexity import (brute_force_plane_min, chain_margins,
-                              hessian_r2, min_trace_over_kplanes,
-                              second_derivative_signs)
+                              hessian_r2, hessian_r2_diagonal,
+                              min_trace_over_kplanes, second_derivative_signs)
 
 C_CROSSING_M1 = 1.7175933153182266  # frozen; stable under tol 1e-10 -> 1e-12
 
@@ -17,6 +18,14 @@ class TestHessianSpectrum:
         assert h.eig[3] == 2.0                  # the radial eigenvalue
         assert sum(1 for e in h.eig if e < 0) == 1
         assert h.min2sum == h.eig[0] + h.eig[1]
+
+    def test_batch_diagonal_matches_spectrum(self, profile1):
+        # the sorted diagonal of an eval batch is each radius's spectrum
+        rs = [1e-3, 0.5, 1.0, 7.0, 20.0]
+        eig = np.sort(np.broadcast_arrays(
+            *hessian_r2_diagonal(profile1.eval(rs))), axis=0)
+        for i, r in enumerate(rs):
+            assert tuple(eig[:, i].tolist()) == hessian_r2(profile1.at(r)).eig
 
     def test_small_r_eigenvalues_match_series(self, profile1):
         r = 1e-3

@@ -67,7 +67,8 @@ class TestCalibration:
     def test_negative_control_flipped_sign(self, profile1, grid1):
         from dataclasses import replace
         from ahgeom.ode import MetricProfile
-        flipped = tuple(replace(s, b=-s.b) for s in profile1.samples)
+        nodes = profile1.samples
+        flipped = replace(nodes, b=-nodes.b)
         bad = MetricProfile(params=profile1.params, bootstrap=profile1.bootstrap,
                             r0=profile1.r0, samples=flipped)
         cal = calibration_check(bad, grid1[100::200])

@@ -15,15 +15,15 @@ import sys
 import numpy as np
 
 from ahgeom.config import ModelParams
-from ahgeom.convexity import hessian_r2_diagonal, second_derivative_signs
+from ahgeom.convexity import (hessian_r2, min_trace_over_kplanes,
+                              second_derivative_signs)
 from ahgeom.ode import integrate
 
 
 def tube_modulus(profile, n: int = 400) -> float:
     r = (profile.params.m / 10.0) * np.arange(1, n + 1) / n
-    eig = np.sort(np.broadcast_arrays(
-        *hessian_r2_diagonal(profile.eval(r))), axis=0)
-    return float(np.min((eig[0] + eig[1]) / (r * r)))
+    eig = hessian_r2(profile.eval(r))
+    return float(np.min(min_trace_over_kplanes(eig, 2) / (r * r)))
 
 
 def main(argv=None) -> int:

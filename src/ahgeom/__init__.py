@@ -4,8 +4,8 @@ the hyper-Kaehler curvature identities, strong stability, the calibration
 bound, and two-convexity of the squared distance function."""
 
 from .config import ModelParams, RunConfig
-from .convexity import (HessianSpectrum, SignReport, brute_force_plane_min,
-                        chain_margins, hessian_r2, hessian_r2_diagonal,
+from .convexity import (SignReport, brute_force_plane_min, chain_margins,
+                        hessian_r2, hessian_r2_diagonal,
                         min_trace_over_kplanes, second_derivative_signs)
 from .curvature import (ConnectionCoefficients, CurvatureComponents,
                         asd_residual, connection_coefficients,
@@ -13,12 +13,12 @@ from .curvature import (ConnectionCoefficients, CurvatureComponents,
                         kappa_at_zero)
 from .ode import (CoefficientSample, IntegrationError, MetricProfile,
                   ShapePoint, integrate, product_identity_residual,
-                  region_margins, rhs, rhs_apq, sample_from_series,
-                  sample_from_state, second_derivatives, shape_point)
+                  region_margins, rhs, sample_from_series,
+                  second_derivatives, shape_point)
 from .series import SeriesCoefficients, expand, formal_residual_ok
 from .verify import CheckResult, VerificationReport, run_verification
 from .zero_section import (CalibrationResult, SecondFundamentalForm,
                            calibration_check, second_fundamental_form,
-                           stability_operator, zero_section_area)
+                           stability_operator)
 
 __version__ = "0.1.0"

@@ -26,8 +26,10 @@ class ModelParams:
         if not 0 < self.r_max < math.inf:
             raise ValueError(
                 f"r_max must be positive and finite, got {self.r_max}")
-        if not 0 < self.tol < 1e-2:
-            raise ValueError(f"tol must lie in (0, 1e-2), got {self.tol}")
+        # the floor, about 45 ulp of 1.0, keeps the 10*tol budgets on stored
+        # nodes above the rounding of the values they bound
+        if not 1e-14 <= self.tol < 1e-2:
+            raise ValueError(f"tol must lie in [1e-14, 1e-2), got {self.tol}")
 
     @classmethod
     def default(cls, m: float = 1.0, tol: float = 1e-10) -> "ModelParams":

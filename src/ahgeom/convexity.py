@@ -21,20 +21,6 @@ import numpy as np
 from .ode import CoefficientSample, MetricProfile, shape_point
 
 
-@dataclass(frozen=True)
-class HessianSpectrum:
-    """Eigenvalues of Hess(r^2) at one radius, ascending."""
-
-    r: float
-    eig: tuple
-    min2sum: float
-
-    def smallest_sum(self, k: int) -> float:
-        if not 1 <= k <= 4:
-            raise ValueError(f"k must be in 1..4, got {k}")
-        return math.fsum(self.eig[:k])
-
-
 def hessian_r2_diagonal(sample: CoefficientSample) -> tuple:
     """Hess(r^2) in the orthonormal co-frame: the diagonal
     (2, 2r a'/a, 2r b'/b, 2r c'/c), unsorted.  Elementwise on a sample of
@@ -46,22 +32,21 @@ def hessian_r2_diagonal(sample: CoefficientSample) -> tuple:
             2.0 * r * sample.dc / sample.c)
 
 
-def hessian_r2(sample: CoefficientSample, limit_at_zero: bool = False) -> HessianSpectrum:
-    """Spectrum of Hess(r^2).  At r = 0 the Hessian degenerates to the
-    normal-plane limit diag(2, 2, 0, 0); request it explicitly via
-    limit_at_zero."""
-    if sample.r == 0.0:
-        if not limit_at_zero:
-            raise ValueError("Hess(r^2) at r = 0 only via limit_at_zero=True")
-        return HessianSpectrum(r=0.0, eig=(0.0, 0.0, 2.0, 2.0), min2sum=0.0)
-    lam = sorted(hessian_r2_diagonal(sample))
-    return HessianSpectrum(r=sample.r, eig=tuple(lam), min2sum=lam[0] + lam[1])
+def hessian_r2(sample: CoefficientSample) -> np.ndarray:
+    """Spectrum of Hess(r^2), ascending along the first axis: shape (4,) for
+    a sample at one radius, (4, n) for n radii.  Needs r > 0: at r = 0 the
+    co-frame rates are 0/0 (the limit is diag(2, 2, 0, 0))."""
+    if np.any(sample.r <= 0.0):
+        raise ValueError("hessian_r2 needs r > 0")
+    return np.sort(np.broadcast_arrays(*hessian_r2_diagonal(sample)), axis=0)
 
 
-def min_trace_over_kplanes(spectrum: HessianSpectrum, k: int) -> float:
-    """Exact minimum of tr_L Hess(r^2) over k-dimensional subspaces L: the
-    sum of the k smallest eigenvalues."""
-    return spectrum.smallest_sum(k)
+def min_trace_over_kplanes(eig: np.ndarray, k: int):
+    """Exact minimum of tr_L Hess(r^2) over k-dimensional subspaces L (Ky
+    Fan): the sum of the first k rows of the spectrum from `hessian_r2`."""
+    if not 1 <= k <= 4:
+        raise ValueError(f"k must be in 1..4, got {k}")
+    return np.sum(eig[:k], axis=0)
 
 
 def chain_margins(profile: MetricProfile, grid):
@@ -97,33 +82,22 @@ def brute_force_plane_min(sample: CoefficientSample, k: int,
     only matrix-vector products with the Hessian, no eigendecomposition.
     Every evaluation is the trace over a genuine subspace, so the result can
     never undercut the true minimum (beyond rounding), and pure sampling
-    (polish=False) converges to it from above as trials grow.
+    (polish=False) converges to it from above as trials grow.  All frames
+    are drawn at once, so trials is capped at 200 000 to bound memory.
     """
     if sample.r <= 0.0:
         raise ValueError("plane minimization needs r > 0")
     if not 1 <= k <= 4:
         raise ValueError(f"k must be in 1..4, got {k}")
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
+    if not 1000 <= trials <= 200_000:
+        raise ValueError(f"trials must be in 1000..200000, got {trials}")
     d = np.array(hessian_r2_diagonal(sample))
     rng = np.random.default_rng(seed)
-    best = math.inf
-    top_frames = []
-    chunk = 200_000
-    done = 0
-    n_top = 8
-    while done < trials:
-        n = min(chunk, trials - done)
-        frames, _ = np.linalg.qr(rng.standard_normal((n, 4, k)))
-        tr = np.einsum("i,tij->t", d, frames ** 2)
-        best = min(best, float(tr.min()))
-        order = np.argsort(tr)[:n_top]
-        top_frames.append(frames[order])
-        done += n
+    frames, _ = np.linalg.qr(rng.standard_normal((trials, 4, k)))
+    tr = np.einsum("i,tij->t", d, frames ** 2)
+    best = float(tr.min())
     if polish:
-        cand = np.concatenate(top_frames)
-        tr = np.einsum("i,pij->p", d, cand ** 2)
-        V = cand[np.argsort(tr)[:n_top]]
+        V = frames[np.argsort(tr)[:8]]
         eta = 0.25 / max(float(d.max() - d.min()), 1e-300)
         for _ in range(200):
             grad = 2.0 * d[None, :, None] * V

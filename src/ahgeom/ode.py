@@ -57,20 +57,6 @@ def rhs(a, b, c):
             "use the series bootstrap at r = 0") from None
 
 
-def rhs_apq(a: float, p: float, q: float):
-    """Right-hand side (a', q', p') in the parity variables p = c+b, q = c-b.
-
-    Returned in the order (da, dq, dp).
-    """
-    d = p * p - q * q
-    if a == 0.0 or d == 0.0:
-        raise ValueError("rhs_apq is singular at a = 0 or p^2 = q^2")
-    da = 2.0 * (a * a - q * q) / d
-    dq = 2.0 * q * (p * p - a * a) / (a * d)
-    dp = 2.0 + 2.0 * p * (q * q - a * a) / (a * d)
-    return da, dq, dp
-
-
 def gap_rate(a: float, b: float, c: float) -> float:
     """g with (c - a)' = (c - a) * g; exact consequence of the system."""
     return (a + c - b) * (a + b + c) / (2.0 * a * b * c)
@@ -118,14 +104,6 @@ class CoefficientSample:
         """Number of radii of an array sample."""
         return len(self.r)
 
-    @property
-    def p(self) -> float:
-        return self.c + self.b
-
-    @property
-    def q(self) -> float:
-        return self.c - self.b
-
 
 @dataclass(frozen=True)
 class ShapePoint:
@@ -160,19 +138,6 @@ def region_margins(sample: CoefficientSample):
     return (m_region, sp.x, sp.one_minus_x, sp.y + 1.0, -sp.y)
 
 
-def sample_from_state(r: float, a: float, b: float, c: float,
-                      gap: float | None = None) -> CoefficientSample:
-    """Sample with derivatives from the ODE and second derivatives from its
-    analytic differentiation (valid only away from the singular locus);
-    elementwise on arrays."""
-    da, db, dc = rhs(a, b, c)
-    dda, ddb, ddc = second_derivatives(a, b, c, da, db, dc)
-    if gap is None:
-        gap = c - a
-    return CoefficientSample(r, a, b, c, da, db, dc, dda, ddb, ddc,
-                             gap=gap, dgap=gap * gap_rate(a, b, c))
-
-
 def sample_from_series(series: SeriesCoefficients, r) -> CoefficientSample:
     """Sample with all fields from term-wise series differentiation;
     elementwise on arrays."""
@@ -202,6 +167,10 @@ _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -
 # inside the 10*tol reconstruction budget (interpolation error ~ h^4).
 _HERMITE_STEP_FACTOR = 0.75
 
+# Stored-node budget, about 12x a tol-floor run to 20 m; a huge finite r_max
+# would otherwise grow the node store by 72 bytes a step until memory runs out.
+_MAX_NODES = 1_000_000
+
 
 def _f4(y):
     # flow of the augmented state (a, b, c, u): coefficient system plus the
@@ -217,16 +186,17 @@ def _combine(y, h, ks, coefs):
         for i in range(4))
 
 
-def integrate(params: ModelParams, series_order: int = 10) -> "MetricProfile":
+def integrate(params: ModelParams) -> "MetricProfile":
     """Adaptive integration from the series bootstrap at r0 out to r_max.
 
     Every accepted step has an embedded local error estimate at most tol
     relative to the solution scale m + |y| on the coefficient components
     (the gap component is linear and slaved, so it inherits that accuracy).
-    Raises IntegrationError on step-size underflow or if a stored state
-    leaves the physical region (a > 0, c > a, b < 0).
+    Raises IntegrationError on step-size underflow, if a stored state
+    leaves the physical region (a > 0, c > a, b < 0), or if the run would
+    store more than _MAX_NODES nodes.
     """
-    series = expand(params.m, series_order)
+    series = expand(params.m, 10)
     r0 = series.truncation_radius(params.tol)
     if not r0 < 0.5 * params.r_max:
         raise ValueError(
@@ -269,6 +239,10 @@ def integrate(params: ModelParams, series_order: int = 10) -> "MetricProfile":
                 raise IntegrationError(
                     "state left the physical region a > 0 > b, c > a; "
                     "integrator failure", r_new)
+            if len(rows) >= 9 * _MAX_NODES:
+                raise IntegrationError(
+                    f"stored-node budget of {_MAX_NODES} exhausted; "
+                    "raise tol or lower r_max", r)
             r, y = r_new, y_new
             k1 = ks[6]  # FSAL
             rows.append(r)
@@ -364,10 +338,9 @@ class MetricProfile:
         return CoefficientSample(*(getattr(one, f.name).item()
                                    for f in fields(one)))
 
-    def grid(self, n: int, include_zero: bool = False):
-        """Evenly spaced radii r_max * i/n for i = 1..n (plus 0 on request)."""
-        pts = [self.r_max * i / n for i in range(1, n + 1)]
-        return ([0.0] + pts) if include_zero else pts
+    def grid(self, n: int) -> np.ndarray:
+        """Evenly spaced radii r_max * i/n for i = 1..n."""
+        return self.r_max * np.arange(1, n + 1) / n
 
 
 def product_identity_residual(profile: MetricProfile, grid) -> float:

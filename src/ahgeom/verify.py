@@ -7,15 +7,14 @@ table is echoed into every report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .config import ModelParams, RunConfig
 from .convexity import (brute_force_plane_min, chain_margins, hessian_r2,
-                        hessian_r2_diagonal, min_trace_over_kplanes,
-                        second_derivative_signs)
+                        min_trace_over_kplanes, second_derivative_signs)
 from .curvature import (asd_residual, curvature_components,
                         fiber_gauss_curvature, kappa_term_scale)
 from .ode import (MetricProfile, integrate, product_identity_residual,
@@ -66,15 +65,14 @@ class CheckResult:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyContext:
     config: RunConfig
     profile: MetricProfile
-    grid: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.grid:
-            self.grid = self.profile.grid(self.config.grid_points)
+    @property
+    def grid(self) -> np.ndarray:
+        return self.profile.grid(self.config.grid_points)
 
     @property
     def tol(self) -> float:
@@ -187,7 +185,8 @@ def check_strong_stability(ctx: VerifyContext) -> CheckResult:
 
 
 def check_calibration_bound(ctx: VerifyContext) -> CheckResult:
-    cal = calibration_check(ctx.profile, [0.0] + list(ctx.grid))
+    cal = calibration_check(ctx.profile, np.r_[0.0, ctx.grid],
+                            tolerances(ctx.tol)["calibration_slack"])
     ok = cal.bound_holds and cal.monotone and cal.strict_after_zero
     return CheckResult(
         name="calibration_bound",
@@ -210,10 +209,9 @@ def check_derivative_chain(ctx: VerifyContext) -> CheckResult:
 
 
 def check_two_convexity(ctx: VerifyContext) -> CheckResult:
-    eig = np.sort(np.broadcast_arrays(
-        *hessian_r2_diagonal(ctx.profile.eval(ctx.grid))), axis=0)
-    worst = float(min(np.min(eig[0] + eig[1]),
-                      np.min(eig[0] + eig[1] + eig[2]), np.min(-eig[0])))
+    eig = hessian_r2(ctx.profile.eval(ctx.grid))
+    worst = float(min(np.min(min_trace_over_kplanes(eig, 2)),
+                      np.min(min_trace_over_kplanes(eig, 3)), np.min(-eig[0])))
     return CheckResult(
         name="two_convexity",
         anchor="sum of two (and of three) smallest Hess(r^2) eigenvalues "
@@ -235,7 +233,7 @@ def check_kplane_oracle(ctx: VerifyContext) -> CheckResult:
         s = ctx.profile.at(float(r))
         spectrum = hessian_r2(s)
         for k in (1, 2, 3):
-            exact = min_trace_over_kplanes(spectrum, k)
+            exact = float(min_trace_over_kplanes(spectrum, k))
             got = brute_force_plane_min(
                 s, k, trials=tols["kplane_trials"],
                 seed=seed + 1000 * k + i)

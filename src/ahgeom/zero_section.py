@@ -2,36 +2,33 @@
 pointwise stability operator on its normal bundle, and the calibration
 bound that makes it area-minimizing.
 
-Index convention: 0 and 1 are normal directions of the sphere, 2 and 3 are
-tangential; h[(mu, j, k)] is the second fundamental form paired with the
-normal leg mu.
+Frame convention: in the orthonormal co-frame (e0, e1, e2, e3), e0 and e1
+are normal to the sphere and e2, e3 tangent to it.  The second fundamental
+form is the (2, 4, 4) array h[mu, j, k], paired with the normal leg mu; its
+entries with j or k normal are zero.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
 
 from .curvature import kappa_at_zero
 from .ode import MetricProfile
 
-NORMAL = (0, 1)
-TANGENT = (2, 3)
-
 
 @dataclass(frozen=True)
 class SecondFundamentalForm:
     m: float
-    h: Dict[Tuple[int, int, int], float]
+    h: np.ndarray  # (2, 4, 4): h[mu, j, k]
 
     @property
     def norm_squared(self) -> float:
-        return sum(v * v for v in self.h.values())
+        return float(np.sum(self.h * self.h))
 
     def mean_curvature_trace(self, mu: int) -> float:
-        return sum(self.h[(mu, j, j)] for j in TANGENT)
+        return float(np.trace(self.h[mu]))
 
 
 def second_fundamental_form(m: float) -> SecondFundamentalForm:
@@ -41,11 +38,11 @@ def second_fundamental_form(m: float) -> SecondFundamentalForm:
     if not m > 0:
         raise ValueError(f"m must be positive, got {m}")
     e = 1.0 / (2.0 * m)
-    h = {(mu, j, k): 0.0 for mu in NORMAL for j in TANGENT for k in TANGENT}
-    h[(0, 2, 2)] = -e
-    h[(0, 3, 3)] = e
-    h[(1, 2, 3)] = e
-    h[(1, 3, 2)] = e
+    h = np.zeros((2, 4, 4))
+    h[0, 2, 2] = -e
+    h[0, 3, 3] = e
+    h[1, 2, 3] = e
+    h[1, 3, 2] = e
     return SecondFundamentalForm(m=m, h=h)
 
 
@@ -55,19 +52,13 @@ def stability_operator(m: float) -> np.ndarray:
     form; no independent constants enter.  Pointwise positive definiteness
     of this matrix is the strong stability of the sphere."""
     k0 = kappa_at_zero(m)
-    sff = second_fundamental_form(m).h
+    h = second_fundamental_form(m).h
     # curvature sums over tangential legs: R_2002 + R_3003 = k2 + k3 in the
-    # e0 direction and R_2112 + R_3113 = k3 + k2 in the e1 direction
-    curv = {0: k0.k2 + k0.k3, 1: k0.k3 + k0.k2}
-    out = np.empty((2, 2))
-    for mu in NORMAL:
-        out[mu, mu] = curv[mu] - sum(
-            sff[(mu, j, k)] ** 2 for j in TANGENT for k in TANGENT)
+    # e0 direction and R_2112 + R_3113 = k3 + k2 in the e1 direction; the
     # normal-mixing curvature components all vanish in the nontrivial
     # component list, so only the form contributes off the diagonal
-    cross = -sum(sff[(0, j, k)] * sff[(1, j, k)] for j in TANGENT for k in TANGENT)
-    out[0, 1] = out[1, 0] = cross
-    return out
+    return (np.diag([k0.k2 + k0.k3, k0.k3 + k0.k2])
+            - np.einsum("ajk,bjk->ab", h, h))
 
 
 @dataclass(frozen=True)
@@ -81,13 +72,14 @@ class CalibrationResult:
     strict_after_zero: bool
 
 
-def calibration_check(profile: MetricProfile, grid) -> CalibrationResult:
+def calibration_check(profile: MetricProfile, grid,
+                      slack: float) -> CalibrationResult:
     """Verify bc <= -m^2 with equality only at r = 0 and bc strictly
     decreasing.  The product bc starts at -m^2 and (bc)' < 0 for r > 0; that
     is exactly the comass-one condition of the calibrating form, whose
-    comass at radius r is m^2/|bc|."""
+    comass at radius r is m^2/|bc|.  The bound is checked up to the relative
+    slack, bc <= -m^2 (1 - slack), since bc = -m^2 - r^2/2 + O(r^4)."""
     m2 = profile.params.m ** 2
-    slack = 1.0 - 1e-8
     r = np.asarray(grid, dtype=float)
     s = profile.eval(r)
     bc = s.b * s.c
@@ -98,13 +90,7 @@ def calibration_check(profile: MetricProfile, grid) -> CalibrationResult:
     return CalibrationResult(
         min_abs_bc=float(np.min(np.abs(bc), initial=math.inf)),
         monotone=monotone,
-        bound_holds=not np.any(bc > -m2 * slack),
+        bound_holds=not np.any(bc > -m2 * (1.0 - slack)),
         worst_excess=float(np.max(bc + m2, initial=-math.inf)),
         strict_after_zero=not np.any(bc[after_zero] >= -m2))
 
-
-def zero_section_area(m: float) -> float:
-    """Area of the zero section: a round sphere of radius m."""
-    if not m > 0:
-        raise ValueError(f"m must be positive, got {m}")
-    return 4.0 * math.pi * m * m

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ahgeom import ode
 from ahgeom.cli import main
 from ahgeom.config import ModelParams, RunConfig
 
@@ -45,6 +46,13 @@ class TestSolve:
         assert code == 2 or code == 3
         assert err
 
+    def test_node_budget_exit(self, capsys, monkeypatch):
+        monkeypatch.setattr(ode, "_MAX_NODES", 1000)
+        code, out, err = run(["solve"], capsys)
+        assert code == 3
+        assert "numerical failure: stored-node budget of 1000" in err
+        assert out == ""
+
 
 class TestCurvature:
     def test_zero_row_and_columns(self, capsys):
@@ -68,12 +76,14 @@ class TestCurvature:
             assert abs(rec["k1"] + rec["k2"] + rec["k3"]) <= 1e-10 * scale
 
 
+VERIFY_ARGS = ["verify", "--r-max", "10", "--grid", "200", "--seed", "7"]
+
+
 @pytest.fixture(scope="module")
 def verify_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("verify") / "report.json"
-    code = main(["verify", "--r-max", "10", "--grid", "200",
-                 "--output", str(out)])
-    return code, json.loads(out.read_text())
+    code = main(VERIFY_ARGS + ["--output", str(out)])
+    return code, json.loads(out.read_text()), out.read_bytes()
 
 
 class TestVerify:
@@ -85,12 +95,12 @@ class TestVerify:
     ]
 
     def test_exit_zero_and_all_pass(self, verify_report):
-        code, payload = verify_report
+        code, payload, _ = verify_report
         assert code == 0
         assert payload["all_pass"] is True
 
     def test_report_complete(self, verify_report):
-        _, payload = verify_report
+        _, payload, _ = verify_report
         names = [c["check"] for c in payload["checks"]]
         assert names == self.EXPECTED
         for c in payload["checks"]:
@@ -99,10 +109,11 @@ class TestVerify:
             assert c["status"] == "pass"
 
     def test_config_echo(self, verify_report):
-        _, payload = verify_report
+        _, payload, _ = verify_report
         assert payload["config"]["m"] == 1.0
         assert payload["config"]["r_max"] == 10.0
         assert payload["config"]["grid_points"] == 200
+        assert payload["config"]["seed"] == 7
         assert "tolerances" in payload
 
     def test_loose_tolerance_fails_named_checks(self, tmp_path, capsys):
@@ -116,12 +127,11 @@ class TestVerify:
         failing = [c["check"] for c in payload["checks"] if c["status"] == "fail"]
         assert "ode_residuals" in failing
 
-    def test_seeded_reports_identical(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["verify", "--r-max", "6", "--grid", "50", "--seed", "7"]
-        assert main(args + ["--output", str(a)]) == 0
-        assert main(args + ["--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_seeded_reports_identical(self, verify_report, tmp_path):
+        # one fresh run against the fixture's run of the same arguments
+        again = tmp_path / "again.json"
+        assert main(VERIFY_ARGS + ["--output", str(again)]) == 0
+        assert again.read_bytes() == verify_report[2]
 
 
 class TestConfigHandling:
@@ -146,6 +156,16 @@ class TestConfigHandling:
     def test_usage_error_bad_tol(self, capsys):
         code, _, err = run(["verify", "--tol", "1e-2"], capsys)
         assert code == 2
+
+    def test_tol_floor(self, capsys):
+        # below the floor the 10*tol budgets sink under value rounding and
+        # the run stores hundreds of thousands of nodes
+        with pytest.raises(ValueError, match=r"^tol must lie in \[1e-14,"):
+            ModelParams(m=1.0, r_max=20.0, tol=9.9e-15)
+        assert ModelParams(m=1.0, r_max=20.0, tol=1e-14).tol == 1e-14
+        code, _, err = run(["solve", "--tol", "1e-16"], capsys)
+        assert code == 2
+        assert "ahgeom: tol must lie in [1e-14, 1e-2), got 1e-16" in err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

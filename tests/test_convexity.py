@@ -13,19 +13,23 @@ C_CROSSING_M1 = 1.7175933153182266  # frozen; stable under tol 1e-10 -> 1e-12
 
 class TestHessianSpectrum:
     def test_structure(self, profile1):
-        h = hessian_r2(profile1.at(1.0))
-        assert h.eig == tuple(sorted(h.eig))
-        assert h.eig[3] == 2.0                  # the radial eigenvalue
-        assert sum(1 for e in h.eig if e < 0) == 1
-        assert h.min2sum == h.eig[0] + h.eig[1]
+        eig = hessian_r2(profile1.at(1.0))
+        assert eig.shape == (4,)
+        assert eig.tolist() == sorted(eig.tolist())
+        assert eig[3] == 2.0                    # the radial eigenvalue
+        assert sum(1 for e in eig if e < 0) == 1
+        assert min_trace_over_kplanes(eig, 2) == eig[0] + eig[1]
 
     def test_batch_diagonal_matches_spectrum(self, profile1):
-        # the sorted diagonal of an eval batch is each radius's spectrum
+        # the spectrum of an eval batch is each radius's spectrum, and it is
+        # the sorted diagonal
         rs = [1e-3, 0.5, 1.0, 7.0, 20.0]
-        eig = np.sort(np.broadcast_arrays(
-            *hessian_r2_diagonal(profile1.eval(rs))), axis=0)
+        eig = hessian_r2(profile1.eval(rs))
+        assert eig.shape == (4, len(rs))
         for i, r in enumerate(rs):
-            assert tuple(eig[:, i].tolist()) == hessian_r2(profile1.at(r)).eig
+            one = hessian_r2(profile1.at(r))
+            assert eig[:, i].tolist() == one.tolist()
+            assert one.tolist() == sorted(hessian_r2_diagonal(profile1.at(r)))
 
     def test_small_r_eigenvalues_match_series(self, profile1):
         r = 1e-3
@@ -37,28 +41,30 @@ class TestHessianSpectrum:
 
     def test_min2sum_positive_on_grid(self, profile1, grid1):
         for r in grid1[:: 5]:
-            h = hessian_r2(profile1.at(r))
-            assert h.min2sum > 0
-            assert h.smallest_sum(3) > 0
-            assert h.eig[0] < 0  # plain convexity genuinely fails
+            eig = hessian_r2(profile1.at(r))
+            assert min_trace_over_kplanes(eig, 2) > 0
+            assert min_trace_over_kplanes(eig, 3) > 0
+            assert eig[0] < 0  # plain convexity genuinely fails
 
     def test_semiconvexity_rate_at_zero(self, profile1):
-        # min2sum ~ 2 r^2 / m^2 from the series of (bc)'/(bc)
+        # the two-plane minimum ~ 2 r^2 / m^2 from the series of (bc)'/(bc)
         for r in (1e-3, 5e-3, 1e-2):
-            h = hessian_r2(profile1.at(r))
-            assert h.min2sum == pytest.approx(2 * r * r, rel=0.1)
+            eig = hessian_r2(profile1.at(r))
+            assert min_trace_over_kplanes(eig, 2) == pytest.approx(2 * r * r,
+                                                                   rel=0.1)
 
     def test_zero_limit_flag(self, profile1):
-        s0 = profile1.at(0.0)
         with pytest.raises(ValueError):
-            hessian_r2(s0)
-        h = hessian_r2(s0, limit_at_zero=True)
-        assert h.eig == (0.0, 0.0, 2.0, 2.0) and h.min2sum == 0.0
+            hessian_r2(profile1.at(0.0))
+        with pytest.raises(ValueError):
+            hessian_r2(profile1.eval([0.0, 1.0]))
 
     def test_laplacian_positive(self, profile1, grid1):
         for r in grid1[:: 25]:
-            assert hessian_r2(profile1.at(r)).smallest_sum(4) > 0
-        assert hessian_r2(profile1.at(0.0), limit_at_zero=True).smallest_sum(4) == 4.0
+            assert min_trace_over_kplanes(hessian_r2(profile1.at(r)), 4) > 0
+        # the Laplacian tends to 2 + 2 + 0 + 0 = 4 at the zero section
+        lap0 = min_trace_over_kplanes(hessian_r2(profile1.at(1e-6)), 4)
+        assert lap0 == pytest.approx(4.0, abs=1e-10)
 
 
 class TestChainMargins:
@@ -92,44 +98,43 @@ class TestChainMargins:
 
 class TestKPlaneMin:
     def test_k4_is_trace(self, profile1):
-        h = hessian_r2(profile1.at(2.0))
-        assert min_trace_over_kplanes(h, 4) == pytest.approx(math.fsum(h.eig),
-                                                             rel=1e-15)
+        eig = hessian_r2(profile1.at(2.0))
+        assert min_trace_over_kplanes(eig, 4) == pytest.approx(math.fsum(eig),
+                                                               rel=1e-15)
 
     def test_k_validation(self, profile1):
-        h = hessian_r2(profile1.at(2.0))
+        eig = hessian_r2(profile1.at(2.0))
         with pytest.raises(ValueError):
-            min_trace_over_kplanes(h, 0)
+            min_trace_over_kplanes(eig, 0)
         with pytest.raises(ValueError):
-            min_trace_over_kplanes(h, 5)
+            min_trace_over_kplanes(eig, 5)
 
     def test_k2_equals_rate_sum(self, profile1):
         s = profile1.at(1.0)
-        h = hessian_r2(s)
+        eig = hessian_r2(s)
         want = 2 * s.r * (s.db / s.b + s.dc / s.c)
-        assert min_trace_over_kplanes(h, 2) == pytest.approx(want, rel=1e-12)
+        assert min_trace_over_kplanes(eig, 2) == pytest.approx(want, rel=1e-12)
 
 
 class TestBruteForce:
     def test_matches_exact_minimum(self, profile1):
         s = profile1.at(1.0)
-        h = hessian_r2(s)
+        eig = hessian_r2(s)
         for k in (1, 2, 3):
-            exact = min_trace_over_kplanes(h, k)
+            exact = min_trace_over_kplanes(eig, k)
             got = brute_force_plane_min(s, k, trials=20_000, seed=42)
             assert abs(got - exact) <= 1e-3
             assert got >= exact - 1e-8
 
     def test_k4_plane_independent(self, profile1):
         s = profile1.at(3.0)
-        h = hessian_r2(s)
+        eig = hessian_r2(s)
         got = brute_force_plane_min(s, 4, trials=1000, seed=0, polish=False)
-        assert got == pytest.approx(math.fsum(h.eig), rel=1e-12)
+        assert got == pytest.approx(math.fsum(eig), rel=1e-12)
 
     def test_pure_sampling_converges_from_above(self, profile1):
         s = profile1.at(1.0)
-        h = hessian_r2(s)
-        exact = min_trace_over_kplanes(h, 2)
+        exact = min_trace_over_kplanes(hessian_r2(s), 2)
         excesses = [
             brute_force_plane_min(s, 2, trials=n, seed=9, polish=False) - exact
             for n in (1_000, 10_000, 100_000)]
@@ -146,6 +151,8 @@ class TestBruteForce:
         s = profile1.at(1.0)
         with pytest.raises(ValueError):
             brute_force_plane_min(s, 2, trials=10)
+        with pytest.raises(ValueError):
+            brute_force_plane_min(s, 2, trials=200_001)
         with pytest.raises(ValueError):
             brute_force_plane_min(profile1.at(0.0), 2)
 

@@ -1,4 +1,6 @@
 """Curvature: the generator kappa, its identities, connection, ASD residuals."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from ahgeom.curvature import (asd_residual, connection_coefficients,
                               curvature_components, fiber_gauss_curvature,
                               kappa, kappa_at_zero, kappa_term_scale)
-from ahgeom.ode import sample_from_series, sample_from_state
+from ahgeom.ode import CoefficientSample, rhs, sample_from_series
 from ahgeom.series import expand
 
 nz = st.floats(min_value=0.1, max_value=10.0).flatmap(
@@ -67,7 +69,9 @@ class TestConnection:
     def test_hand_evaluated_offflow_state(self):
         # rhs(1,-2,3) = (2, 0, 0), so w01 = 2, w02 = w03 = 0, and the dual
         # coefficients are (4+9-1)/(-12), (1+9-4)/(-12), (1+4-9)/(-12)
-        w = connection_coefficients(sample_from_state(1.0, 1.0, -2.0, 3.0))
+        # connection_coefficients reads no second derivatives and no gap
+        w = connection_coefficients(CoefficientSample(
+            1.0, 1.0, -2.0, 3.0, *rhs(1.0, -2.0, 3.0), *[math.nan] * 5))
         assert (w.w01, w.w02, w.w03) == (2.0, 0.0, 0.0)
         assert w.w23 == pytest.approx(-1.0, rel=1e-15)
         assert w.w31 == pytest.approx(-0.5, rel=1e-15)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahgeom import ode
 from ahgeom.config import ModelParams
-from ahgeom.ode import (MetricProfile, integrate, product_identity_residual,
-                        region_margins, rhs, rhs_apq, sample_from_series,
-                        shape_point)
+from ahgeom.ode import (IntegrationError, MetricProfile, integrate,
+                        product_identity_residual, region_margins, rhs,
+                        sample_from_series, shape_point)
 from ahgeom.series import expand
 
 nonzero = st.floats(min_value=0.05, max_value=50.0).flatmap(
@@ -35,36 +36,6 @@ class TestRhs:
     def test_domain_error(self, state):
         with pytest.raises(ValueError):
             rhs(*state)
-
-
-class TestRhsApq:
-    def test_hand_evaluated(self):
-        da, dq, dp = rhs_apq(1.0, 3.0, 2.0)
-        assert da == pytest.approx(-6 / 5, rel=1e-15)
-        assert dq == pytest.approx(32 / 5, rel=1e-15)
-        assert dp == pytest.approx(28 / 5, rel=1e-15)
-
-    @given(a=nonzero, b=st.floats(min_value=-20, max_value=-0.05),
-           c=st.floats(min_value=0.05, max_value=20))
-    @settings(max_examples=200)
-    def test_change_of_variables(self, a, b, c):
-        da, db, dc = rhs(a, b, c)
-        da2, dq, dp = rhs_apq(a, c + b, c - b)
-        assert da2 == pytest.approx(da, rel=1e-9, abs=1e-9)
-        assert dq == pytest.approx(dc - db, rel=1e-9, abs=1e-9)
-        assert dp == pytest.approx(dc + db, rel=1e-9, abs=1e-9)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            rhs_apq(0.0, 3.0, 2.0)
-        with pytest.raises(ValueError):
-            rhs_apq(1.0, 2.0, 2.0)
-
-    def test_small_r_dp_limit(self):
-        # near r=0 with m=1: (a, p, q) ~ (2r, r, 2) and p' -> 1
-        s = sample_from_series(expand(1.0, 10), 1e-5)
-        _, _, dp = rhs_apq(s.a, s.p, s.q)
-        assert dp == pytest.approx(1.0, abs=1e-4)
 
 
 class TestBootstrap:
@@ -100,6 +71,8 @@ class TestIntegrate:
         assert nodes.r[-1] == 20.0
         assert len(nodes) == nodes.r.size
         assert np.all(np.diff(nodes.r) > 0)
+        # the grid is r_max * i/n with the division last, as in scalar code
+        assert profile1.grid(7).tolist() == [20.0 * i / 7 for i in range(1, 8)]
 
     def test_physical_signs_on_samples(self, profile1):
         s = profile1.samples
@@ -151,6 +124,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(ModelParams(m=1.0, r_max=0.05, tol=1e-10))
 
+    def test_node_budget(self, monkeypatch):
+        # a finite but huge r_max ends in IntegrationError, not in a node
+        # store that grows until memory runs out
+        monkeypatch.setattr(ode, "_MAX_NODES", 1000)
+        with pytest.raises(IntegrationError, match="node budget of 1000"):
+            integrate(ModelParams.default())
+
     def test_shape_flow(self, profile1, grid1):
         pts = shape_point(profile1.eval(grid1))
         assert np.all(pts.one_minus_x > 0)
@@ -181,11 +161,13 @@ class TestIntegrate:
         prev_ap = 0.0
         for r in grid1:
             s = profile1.at(r)
-            assert s.q > 0 and s.p > 0
-            ap = s.a * s.p
+            p, q = s.c + s.b, s.c - s.b
+            assert q > 0 and p > 0
+            ap = s.a * p
             assert ap > prev_ap
             prev_ap = ap
-        assert profile1.at(0.0).q == 2.0
+        s0 = profile1.at(0.0)
+        assert s0.c - s0.b == 2.0
 
 
 class TestEval:

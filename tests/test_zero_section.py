@@ -1,24 +1,30 @@
 """Zero-section geometry: second fundamental form, stability, calibration."""
-import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from ahgeom import verify
+from ahgeom.config import RunConfig
 from ahgeom.ode import sample_from_series
 from ahgeom.series import expand
 from ahgeom.zero_section import (calibration_check, second_fundamental_form,
-                                 stability_operator, zero_section_area)
+                                 stability_operator)
+
+SLACK = verify.tolerances(1e-10)["calibration_slack"]
 
 
 class TestSecondFundamentalForm:
     def test_component_list(self):
         h = second_fundamental_form(1.0).h
-        assert h[(0, 2, 2)] == -0.5
-        assert h[(0, 3, 3)] == 0.5
-        assert h[(1, 2, 3)] == 0.5 and h[(1, 3, 2)] == 0.5
+        assert h.shape == (2, 4, 4)
+        assert h[0, 2, 2] == -0.5
+        assert h[0, 3, 3] == 0.5
+        assert h[1, 2, 3] == 0.5 and h[1, 3, 2] == 0.5
         for idx in ((0, 2, 3), (0, 3, 2), (1, 2, 2), (1, 3, 3)):
             assert h[idx] == 0.0
+        # only tangential legs carry the form
+        assert not h[:, :2, :].any() and not h[:, :, :2].any()
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 10.0])
     def test_minimal_but_not_totally_geodesic(self, m):
@@ -33,9 +39,9 @@ class TestSecondFundamentalForm:
         m = 1.0
         s = sample_from_series(expand(m, 12), 1e-6)
         sff = second_fundamental_form(m)
-        assert -sff.h[(0, 2, 2)] == pytest.approx(-s.db / s.b, abs=1e-5)
+        assert -sff.h[0, 2, 2] == pytest.approx(-s.db / s.b, abs=1e-5)
         w31 = (s.a ** 2 + s.c ** 2 - s.b ** 2) / (2 * s.a * s.b * s.c)
-        assert sff.h[(1, 2, 3)] == pytest.approx(-w31, abs=1e-5)
+        assert sff.h[1, 2, 3] == pytest.approx(-w31, abs=1e-5)
 
 
 class TestStabilityOperator:
@@ -57,7 +63,7 @@ class TestCalibration:
         assert s.b * s.c == -1.0
 
     def test_bound_and_monotonicity(self, profile1, grid1):
-        cal = calibration_check(profile1, [0.0] + grid1)
+        cal = calibration_check(profile1, np.r_[0.0, grid1], SLACK)
         assert cal.bound_holds
         assert cal.monotone
         assert cal.strict_after_zero
@@ -71,8 +77,17 @@ class TestCalibration:
         flipped = replace(nodes, b=-nodes.b)
         bad = MetricProfile(params=profile1.params, bootstrap=profile1.bootstrap,
                             r0=profile1.r0, samples=flipped)
-        cal = calibration_check(bad, grid1[100::200])
+        cal = calibration_check(bad, grid1[100::200], SLACK)
         assert not cal.bound_holds
+
+    def test_pinned_slack_is_honoured(self, profile1, monkeypatch):
+        # a negative slack demands bc <= -m^2 (1 + 1e-3), which fails near
+        # r = 0; the check must read the slack from the tolerance table
+        pinned = verify.tolerances
+        monkeypatch.setattr(verify, "tolerances", lambda tol: {
+            **pinned(tol), "calibration_slack": -1e-3})
+        ctx = verify.VerifyContext(config=RunConfig(), profile=profile1)
+        assert not verify.check_calibration_bound(ctx).passed
 
     def test_small_r_expansion_coefficient(self):
         # bc = -m^2 - r^2/2 + O(r^4): the quadratic coefficient is exactly
@@ -89,20 +104,3 @@ class TestCalibration:
             s = profile1.at(r)
             assert s.b * s.c == pytest.approx(-1.0 - 0.5 * r * r, abs=r ** 4)
 
-
-class TestArea:
-    def test_round_sphere(self):
-        assert zero_section_area(1.0) == pytest.approx(4 * math.pi, rel=1e-15)
-        assert zero_section_area(2.0) == pytest.approx(16 * math.pi, rel=1e-15)
-
-    def test_calibrating_form_reproduces_area(self):
-        # the calibrating two-form restricts to the area form of the round
-        # sphere of radius m, so its integral is m^2 * (unit sphere area)
-        m = 3.0
-        unit_sphere_area = 4 * math.pi
-        assert zero_section_area(m) == pytest.approx(m ** 2 * unit_sphere_area,
-                                                     rel=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            zero_section_area(0.0)

@@ -38,6 +38,12 @@ class ModelParams:
         return cls(m=m, r_max=20.0 * m, tol=tol)
 
 
+# Grid cap, 20x the densest grid in use (50 000 rows): solve and curvature
+# hold about a dozen float arrays of this length, so an unbounded grid could
+# ask for more memory than the machine has.
+MAX_GRID_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One CLI invocation: model parameters plus output options."""
@@ -53,8 +59,13 @@ class RunConfig:
     def __post_init__(self):
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], "
+                             f"got {self.grid_points}")
+        # numpy generators take non-negative seeds only; the k-plane oracle
+        # seeds them with seed + 1000*k + i
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # delegate positivity checks (m, r_max, tol) to ModelParams
         self.params()
 

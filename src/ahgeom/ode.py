@@ -194,7 +194,8 @@ def integrate(params: ModelParams) -> "MetricProfile":
     (the gap component is linear and slaved, so it inherits that accuracy).
     Raises IntegrationError on step-size underflow, if a stored state
     leaves the physical region (a > 0, c > a, b < 0), or if the run would
-    store more than _MAX_NODES nodes.
+    store more than _MAX_NODES nodes: before the first step when
+    (r_max - r0) / h_max alone exceeds the budget, otherwise when it is hit.
     """
     series = expand(params.m, 10)
     r0 = series.truncation_radius(params.tol)
@@ -206,6 +207,12 @@ def integrate(params: ModelParams) -> "MetricProfile":
     m, tol = params.m, params.tol
     h_max = _HERMITE_STEP_FACTOR * m * tol ** 0.25
     h_min = 1e-13 * m
+    # every accepted step is at most h_max, so this many nodes is a floor
+    if (params.r_max - r0) / h_max > _MAX_NODES:
+        raise IntegrationError(
+            f"stored-node budget of {_MAX_NODES} exceeded: steps of at most "
+            f"{h_max:.3g} need {(params.r_max - r0) / h_max:.3g} nodes; "
+            "raise tol or lower r_max", r0)
 
     start = sample_from_series(series, r0)
     y = (start.a, start.b, start.c, start.gap)

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from ahgeom import ode
+from ahgeom import cli, ode
 from ahgeom.cli import main
-from ahgeom.config import ModelParams, RunConfig
+from ahgeom.config import MAX_GRID_POINTS, ModelParams, RunConfig
 
 FAST = ["--r-max", "6", "--grid", "60"]
 
@@ -15,6 +15,10 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started after a usage error")
 
 
 class TestSolve:
@@ -166,6 +170,30 @@ class TestConfigHandling:
         code, _, err = run(["solve", "--tol", "1e-16"], capsys)
         assert code == 2
         assert "ahgeom: tol must lie in [1e-14, 1e-2), got 1e-16" in err
+
+    def test_negative_seed(self, capsys, monkeypatch):
+        # rejected before the profile and the checks run, naming the seed
+        monkeypatch.setattr(cli, "run_verification", _must_not_run)
+        assert RunConfig(seed=0).seed == 0
+        code, out, err = run(["verify", "--seed", "-5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "ahgeom: seed must be >= 0, got -5" in err
+
+    def test_grid_cap(self, tmp_path, capsys, monkeypatch):
+        # a grid past the cap is refused before anything is allocated, from
+        # a flag and from a config file alike
+        monkeypatch.setattr(cli, "integrate", _must_not_run)
+        assert RunConfig(grid_points=MAX_GRID_POINTS).grid_points == 10 ** 6
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid = 1000000001\n")
+        for args in (["solve", "--grid", "1000000001"],
+                     ["curvature", "--config", str(cfg)]):
+            code, out, err = run(args, capsys)
+            assert code == 2
+            assert out == ""
+            assert ("ahgeom: grid_points must lie in [2, 1000000], "
+                    "got 1000000001") in err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,14 @@
 """Convexity machinery: Hessian spectrum, derivative chain, k-plane minima."""
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ahgeom.convexity import (brute_force_plane_min, chain_margins,
-                              hessian_r2, hessian_r2_diagonal,
+import ahgeom
+from ahgeom.convexity import (_orthonormalize, brute_force_plane_min,
+                              chain_margins, hessian_r2, hessian_r2_diagonal,
                               min_trace_over_kplanes, second_derivative_signs)
 
 C_CROSSING_M1 = 1.7175933153182266  # frozen; stable under tol 1e-10 -> 1e-12
@@ -155,6 +158,31 @@ class TestBruteForce:
             brute_force_plane_min(s, 2, trials=200_001)
         with pytest.raises(ValueError):
             brute_force_plane_min(profile1.at(0.0), 2)
+
+
+class TestOrthonormalize:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_lapack_qr(self, profile1, k):
+        # the same subspaces as QR from the same Gaussian frames, hence the
+        # same traces; orthonormal to rounding even for ill-conditioned 4x4
+        frames = np.random.default_rng(100 + k).standard_normal((10_000, 4, k))
+        ref, _ = np.linalg.qr(frames)
+        q = _orthonormalize(frames.copy())
+        gram = np.einsum("tij,tik->tjk", q, q) - np.eye(k)
+        assert np.linalg.norm(gram, axis=(1, 2)).max() <= 1e-14
+        proj = np.einsum("tij,tkj->tik", q, q)
+        proj_ref = np.einsum("tij,tkj->tik", ref, ref)
+        assert np.abs(proj - proj_ref).max() <= 1e-13
+        d = np.array(hessian_r2_diagonal(profile1.at(1.0)))
+        tr = np.einsum("i,tij->t", d, q ** 2)
+        tr_ref = np.einsum("i,tij->t", d, ref ** 2)
+        assert np.abs(tr - tr_ref).max() <= 1e-13
+
+    def test_no_lapack_qr_in_package(self):
+        # one orthonormalization path: the Gram-Schmidt above
+        src = Path(ahgeom.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            assert not re.search(r"\bqr\b", path.read_text()), path.name
 
 
 class TestSignReport:

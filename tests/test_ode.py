@@ -1,4 +1,6 @@
 """ODE core: right-hand sides, bootstrap, integration, interpolation."""
+import math
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -130,6 +132,27 @@ class TestIntegrate:
         monkeypatch.setattr(ode, "_MAX_NODES", 1000)
         with pytest.raises(IntegrationError, match="node budget of 1000"):
             integrate(ModelParams.default())
+
+    def test_node_budget_up_front(self):
+        # r_max / h_max alone exceeds the budget: fail before the first step,
+        # not after about a minute of stepping
+        t0 = time.perf_counter()
+        with pytest.raises(IntegrationError, match="node budget of 1000000"):
+            integrate(ModelParams(m=1.0, r_max=1e5, tol=1e-10))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_node_budget_in_loop(self, monkeypatch):
+        # a budget just above the r_max / h_max floor passes the up-front
+        # test; the run stores one node more than the floor, and the guard
+        # inside the loop stops it
+        params = ModelParams.default()
+        r0 = expand(params.m, 10).truncation_radius(params.tol)
+        h_max = ode._HERMITE_STEP_FACTOR * params.m * params.tol ** 0.25
+        budget = math.floor((params.r_max - r0) / h_max) + 1
+        monkeypatch.setattr(ode, "_MAX_NODES", budget)
+        with pytest.raises(IntegrationError,
+                           match=f"node budget of {budget} exhausted"):
+            integrate(params)
 
     def test_shape_flow(self, profile1, grid1):
         pts = shape_point(profile1.eval(grid1))

@@ -11,10 +11,10 @@ from .curvature import (ConnectionCoefficients, CurvatureComponents,
                         asd_residual, connection_coefficients,
                         curvature_components, fiber_gauss_curvature, kappa,
                         kappa_at_zero)
-from .ode import (CoefficientSample, IntegrationError, MetricProfile,
-                  ShapePoint, integrate, product_identity_residual,
-                  region_margins, rhs, sample_from_series,
-                  second_derivatives, shape_point)
+from .ode import (CoefficientSample, IntegrationError, IntegrationStats,
+                  MetricProfile, ShapePoint, integrate,
+                  product_identity_residual, region_margins, rhs,
+                  sample_from_series, second_derivatives, shape_point)
 from .series import SeriesCoefficients, expand, formal_residual_ok
 from .verify import CheckResult, VerificationReport, run_verification
 from .zero_section import (CalibrationResult, SecondFundamentalForm,

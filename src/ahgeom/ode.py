@@ -7,9 +7,10 @@ at r = 0 (every right-hand side divides by a coefficient that vanishes
 there), so integration starts from an exact series bootstrap at a small
 radius r0 and proceeds with an adaptive embedded Runge-Kutta pair.  A
 profile stores its accepted steps as one sample of arrays (radius, values,
-first and second derivatives, gap) and evaluates a whole array of radii in
-[0, r_max] at once with `MetricProfile.eval`: by series below r0, by cubic
-Hermite interpolation above.  `MetricProfile.at` is the one-radius call of
+first and second derivatives, gap with its derivatives) and evaluates a
+whole array of radii in [0, r_max] at once with `MetricProfile.eval`: by
+series below r0, by quintic Hermite interpolation of the stored values, first
+and second derivatives above.  `MetricProfile.at` is the one-radius call of
 the same code.
 
 The difference c - a closes exponentially (rate ~ 3/m), so beyond r ~ 12 m
@@ -84,7 +85,9 @@ class CoefficientSample:
     when every field is an array of the same shape.
 
     gap carries c - a at full relative precision (it underflows the plain
-    float subtraction c - a beyond r ~ 12 m); dgap is its r-derivative.
+    float subtraction c - a beyond r ~ 12 m); dgap and ddgap are its first
+    and second r-derivatives.  ddgap is the one optional field: a sample
+    built by hand without it has NaN there.
     """
 
     r: float
@@ -99,6 +102,7 @@ class CoefficientSample:
     ddc: float
     gap: float
     dgap: float
+    ddgap: float = math.nan
 
     def __len__(self) -> int:
         """Number of radii of an array sample."""
@@ -144,10 +148,10 @@ def sample_from_series(series: SeriesCoefficients, r) -> CoefficientSample:
     a, p, q, da, dp, dq, dda, ddp, ddq = series.apq(r)
     b, c = 0.5 * (p - q), 0.5 * (p + q)
     db, dc = 0.5 * (dp - dq), 0.5 * (dp + dq)
+    ddb, ddc = 0.5 * (ddp - ddq), 0.5 * (ddp + ddq)
     return CoefficientSample(
-        r=r, a=a, b=b, c=c, da=da, db=db, dc=dc,
-        dda=dda, ddb=0.5 * (ddp - ddq), ddc=0.5 * (ddp + ddq),
-        gap=c - a, dgap=dc - da)
+        r=r, a=a, b=b, c=c, da=da, db=db, dc=dc, dda=dda, ddb=ddb, ddc=ddc,
+        gap=c - a, dgap=dc - da, ddgap=ddc - dda)
 
 
 # Dormand-Prince 5(4) embedded pair; the fifth-order solution propagates and
@@ -163,12 +167,16 @@ _DP_A = (
 )
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-# Step cap keeping cubic Hermite interpolation between stored nodes well
-# inside the 10*tol reconstruction budget (interpolation error ~ h^4).
+# Step cap keeping quintic Hermite interpolation between stored nodes well
+# inside the 10*tol reconstruction budget: its error is h^6 |y^(6)| / 46080,
+# so the cap scales as tol^(1/6).  It binds on almost every step; without it
+# the DP5(4) steps grow long enough for integration error alone to fail
+# checks.
 _HERMITE_STEP_FACTOR = 0.75
 
-# Stored-node budget, about 12x a tol-floor run to 20 m; a huge finite r_max
-# would otherwise grow the node store by 72 bytes a step until memory runs out.
+# Stored-node budget, about 170x a tol-floor run to 20 m (5 745 nodes); a huge
+# finite r_max would otherwise grow the node store by 72 bytes a step until
+# memory runs out.
 _MAX_NODES = 1_000_000
 
 
@@ -178,6 +186,26 @@ def _f4(y):
     a, b, c, u = y
     da, db, dc = rhs(a, b, c)
     return (da, db, dc, u * gap_rate(a, b, c))
+
+
+def _step_cap(m: float, tol: float) -> float:
+    """Largest step `integrate` takes, and so the widest interpolation
+    interval of a profile."""
+    return _HERMITE_STEP_FACTOR * m * tol ** (1.0 / 6.0)
+
+
+@dataclass(frozen=True)
+class IntegrationStats:
+    """What the stepper did in one `integrate` run.  Steps are the accepted
+    r-increments (the last one is cut to land on r_max); a step is capped
+    when it equals the step cap, so the error controller did not bind."""
+
+    accepted: int
+    rejected: int
+    rhs_calls: int  # evaluations of the augmented flow, one per RK stage
+    h_min: float
+    h_max: float
+    capped_share: float
 
 
 def _combine(y, h, ks, coefs):
@@ -190,8 +218,12 @@ def integrate(params: ModelParams) -> "MetricProfile":
     """Adaptive integration from the series bootstrap at r0 out to r_max.
 
     Every accepted step has an embedded local error estimate at most tol
-    relative to the solution scale m + |y| on the coefficient components
-    (the gap component is linear and slaved, so it inherits that accuracy).
+    relative to the solution scale m + |y| on the coefficient components,
+    and is at most `_step_cap(m, tol)` long.  The gap component is not
+    error-controlled: since log u is the integral of g, its relative error
+    is the accumulated error of g along the path and grows with r (to about
+    50 tol at r = 20 m for m = 1, tol = 1e-10).  Nodes store u'' = u' g + u g' beside the
+    coefficients' second derivatives, for the quintic interpolation.
     Raises IntegrationError on step-size underflow, if a stored state
     leaves the physical region (a > 0, c > a, b < 0), or if the run would
     store more than _MAX_NODES nodes: before the first step when
@@ -205,7 +237,7 @@ def integrate(params: ModelParams) -> "MetricProfile":
             f"covers r < {r0:g}")
 
     m, tol = params.m, params.tol
-    h_max = _HERMITE_STEP_FACTOR * m * tol ** 0.25
+    h_max = _step_cap(m, tol)
     h_min = 1e-13 * m
     # every accepted step is at most h_max, so this many nodes is a floor
     if (params.r_max - r0) / h_max > _MAX_NODES:
@@ -223,6 +255,9 @@ def integrate(params: ModelParams) -> "MetricProfile":
 
     r = r0
     h = min(h_max, r0)
+    accepted = rejected = capped = 0
+    rhs_calls = 1
+    h_lo, h_hi = math.inf, 0.0
     while r < params.r_max:
         last = r + h >= params.r_max
         if last:
@@ -234,6 +269,7 @@ def integrate(params: ModelParams) -> "MetricProfile":
                 ks.append(_f4(ys))
         except ValueError:
             raise IntegrationError("stage state hit a coordinate zero", r)
+        rhs_calls += len(ks) - 1
         y_new = ys  # stage 7 state: the fifth-order solution
         norm = max(
             abs(h * math.fsum(e * k[i] for e, k in zip(_DP_ERR, ks)))
@@ -250,6 +286,9 @@ def integrate(params: ModelParams) -> "MetricProfile":
                 raise IntegrationError(
                     f"stored-node budget of {_MAX_NODES} exhausted; "
                     "raise tol or lower r_max", r)
+            accepted += 1
+            capped += h == h_max
+            h_lo, h_hi = min(h_lo, h), max(h_hi, h)
             r, y = r_new, y_new
             k1 = ks[6]  # FSAL
             rows.append(r)
@@ -258,27 +297,69 @@ def integrate(params: ModelParams) -> "MetricProfile":
             fac = 5.0 if norm == 0.0 else min(5.0, 0.9 * norm ** -0.2)
             h = min(h * fac, h_max)
         else:
+            rejected += 1
             h *= max(0.2, 0.9 * norm ** -0.2)
         if h < h_min and r < params.r_max:
             raise IntegrationError("step size underflow", r)
 
     r, a, b, c, gap, da, db, dc, dgap = np.array(rows).reshape(-1, 9).T.copy()
-    dda, ddb, ddc = second_derivatives(a, b, c, *rhs(a, b, c))
-    nodes = CoefficientSample(r, a, b, c, da, db, dc, dda, ddb, ddc, gap, dgap)
-    return MetricProfile(params=params, bootstrap=series, r0=r0, samples=nodes)
+    dda, ddb, ddc, ddgap = _second_derivatives_on_flow(a, b, c, gap, dgap)
+    nodes = CoefficientSample(r, a, b, c, da, db, dc, dda, ddb, ddc,
+                              gap, dgap, ddgap)
+    stats = IntegrationStats(
+        accepted=accepted, rejected=rejected, rhs_calls=rhs_calls,
+        h_min=h_lo, h_max=h_hi, capped_share=capped / accepted)
+    return MetricProfile(params=params, bootstrap=series, r0=r0,
+                         samples=nodes, stats=stats)
+
+
+def _second_derivatives_on_flow(a, b, c, gap, dgap):
+    # (a'', b'', c'', gap'') of states on the flow, with (a', b', c') from
+    # the right-hand side; gap'' = gap' g + gap g' with g = gap_rate and g'
+    # its analytic r-derivative, g times the logarithmic derivative
+    da, db, dc = rhs(a, b, c)
+    g = gap_rate(a, b, c)
+    dlog_g = ((da + dc - db) / (a + c - b) + (da + db + dc) / (a + b + c)
+              - da / a - db / b - dc / c)
+    return (*second_derivatives(a, b, c, da, db, dc),
+            dgap * g + gap * g * dlog_g)
+
+
+def _quintic_hermite_weights(t, h):
+    """Weights of quintic Hermite interpolation at t = (r - r_lo) / h in an
+    interval [r_lo, r_lo + h]: those of the value for y0, y1, y0', y1', y0'',
+    y1'' (the h factors folded in), and those of the derivative for
+    y1 - y0, y0', y1', y0'', y1''.  At t = 0 and t = 1 each is exactly 0 or
+    1, so stored nodes come back bit for bit."""
+    s = 1.0 - t
+    t2, s2 = t * t, s * s
+    t3, s3 = t2 * t, s2 * s
+    w = (s3 * (1.0 + t * (3.0 + 6.0 * t)),
+         t3 * (10.0 + t * (6.0 * t - 15.0)),
+         h * t * s3 * (1.0 + 3.0 * t),
+         h * t3 * s * (3.0 * t - 4.0),
+         0.5 * h * h * t2 * s3,
+         0.5 * h * h * t3 * s2)
+    dw = (30.0 * t2 * s2 / h,
+          s2 * (1.0 + 5.0 * t) * (1.0 - 3.0 * t),
+          t2 * (6.0 - 5.0 * t) * (3.0 * t - 2.0),
+          0.5 * h * t * s2 * (2.0 - 5.0 * t),
+          0.5 * h * t2 * s * (3.0 - 5.0 * t))
+    return w, dw
 
 
 @dataclass(frozen=True)
 class MetricProfile:
     """Numerically constructed metric: the accepted integration steps over
-    [r0, r_max] as one sample of arrays, plus the series used below r0.
-    Immutable after construction; evaluation is safe from concurrent
-    readers."""
+    [r0, r_max] as one sample of arrays, plus the series used below r0, and
+    the stepper's statistics when `integrate` built it.  Immutable after
+    construction; evaluation is safe from concurrent readers."""
 
     params: ModelParams
     bootstrap: SeriesCoefficients
     r0: float
     samples: CoefficientSample
+    stats: IntegrationStats | None = None
 
     def __post_init__(self):
         if not np.all(np.diff(self.samples.r) > 0):
@@ -291,14 +372,15 @@ class MetricProfile:
     def eval(self, r) -> CoefficientSample:
         """Metric data at every radius of the array r, each in [0, r_max],
         as one sample of arrays: exact series limit below the bootstrap
-        radius, cubic Hermite interpolation of the stored values and
-        derivatives elsewhere.
+        radius, quintic Hermite interpolation of the stored values, first
+        and second derivatives elsewhere (a, b, c and the gap alike).
 
-        Interpolated samples carry the Hermite derivative as (da, db, dc) and
-        analytic second derivatives of the interpolated state, so residual
-        checks against the ODE measure genuine interpolation error.  Stored
-        nodes come back exactly: there t is 0 or 1, where the Hermite
-        weights select one node's value and derivative.
+        Interpolated samples carry the Hermite derivative as (da, db, dc,
+        dgap) and analytic second derivatives of the interpolated state, so
+        residual checks against the ODE measure genuine interpolation error.
+        Stored nodes come back exactly: there t is 0 or 1, where every
+        Hermite weight is exactly 0 or 1 and selects one node's value and
+        derivative.
         """
         r = np.array(r, dtype=float, ndmin=1)
         inside = (r >= 0.0) & (r <= self.r_max * (1.0 + 1e-12))
@@ -310,27 +392,26 @@ class MetricProfile:
         hi = np.clip(np.searchsorted(nodes.r, x), 1, len(nodes) - 1)
         lo = hi - 1
         h = nodes.r[hi] - nodes.r[lo]
-        t = (x - nodes.r[lo]) / h
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        d00 = 6.0 * t * (t - 1.0) / h
-        d10 = 3.0 * t * t - 4.0 * t + 1.0
-        d11 = 3.0 * t * t - 2.0 * t
+        w, dw = _quintic_hermite_weights((x - nodes.r[lo]) / h, h)
 
-        def interp(y, dy):
+        def interp(y, dy, ddy):
             y0, y1, m0, m1 = y[lo], y[hi], dy[lo], dy[hi]
-            v = h00 * y0 + h * (h10 * m0 + h11 * m1) + h01 * y1
-            dv = d00 * (y0 - y1) + d10 * m0 + d11 * m1
+            s0, s1 = ddy[lo], ddy[hi]
+            v = (w[0] * y0 + w[1] * y1 + w[2] * m0 + w[3] * m1
+                 + w[4] * s0 + w[5] * s1)
+            dv = (dw[0] * (y1 - y0) + dw[1] * m0 + dw[2] * m1
+                  + dw[3] * s0 + dw[4] * s1)
             return v, dv
 
-        a, da = interp(nodes.a, nodes.da)
-        b, db = interp(nodes.b, nodes.db)
-        c, dc = interp(nodes.c, nodes.dc)
-        gap, dgap = interp(nodes.gap, nodes.dgap)
-        dda, ddb, ddc = second_derivatives(a, b, c, *rhs(a, b, c))
-        out = CoefficientSample(x, a, b, c, da, db, dc, dda, ddb, ddc, gap, dgap)
+        a, da = interp(nodes.a, nodes.da, nodes.dda)
+        b, db = interp(nodes.b, nodes.db, nodes.ddb)
+        c, dc = interp(nodes.c, nodes.dc, nodes.ddc)
+        gap, dgap = interp(nodes.gap, nodes.dgap, nodes.ddgap)
+        # the second derivatives below set eval's peak memory
+        del w, dw, lo, hi, h
+        dda, ddb, ddc, ddgap = _second_derivatives_on_flow(a, b, c, gap, dgap)
+        out = CoefficientSample(x, a, b, c, da, db, dc, dda, ddb, ddc,
+                                gap, dgap, ddgap)
         below = r < self.r0
         if below.any():
             series = sample_from_series(self.bootstrap, r[below])

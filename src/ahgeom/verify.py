@@ -93,6 +93,8 @@ def check_ode_residuals(ctx: VerifyContext) -> CheckResult:
     worst_mid = product_identity_residual(ctx.profile, mids)
     ratio = max(worst_stored / tols["ode_stored_rel"],
                 worst_mid / tols["ode2_interp_abs"])
+    stats = ctx.profile.stats
+    steps = "" if stats is None else f", capped steps={stats.capped_share:.4f}"
     return CheckResult(
         name="ode_residuals",
         anchor="coefficient system residuals on stored nodes; "
@@ -100,7 +102,8 @@ def check_ode_residuals(ctx: VerifyContext) -> CheckResult:
         passed=ratio <= 1.0, worst=ratio, budget=1.0, direction="<=",
         grid=len(n) + len(mids),
         note=f"stored={worst_stored:.3e} (<= {tols['ode_stored_rel']:.1e}), "
-             f"interp={worst_mid:.3e} (<= {tols['ode2_interp_abs']:.1e})")
+             f"interp={worst_mid:.3e} (<= {tols['ode2_interp_abs']:.1e}); "
+             f"nodes={len(n)}{steps}")
 
 
 def check_series_expansion(ctx: VerifyContext) -> CheckResult:

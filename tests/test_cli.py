@@ -120,6 +120,17 @@ class TestVerify:
         assert payload["config"]["seed"] == 7
         assert "tolerances" in payload
 
+    def test_ode_note_reports_steps(self, verify_report):
+        # the integrator's node count and capped share, in the report's note
+        # and not in the config echo
+        _, payload, _ = verify_report
+        profile = ode.integrate(ModelParams(m=1.0, r_max=10.0, tol=1e-10))
+        note = payload["checks"][0]["note"]
+        assert f"nodes={len(profile.samples)}, " in note
+        assert f"capped steps={profile.stats.capped_share:.4f}" in note
+        assert set(payload["config"]) == {"m", "r_max", "tol", "grid_points",
+                                          "seed"}
+
     def test_loose_tolerance_fails_named_checks(self, tmp_path, capsys):
         out = tmp_path / "loose.json"
         code = main(["verify", "--tol", "9e-3", "--r-max", "6",

@@ -113,6 +113,52 @@ class TestIntegrate:
             assert mine.b == pytest.approx(ref[1], abs=1e-10)
             assert mine.c == pytest.approx(ref[2], abs=1e-10)
 
+    def test_tight_against_independent_integrator(self, profile1_tight):
+        # the tol 1e-12 profile at nodes and off them, within the solve
+        # gate's budget of 10*tol relative to max(1, |y|)
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        s0 = profile1_tight.at(profile1_tight.r0)
+        sol = scipy_integrate.solve_ivp(
+            lambda r, y: rhs(*y), (s0.r, 20.0), [s0.a, s0.b, s0.c],
+            method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+        nodes = profile1_tight.samples.r
+        radii = np.r_[0.5, 1.0, 5.0, 20.0, nodes[:: 97],
+                      0.5 * (nodes[:-1] + nodes[1:])[:: 89]]
+        got = profile1_tight.eval(radii)
+        ref = sol.sol(radii)
+        budget = 10 * profile1_tight.params.tol
+        for mine, want in zip((got.a, got.b, got.c), ref):
+            assert np.all(np.abs(mine - want)
+                          <= budget * np.maximum(1.0, np.abs(want)))
+
+    def test_gap_against_tight_profile(self, profile1, profile1_tight):
+        # log u integrates g, so the gap's relative error accumulates along
+        # the flow; at r in [12, 20] it stays within 100*tol of the tight run
+        nodes = profile1.samples.r
+        radii = np.r_[nodes, 0.5 * (nodes[:-1] + nodes[1:])]
+        radii = radii[radii >= 12.0]
+        got, ref = profile1.eval(radii).gap, profile1_tight.eval(radii).gap
+        assert np.all(np.abs(got - ref) <= 100 * profile1.params.tol * ref)
+
+    def test_stored_gap_second_derivative(self, profile1):
+        # gap'' from gap' g + gap g' is c'' - a'' where the plain difference
+        # still resolves it
+        n = profile1.samples
+        near = n.r <= 6.0
+        err = np.abs(n.ddgap - (n.ddc - n.dda))[near]
+        assert np.all(err <= 1e-12 * np.abs(n.ddc[near]) + 1e-13)
+
+    def test_stats(self, profile1):
+        stats = profile1.stats
+        assert stats.accepted == len(profile1.samples) - 1
+        assert stats.rhs_calls == 1 + 6 * (stats.accepted + stats.rejected)
+        assert 0.0 <= stats.capped_share <= 1.0
+        steps = np.diff(profile1.samples.r)
+        cap = ode._step_cap(1.0, profile1.params.tol)
+        assert 0.0 < stats.h_min <= stats.h_max <= cap
+        assert steps.max() == pytest.approx(stats.h_max, rel=1e-12)
+        assert steps.min() == pytest.approx(stats.h_min, rel=1e-12)
+
     def test_series_agreement_at_twice_r0(self, profile1):
         # the integrated profile just past the bootstrap radius against a
         # longer series, at the hold-out budget of 10*tol
@@ -147,7 +193,7 @@ class TestIntegrate:
         # inside the loop stops it
         params = ModelParams.default()
         r0 = expand(params.m, 10).truncation_radius(params.tol)
-        h_max = ode._HERMITE_STEP_FACTOR * params.m * params.tol ** 0.25
+        h_max = ode._step_cap(params.m, params.tol)
         budget = math.floor((params.r_max - r0) / h_max) + 1
         monkeypatch.setattr(ode, "_MAX_NODES", budget)
         with pytest.raises(IntegrationError,
@@ -219,6 +265,31 @@ class TestEval:
         for f in fields(batch):
             stacked = np.array([getattr(s, f.name) for s in scalars])
             assert stacked.tobytes() == getattr(batch, f.name).tobytes(), f.name
+
+    def test_quintic_exact_on_degree_five(self):
+        # nodes holding degree-5 polynomials with exact first and second
+        # derivatives: the quintic Hermite interpolant is the polynomial
+        # itself, so midpoints come back to rounding (a cubic does not)
+        r = np.array([1.0, 1.13, 1.4, 1.5, 1.9, 2.35, 2.4, 3.0])
+        polys = [np.polynomial.Polynomial(cf) for cf in (
+            (1.0, 0.3, -0.2, 0.05, 0.01, -0.002),
+            (-2.0, 0.1, 0.04, -0.03, 0.006, 0.0011),
+            (3.0, -0.4, 0.15, 0.02, -0.008, 0.0013),
+            (0.5, 0.2, -0.1, 0.03, -0.004, 0.0009))]
+        a, b, c, u = polys
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (u0, u1, u2) = (
+            (p(r), p.deriv(1)(r), p.deriv(2)(r)) for p in polys)
+        nodes = ode.CoefficientSample(r, a0, b0, c0, a1, b1, c1, a2, b2, c2,
+                                      u0, u1, u2)
+        profile = MetricProfile(
+            params=ModelParams(m=1.0, r_max=3.0, tol=1e-10),
+            bootstrap=expand(1.0, 10), r0=1.0, samples=nodes)
+        mids = 0.5 * (r[:-1] + r[1:])
+        got = profile.eval(mids)
+        for p, v, dv in ((a, got.a, got.da), (b, got.b, got.db),
+                         (c, got.c, got.dc), (u, got.gap, got.dgap)):
+            for exact, mine in ((p(mids), v), (p.deriv(1)(mids), dv)):
+                assert np.all(np.abs(mine - exact) <= 1e-13 * np.abs(exact))
 
     def test_out_of_domain(self, profile1):
         with pytest.raises(ValueError):

@@ -17,8 +17,7 @@ from .ode import (CoefficientSample, IntegrationError, IntegrationStats,
                   sample_from_series, second_derivatives, shape_point)
 from .series import SeriesCoefficients, expand, formal_residual_ok
 from .verify import CheckResult, VerificationReport, run_verification
-from .zero_section import (CalibrationResult, SecondFundamentalForm,
-                           calibration_check, second_fundamental_form,
-                           stability_operator)
+from .zero_section import (CalibrationResult, calibration_check,
+                           second_fundamental_form, stability_operator)
 
 __version__ = "0.1.0"

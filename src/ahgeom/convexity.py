@@ -21,24 +21,26 @@ import numpy as np
 from .ode import CoefficientSample, MetricProfile, shape_point
 
 
-def hessian_r2_diagonal(sample: CoefficientSample) -> tuple:
+def hessian_r2_diagonal(sample: CoefficientSample) -> np.ndarray:
     """Hess(r^2) in the orthonormal co-frame: the diagonal
-    (2, 2r a'/a, 2r b'/b, 2r c'/c), unsorted.  Elementwise on a sample of
-    arrays, where the radial entry stays the scalar 2."""
+    (2, 2r a'/a, 2r b'/b, 2r c'/c), unsorted, as one float array along the
+    first axis: shape (4,) for a sample at one radius, (4, n) for n radii.
+    At r = 0 the co-frame rates are 0/0."""
     r = sample.r
-    return (2.0,
-            2.0 * r * sample.da / sample.a,
-            2.0 * r * sample.db / sample.b,
-            2.0 * r * sample.dc / sample.c)
+    return np.array(np.broadcast_arrays(2.0,
+                                        2.0 * r * sample.da / sample.a,
+                                        2.0 * r * sample.db / sample.b,
+                                        2.0 * r * sample.dc / sample.c),
+                    dtype=float)
 
 
 def hessian_r2(sample: CoefficientSample) -> np.ndarray:
-    """Spectrum of Hess(r^2), ascending along the first axis: shape (4,) for
-    a sample at one radius, (4, n) for n radii.  Needs r > 0: at r = 0 the
-    co-frame rates are 0/0 (the limit is diag(2, 2, 0, 0))."""
+    """Spectrum of Hess(r^2): the diagonal from `hessian_r2_diagonal`,
+    ascending along the first axis.  Needs r > 0: at r = 0 the co-frame
+    rates are 0/0 (the limit is diag(2, 2, 0, 0))."""
     if np.any(sample.r <= 0.0):
         raise ValueError("hessian_r2 needs r > 0")
-    return np.sort(np.broadcast_arrays(*hessian_r2_diagonal(sample)), axis=0)
+    return np.sort(hessian_r2_diagonal(sample), axis=0)
 
 
 def min_trace_over_kplanes(eig: np.ndarray, k: int):
@@ -93,10 +95,11 @@ def _orthonormalize(frames: np.ndarray) -> np.ndarray:
     return frames
 
 
-def brute_force_plane_min(sample: CoefficientSample, k: int,
-                          trials: int = 100_000, seed: int | None = None,
+def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
+                          seed: int | None = None,
                           polish: bool = True) -> float:
-    """Minimize tr_L Hess(r^2) over random k-planes.
+    """Minimize tr_L diag(d) over random k-planes L, for d the diagonal of
+    Hess(r^2) at one radius (a column of `hessian_r2_diagonal`).
 
     Candidate subspaces are spanned by Gram-Schmidt-orthonormalized
     standard-normal frames (Haar on the Stiefel manifold, Mezzadri 2007).
@@ -108,13 +111,14 @@ def brute_force_plane_min(sample: CoefficientSample, k: int,
     (polish=False) converges to it from above as trials grow.  All frames
     are drawn at once, so trials is capped at 200 000 to bound memory.
     """
-    if sample.r <= 0.0:
-        raise ValueError("plane minimization needs r > 0")
+    d = np.array(d, dtype=float)
+    if d.shape != (4,) or not np.all(np.isfinite(d)):
+        raise ValueError("plane minimization needs a finite diagonal of "
+                         "shape (4,), from a radius r > 0")
     if not 1 <= k <= 4:
         raise ValueError(f"k must be in 1..4, got {k}")
     if not 1000 <= trials <= 200_000:
         raise ValueError(f"trials must be in 1000..200000, got {trials}")
-    d = np.array(hessian_r2_diagonal(sample))
     rng = np.random.default_rng(seed)
     frames = _orthonormalize(rng.standard_normal((trials, 4, k)))
     tr = np.einsum("i,tij,tij->t", d, frames, frames)
@@ -147,13 +151,15 @@ class SignReport:
     max_dda: float
     max_ddb: float
     c_sign_changes: int      # bracketed sign changes of c''
-    c_crossing: float | None  # bisected crossing radius, if bracketed
+    c_crossing: float | None  # refined crossing radius, if bracketed
 
 
 def second_derivative_signs(profile: MetricProfile, grid) -> SignReport:
     """Check a'' < 0 and b'' < 0 on the grid and locate the sign change of
-    c'' (positive near the zero section, negative far out) by bisection to
-    1e-10 relative in r."""
+    c'' (positive near the zero section, negative far out) to 1e-10
+    relative in r: each round evaluates 65 evenly spaced radii of the
+    bracket in one batch and keeps the first subinterval where c'' changes
+    sign."""
     grid = np.asarray(grid, dtype=float)
     s = profile.eval(grid)
     positive = s.ddc > 0.0
@@ -162,14 +168,11 @@ def second_derivative_signs(profile: MetricProfile, grid) -> SignReport:
     if brackets.size:
         i = brackets[0]
         lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = profile.at(lo).ddc
         while hi - lo > 1e-10 * hi:
-            mid = 0.5 * (lo + hi)
-            fmid = profile.at(mid).ddc
-            if (fmid > 0.0) == (flo > 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
+            r = np.linspace(lo, hi, 65)
+            up = profile.eval(r).ddc > 0.0
+            j = np.flatnonzero(up[:-1] != up[1:])[0]
+            lo, hi = float(r[j]), float(r[j + 1])
         crossing = 0.5 * (lo + hi)
     max_dda, max_ddb = float(np.max(s.dda)), float(np.max(s.ddb))
     return SignReport(

@@ -10,8 +10,8 @@ profile stores its accepted steps as one sample of arrays (radius, values,
 first and second derivatives, gap with its derivatives) and evaluates a
 whole array of radii in [0, r_max] at once with `MetricProfile.eval`: by
 series below r0, by quintic Hermite interpolation of the stored values, first
-and second derivatives above.  `MetricProfile.at` is the one-radius call of
-the same code.
+and second derivatives above.  `eval` is the one way the package reads a
+profile.
 
 The difference c - a closes exponentially (rate ~ 3/m), so beyond r ~ 12 m
 it falls below the floating-point resolution of c itself and the rounded
@@ -421,7 +421,9 @@ class MetricProfile:
 
     def at(self, r: float) -> CoefficientSample:
         """Metric data at one radius in [0, r_max], as floats: `eval` of a
-        one-element array."""
+        one-element array.  Nothing in the package or its scripts reads the
+        profile this way; it stays while perfbench/traced.py times it as its
+        `ode.query` span, and goes once that tracer wraps `eval` instead."""
         one = self.eval(r)
         return CoefficientSample(*(getattr(one, f.name).item()
                                    for f in fields(one)))

@@ -18,23 +18,10 @@ from .curvature import kappa_at_zero
 from .ode import MetricProfile
 
 
-@dataclass(frozen=True)
-class SecondFundamentalForm:
-    m: float
-    h: np.ndarray  # (2, 4, 4): h[mu, j, k]
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(self.h * self.h))
-
-    def mean_curvature_trace(self, mu: int) -> float:
-        return float(np.trace(self.h[mu]))
-
-
-def second_fundamental_form(m: float) -> SecondFundamentalForm:
-    """Nonzero components: -h022 = h033 = h123 = h132 = 1/(2m).  Traceless
-    in both normal directions (the sphere is minimal) but nonzero, so it is
-    not totally geodesic."""
+def second_fundamental_form(m: float) -> np.ndarray:
+    """The (2, 4, 4) array h[mu, j, k].  Nonzero components: -h022 = h033 =
+    h123 = h132 = 1/(2m).  Traceless in both normal directions (the sphere
+    is minimal) but nonzero, so it is not totally geodesic."""
     if not m > 0:
         raise ValueError(f"m must be positive, got {m}")
     e = 1.0 / (2.0 * m)
@@ -43,7 +30,7 @@ def second_fundamental_form(m: float) -> SecondFundamentalForm:
     h[0, 3, 3] = e
     h[1, 2, 3] = e
     h[1, 3, 2] = e
-    return SecondFundamentalForm(m=m, h=h)
+    return h
 
 
 def stability_operator(m: float) -> np.ndarray:
@@ -52,7 +39,7 @@ def stability_operator(m: float) -> np.ndarray:
     form; no independent constants enter.  Pointwise positive definiteness
     of this matrix is the strong stability of the sphere."""
     k0 = kappa_at_zero(m)
-    h = second_fundamental_form(m).h
+    h = second_fundamental_form(m)
     # curvature sums over tangential legs: R_2002 + R_3003 = k2 + k3 in the
     # e0 direction and R_2112 + R_3113 = k3 + k2 in the e1 direction; the
     # normal-mixing curvature components all vanish in the nontrivial

@@ -29,10 +29,16 @@ class TestHessianSpectrum:
         rs = [1e-3, 0.5, 1.0, 7.0, 20.0]
         eig = hessian_r2(profile1.eval(rs))
         assert eig.shape == (4, len(rs))
+        diag = hessian_r2_diagonal(profile1.eval(rs))
+        assert diag.shape == (4, len(rs))
         for i, r in enumerate(rs):
             one = hessian_r2(profile1.at(r))
             assert eig[:, i].tolist() == one.tolist()
             assert one.tolist() == sorted(hessian_r2_diagonal(profile1.at(r)))
+        # bitwise: a batch diagonal is the stacked one-radius diagonals
+        stacked = np.stack([hessian_r2_diagonal(profile1.at(r)) for r in rs],
+                           axis=1)
+        assert diag.tobytes() == stacked.tobytes()
 
     def test_small_r_eigenvalues_match_series(self, profile1):
         r = 1e-3
@@ -123,41 +129,50 @@ class TestBruteForce:
     def test_matches_exact_minimum(self, profile1):
         s = profile1.at(1.0)
         eig = hessian_r2(s)
+        d = hessian_r2_diagonal(s)
         for k in (1, 2, 3):
             exact = min_trace_over_kplanes(eig, k)
-            got = brute_force_plane_min(s, k, trials=20_000, seed=42)
+            got = brute_force_plane_min(d, k, trials=20_000, seed=42)
             assert abs(got - exact) <= 1e-3
             assert got >= exact - 1e-8
 
     def test_k4_plane_independent(self, profile1):
         s = profile1.at(3.0)
         eig = hessian_r2(s)
-        got = brute_force_plane_min(s, 4, trials=1000, seed=0, polish=False)
+        got = brute_force_plane_min(hessian_r2_diagonal(s), 4, trials=1000,
+                                    seed=0, polish=False)
         assert got == pytest.approx(math.fsum(eig), rel=1e-12)
 
     def test_pure_sampling_converges_from_above(self, profile1):
         s = profile1.at(1.0)
         exact = min_trace_over_kplanes(hessian_r2(s), 2)
+        d = hessian_r2_diagonal(s)
         excesses = [
-            brute_force_plane_min(s, 2, trials=n, seed=9, polish=False) - exact
+            brute_force_plane_min(d, 2, trials=n, seed=9, polish=False) - exact
             for n in (1_000, 10_000, 100_000)]
         assert all(e >= -1e-8 for e in excesses)
         assert excesses[2] < excesses[0]
 
     def test_deterministic_given_seed(self, profile1):
-        s = profile1.at(2.0)
-        one = brute_force_plane_min(s, 2, trials=5_000, seed=123)
-        two = brute_force_plane_min(s, 2, trials=5_000, seed=123)
+        d = hessian_r2_diagonal(profile1.at(2.0))
+        one = brute_force_plane_min(d, 2, trials=5_000, seed=123)
+        two = brute_force_plane_min(d, 2, trials=5_000, seed=123)
         assert one == two
 
     def test_validation(self, profile1):
-        s = profile1.at(1.0)
+        d = hessian_r2_diagonal(profile1.at(1.0))
         with pytest.raises(ValueError):
-            brute_force_plane_min(s, 2, trials=10)
+            brute_force_plane_min(d, 2, trials=10)
         with pytest.raises(ValueError):
-            brute_force_plane_min(s, 2, trials=200_001)
+            brute_force_plane_min(d, 2, trials=200_001)
+        # at r = 0 the co-frame rates are 0/0
+        with np.errstate(invalid="ignore"):
+            d0 = hessian_r2_diagonal(profile1.eval([0.0]))[:, 0]
+        assert np.isnan(d0).any()
         with pytest.raises(ValueError):
-            brute_force_plane_min(profile1.at(0.0), 2)
+            brute_force_plane_min(d0, 2)
+        with pytest.raises(ValueError):
+            brute_force_plane_min(d[:3], 2)
 
 
 class TestOrthonormalize:
@@ -173,7 +188,7 @@ class TestOrthonormalize:
         proj = np.einsum("tij,tkj->tik", q, q)
         proj_ref = np.einsum("tij,tkj->tik", ref, ref)
         assert np.abs(proj - proj_ref).max() <= 1e-13
-        d = np.array(hessian_r2_diagonal(profile1.at(1.0)))
+        d = hessian_r2_diagonal(profile1.at(1.0))
         tr = np.einsum("i,tij->t", d, q ** 2)
         tr_ref = np.einsum("i,tij->t", d, ref ** 2)
         assert np.abs(tr - tr_ref).max() <= 1e-13
@@ -183,6 +198,17 @@ class TestOrthonormalize:
         src = Path(ahgeom.__file__).parent
         for path in sorted(src.glob("*.py")):
             assert not re.search(r"\bqr\b", path.read_text()), path.name
+
+
+def test_no_scalar_profile_reads_in_package_or_scripts():
+    # one read path: the package and its scripts evaluate the profile with
+    # MetricProfile.eval over arrays of radii, never one radius at a time
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    for folder in (Path(ahgeom.__file__).parent, scripts):
+        paths = sorted(folder.glob("*.py"))
+        assert paths, folder
+        for path in paths:
+            assert ".at(" not in path.read_text(), path.name
 
 
 class TestSignReport:

@@ -1,10 +1,13 @@
 """Series oracle: exact coefficients, parity, formal residuals, scaling."""
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahgeom import verify
+from ahgeom.config import RunConfig
 from ahgeom.series import SeriesCoefficients, expand, formal_residual_ok
 
 # Low-order coefficients derived independently by hand, matching the cleared
@@ -61,6 +64,20 @@ def test_formal_residual_negative_control():
     bad = SeriesCoefficients(m=1.0, order=8, unit_a=s.unit_a,
                              unit_p=s.unit_p, unit_q=tuple(bad_q))
     assert not formal_residual_ok(bad)
+
+
+def test_series_check_certifies_full_formal_residual(profile1):
+    # a wrong r^9 term keeps the printed orders and the parity, so only the
+    # formal residual through r^(order-1) can fail the check
+    ser = profile1.bootstrap
+    bad_a = list(ser.unit_a)
+    bad_a[9] += 1
+    bad = dataclasses.replace(ser, unit_a=tuple(bad_a))
+    for series, ok in ((ser, True), (bad, False)):
+        ctx = verify.VerifyContext(
+            config=RunConfig(),
+            profile=dataclasses.replace(profile1, bootstrap=series))
+        assert verify.check_series_expansion(ctx).passed is ok
 
 
 def test_m_scaling_equals_unit_rescaling():

@@ -12,6 +12,7 @@ fixed config and seed is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from itertools import chain
@@ -33,14 +34,6 @@ SOLVE_COLUMNS = ("r", "a", "b", "c", "da", "db", "dc", "dda", "ddb", "ddc", "x",
 CURV_COLUMNS = ("r", "k1", "k2", "k3", "asd1", "asd2", "asd3", "Kfiber")
 
 
-def _write(chunks, path: str | None):
-    if path is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w", newline="\n") as f:
-            f.writelines(chunks)
-
-
 def _rows(columns):
     """Rows of Python floats, one at a time, from a list of column arrays."""
     return zip(*(col.tolist() for col in columns))
@@ -57,7 +50,7 @@ def _solve_grid(config: RunConfig):
     return config.params().r_max * np.arange(n) / (n - 1)
 
 
-def cmd_solve(config: RunConfig) -> int:
+def cmd_solve(config: RunConfig, out) -> int:
     profile = integrate(config.params())
     s = profile.eval(_solve_grid(config))
     sp = shape_point(s)
@@ -73,11 +66,11 @@ def cmd_solve(config: RunConfig) -> int:
             "samples": [dict(zip(SOLVE_COLUMNS, row)) for row in rows],
         }
         chunks = [json.dumps(payload, indent=2) + "\n"]
-    _write(chunks, config.output)
+    out.writelines(chunks)
     return EXIT_OK
 
 
-def cmd_curvature(config: RunConfig) -> int:
+def cmd_curvature(config: RunConfig, out) -> int:
     params = config.params()
     profile = integrate(params)
     # the grid starts at r = 0, where kappa is 0/0: that row holds the exact
@@ -94,17 +87,17 @@ def cmd_curvature(config: RunConfig) -> int:
         payload = {"columns": list(CURV_COLUMNS),
                    "rows": [list(row) for row in rows]}
         chunks = [json.dumps(payload, indent=2) + "\n"]
-    _write(chunks, config.output)
+    out.writelines(chunks)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: RunConfig, out) -> int:
     report = run_verification(config)
     for c in report.checks:
         state = "PASS" if c.passed else "FAIL"
         print(f"{state} {c.name}: worst={c.worst:.3e} "
               f"({c.direction} {c.budget:g}); {c.note}", file=sys.stderr)
-    _write([json.dumps(report.to_dict(), indent=2) + "\n"], config.output)
+    out.write(json.dumps(report.to_dict(), indent=2) + "\n")
     if not report.all_pass:
         first = report.first_failure
         print(f"verification failed: {first.name}", file=sys.stderr)
@@ -189,11 +182,20 @@ def main(argv=None) -> int:
         print(f"ahgeom: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "solve":
-            return cmd_solve(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        return cmd_curvature(config)
+        # opened (and emptied) before any work, so a bad path fails at once
+        output = (contextlib.nullcontext(sys.stdout) if config.output is None
+                  else open(config.output, "w", newline="\n"))
+    except OSError as exc:
+        print(f"ahgeom: cannot write {config.output}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        with output as out:
+            if args.command == "solve":
+                return cmd_solve(config, out)
+            if args.command == "verify":
+                return cmd_verify(config, out)
+            return cmd_curvature(config, out)
     except IntegrationError as exc:
         print(f"ahgeom: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -21,8 +21,11 @@ class ModelParams:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0 < self.m < math.inf:
-            raise ValueError(f"m must be positive and finite, got {self.m}")
+        # curvature divides by (abc)^2 ~ m^6: it reads 0 or inf at m = 1e60
+        # and 1e-60, and the integrator fails at 1e-120 and 1e160
+        if not 1e-30 <= self.m <= 1e30:
+            raise ValueError("m must be positive and finite, in "
+                             f"[1e-30, 1e30], got {self.m}")
         if not 0 < self.r_max < math.inf:
             raise ValueError(
                 f"r_max must be positive and finite, got {self.r_max}")
@@ -30,12 +33,6 @@ class ModelParams:
         # nodes above the rounding of the values they bound
         if not 1e-14 <= self.tol < 1e-2:
             raise ValueError(f"tol must lie in [1e-14, 1e-2), got {self.tol}")
-
-    @classmethod
-    def default(cls, m: float = 1.0, tol: float = 1e-10) -> "ModelParams":
-        # horizon 20*m: the verified claims are local or monotone, so a
-        # finite scale-covariant horizon suffices
-        return cls(m=m, r_max=20.0 * m, tol=tol)
 
 
 # Grid cap, 20x the densest grid in use (50 000 rows): solve and curvature
@@ -70,5 +67,7 @@ class RunConfig:
         self.params()
 
     def params(self) -> ModelParams:
+        # horizon 20*m: the verified claims are local or monotone, so a
+        # finite scale-covariant horizon suffices
         r_max = 20.0 * self.m if self.r_max is None else self.r_max
         return ModelParams(m=self.m, r_max=r_max, tol=self.tol)

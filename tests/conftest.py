@@ -1,13 +1,13 @@
 import pytest
 
-from ahgeom.config import ModelParams
+from ahgeom.config import ModelParams, RunConfig
 from ahgeom.ode import integrate
 
 
 @pytest.fixture(scope="session")
 def profile1():
     """Default-scale profile: m = 1, r_max = 20, tol = 1e-10."""
-    return integrate(ModelParams.default())
+    return integrate(RunConfig().params())
 
 
 @pytest.fixture(scope="session")

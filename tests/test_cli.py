@@ -2,6 +2,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ahgeom import cli, ode
@@ -205,6 +206,42 @@ class TestConfigHandling:
             assert out == ""
             assert ("ahgeom: grid_points must lie in [2, 1000000], "
                     "got 1000000001") in err
+
+    @pytest.mark.parametrize("m", ["1e60", "1e-60", "1e-120", "1e160"])
+    def test_m_out_of_range(self, capsys, monkeypatch, m):
+        # curvature read 0 or inf and solve crashed at these m; now they
+        # are refused before the profile is built
+        monkeypatch.setattr(cli, "integrate", _must_not_run)
+        for command in ("solve", "curvature"):
+            code, out, err = run([command, "--m", m], capsys)
+            assert code == 2
+            assert out == ""
+            assert ("ahgeom: m must be positive and finite, in [1e-30, 1e30], "
+                    f"got {float(m)}") in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1e-30, 1e30])
+    def test_m_range_ends_finite(self, capsys, m):
+        for command in ("solve", "curvature"):
+            code, out, _ = run([command, "--m", repr(m), "--grid", "60"],
+                               capsys)
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert len(rows) == 60
+            assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch, where):
+        # refused before any work with a usage error, not a traceback and
+        # exit 1 after the whole run
+        monkeypatch.setattr(cli, "integrate", _must_not_run)
+        monkeypatch.setattr(cli, "run_verification", _must_not_run)
+        path = tmp_path / "no" / "x.csv" if where == "missing-dir" else tmp_path
+        for command in ("solve", "curvature", "verify"):
+            code, out, err = run([command, "--output", str(path)], capsys)
+            assert code == 2
+            assert out == ""
+            assert f"ahgeom: cannot write {path}: " in err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import ahgeom
+from ahgeom import verify
+from ahgeom.config import RunConfig
 from ahgeom.convexity import (_orthonormalize, brute_force_plane_min,
                               chain_margins, hessian_r2, hessian_r2_diagonal,
                               min_trace_over_kplanes, second_derivative_signs)
@@ -173,6 +175,48 @@ class TestBruteForce:
             brute_force_plane_min(d0, 2)
         with pytest.raises(ValueError):
             brute_force_plane_min(d[:3], 2)
+
+    def test_batch_matches_single_radius_calls(self, profile1):
+        # column i of a (4, n) diagonal draws from seed + i and is polished
+        # together with the others, bitwise as n one-radius calls
+        d = hessian_r2_diagonal(profile1.eval([0.5, 1.0, 3.0, 7.0]))
+        for k in (1, 2, 3):
+            batch = brute_force_plane_min(d, k, trials=5_000, seed=10 * k)
+            assert batch.shape == (4,)
+            single = [brute_force_plane_min(d[:, i], k, trials=5_000,
+                                            seed=10 * k + i)
+                      for i in range(4)]
+            assert np.array_equal(batch, single)
+
+    def test_one_radius_returns_float(self, profile1):
+        d = hessian_r2_diagonal(profile1.eval([1.0]))
+        got = brute_force_plane_min(d[:, 0], 2, trials=1000, seed=0)
+        assert type(got) is float
+        assert brute_force_plane_min(d, 2, trials=1000, seed=0).tolist() == [got]
+
+    def test_batch_validation(self, profile1):
+        with np.errstate(invalid="ignore"):
+            d = hessian_r2_diagonal(profile1.eval([1.0, 0.0, 2.0]))
+        assert np.isnan(d[:, 1]).any()
+        with pytest.raises(ValueError):
+            brute_force_plane_min(d, 2)
+        d = np.delete(d, 1, axis=1)
+        for bad in (d[:3], d[:, :, None]):
+            with pytest.raises(ValueError):
+                brute_force_plane_min(bad, 2)
+
+    def test_oracle_calls_once_per_k(self, profile1, monkeypatch):
+        # the k-plane oracle hands all ten radii to one call per k, with
+        # per-radius seeds seed + 1000*k + i
+        calls = []
+
+        def spy(d, k, trials, seed):
+            calls.append((d.shape, k, seed))
+            return brute_force_plane_min(d, k, trials=1000, seed=seed)
+        monkeypatch.setattr(verify, "brute_force_plane_min", spy)
+        ctx = verify.VerifyContext(config=RunConfig(seed=7), profile=profile1)
+        verify.check_kplane_oracle(ctx)
+        assert calls == [((4, 10), k, 7 + 1000 * k) for k in (1, 2, 3)]
 
 
 class TestOrthonormalize:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahgeom import ode
-from ahgeom.config import ModelParams
+from ahgeom.config import ModelParams, RunConfig
 from ahgeom.ode import (IntegrationError, MetricProfile, integrate,
                         product_identity_residual, region_margins, rhs,
                         sample_from_series, shape_point)
@@ -177,7 +177,7 @@ class TestIntegrate:
         # store that grows until memory runs out
         monkeypatch.setattr(ode, "_MAX_NODES", 1000)
         with pytest.raises(IntegrationError, match="node budget of 1000"):
-            integrate(ModelParams.default())
+            integrate(RunConfig().params())
 
     def test_node_budget_up_front(self):
         # r_max / h_max alone exceeds the budget: fail before the first step,
@@ -191,7 +191,7 @@ class TestIntegrate:
         # a budget just above the r_max / h_max floor passes the up-front
         # test; the run stores one node more than the floor, and the guard
         # inside the loop stops it
-        params = ModelParams.default()
+        params = RunConfig().params()
         r0 = expand(params.m, 10).truncation_radius(params.tol)
         h_max = ode._step_cap(params.m, params.tol)
         budget = math.floor((params.r_max - r0) / h_max) + 1

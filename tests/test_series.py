@@ -52,6 +52,16 @@ def test_parity_all_orders(order):
         assert s.unit_q[k] == 0
 
 
+def test_parity_enforced_when_built():
+    # the series check relies on this: no series that breaks parity can be
+    # built, so none reaches the check
+    s = expand(1.0, 10)
+    bad_a = list(s.unit_a)
+    bad_a[4] = F(1)
+    with pytest.raises(ValueError, match="parity violated"):
+        dataclasses.replace(s, unit_a=tuple(bad_a))
+
+
 @pytest.mark.parametrize("m,order", [(1.0, 10), (3.0, 8), (0.5, 6)])
 def test_formal_residual(m, order):
     assert formal_residual_ok(expand(m, order))

@@ -91,12 +91,15 @@ def cmd_curvature(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, out) -> int:
+def cmd_verify(config: RunConfig, out, timings: bool = False) -> int:
     report = run_verification(config)
     for c in report.checks:
         state = "PASS" if c.passed else "FAIL"
         print(f"{state} {c.name}: worst={c.worst:.3e} "
               f"({c.direction} {c.budget:g}); {c.note}", file=sys.stderr)
+    if timings:
+        for name, seconds in report.seconds.items():
+            print(f"time {name}: {seconds:.4f} s", file=sys.stderr)
     out.write(json.dumps(report.to_dict(), indent=2) + "\n")
     if not report.all_pass:
         first = report.first_failure
@@ -174,7 +177,11 @@ def main(argv=None) -> int:
             ("solve", "integrate and export the coefficient profile"),
             ("verify", "run every verification check; JSON report"),
             ("curvature", "tabulate curvature and hyper-Kaehler residuals")):
-        _add_common(sub.add_parser(name, help=helptext))
+        _add_common(cmd := sub.add_parser(name, help=helptext))
+        if name == "verify":
+            cmd.add_argument("--timings", action="store_true",
+                             help="also write the integrate time and each "
+                                  "check's wall time to stderr")
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
@@ -194,7 +201,7 @@ def main(argv=None) -> int:
             if args.command == "solve":
                 return cmd_solve(config, out)
             if args.command == "verify":
-                return cmd_verify(config, out)
+                return cmd_verify(config, out, args.timings)
             return cmd_curvature(config, out)
     except IntegrationError as exc:
         print(f"ahgeom: numerical failure: {exc}", file=sys.stderr)

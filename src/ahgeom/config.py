@@ -4,6 +4,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# The accepted m, [M_MIN, M_MAX]: curvature divides by (abc)^2 ~ m^6, so it
+# reads 0 or inf at m = 1e60 and 1e-60, and the integrator fails at 1e-120
+# and 1e160.
+M_MIN, M_MAX = 1e-30, 1e30
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -21,9 +26,7 @@ class ModelParams:
     tol: float = 1e-10
 
     def __post_init__(self):
-        # curvature divides by (abc)^2 ~ m^6: it reads 0 or inf at m = 1e60
-        # and 1e-60, and the integrator fails at 1e-120 and 1e160
-        if not 1e-30 <= self.m <= 1e30:
+        if not M_MIN <= self.m <= M_MAX:
             raise ValueError("m must be positive and finite, in "
                              f"[1e-30, 1e30], got {self.m}")
         if not 0 < self.r_max < math.inf:

@@ -75,7 +75,8 @@ def chain_margins(profile: MetricProfile, grid):
 
 def _orthonormalize(frames: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of a (t, 4, k) frame stack in place by
-    modified Gram-Schmidt and return it.
+    modified Gram-Schmidt and return it.  `brute_force_plane_min` calls it
+    on the polish's frames only: 8 per radius, never a sampled stack.
 
     Column j of each result spans, with columns 0..j-1, the same subspace
     as the first j + 1 input columns, as LAPACK QR's Q does (up to column
@@ -95,24 +96,76 @@ def _orthonormalize(frames: np.ndarray) -> np.ndarray:
     return frames
 
 
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# frames per slice: the largest temporary, six minors, takes 96 KB, below
+# glibc's default 128 KB mmap threshold
+_CHUNK = 2048
+
+
+def _plane_traces(frames: np.ndarray, d: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Write tr(P_L diag(d)) into `out` for the plane L spanned by each
+    frame G of a (t, 4, k) stack, without orthonormalizing G, and return
+    `out`.
+
+    By Cauchy-Binet, tr((G^T G)^-1 G^T D G) = sum_I d_I p_I^2 / sum_I p_I^2
+    over the k-subsets I of the four rows, where p_I is the k x k minor of
+    G on the rows I and d_I = sum of d_i over I: a convex combination of
+    the Ky Fan sums d_I, so no trace undercuts the smallest beyond rounding.
+    k = 1 weighs the entries, k = 2 the six Pluecker minors and k = 3 the
+    generalized cross product (d_I = tr d - d_i for the rows I without i);
+    at k = 4 every trace is tr d.  The minors lose about cond(G) * eps, as
+    Gram-Schmidt does, where the Gram inverse loses cond(G)^2 * eps.
+    Slices of _CHUNK frames keep the temporaries in cache and off fresh
+    pages: full-length ones page-faulted tens of thousands of times per call
+    and raised verify's peak RSS by 12 MB.
+    """
+    k = frames.shape[2]
+    if k == 4:
+        out.fill(np.sum(d))
+        return out
+    if k == 2:
+        weights = np.array([d[i] + d[j] for i, j in _PAIRS])
+    else:
+        weights = d if k == 1 else np.sum(d) - d
+    for lo in range(0, len(frames), _CHUNK):
+        g = frames[lo:lo + _CHUNK]
+        if k == 1:
+            minors = g[:, :, 0].T
+        elif k == 2:
+            u, v = g[:, :, 0].T, g[:, :, 1].T
+            minors = np.array([u[i] * v[j] - u[j] * v[i] for i, j in _PAIRS])
+        else:
+            u, v, w = g[:, :, 0].T, g[:, :, 1].T, g[:, :, 2].T
+            q = {(i, j): v[i] * w[j] - v[j] * w[i] for i, j in _PAIRS}
+            # row l of the cross product: the minor on the other three rows
+            minors = np.array([u[b] * q[c, e] - u[c] * q[b, e] + u[e] * q[b, c]
+                               for b, c, e in ((1, 2, 3), (0, 2, 3),
+                                               (0, 1, 3), (0, 1, 2))])
+        sq = minors * minors
+        np.divide(weights @ sq, np.sum(sq, axis=0), out=out[lo:lo + _CHUNK])
+    return out
+
+
 def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
                           seed: int | None = None, polish: bool = True):
     """Minimize tr_L diag(d) over random k-planes L, for d a Hess(r^2)
     diagonal from `hessian_r2_diagonal`: a float for one radius, shape (4,),
     n minima for n radii, shape (4, n).
 
-    Candidate subspaces are spanned by Gram-Schmidt-orthonormalized
-    standard-normal frames (Haar on the Stiefel manifold, Mezzadri 2007);
-    column i draws its own `trials` frames from seed + i (unseeded if seed
-    is None).  With polish=True the 8 best frames of every column are
-    refined together by 200 steps of projected gradient descent with
-    Gram-Schmidt retraction, at a step of 0.5 / (d_max - d_min) per column;
-    it uses only matrix-vector products with the Hessian, no
-    eigendecomposition.  Every evaluation is the trace over a genuine
+    Candidate subspaces are spanned by standard-normal frames (Haar on the
+    Stiefel manifold once orthonormalized, Mezzadri 2007); column i draws
+    its own `trials` frames from seed + i (unseeded if seed is None) into
+    one buffer reused for every column.  Each frame is scored in closed
+    form by its Cauchy-Binet minors (`_plane_traces`), with no Gram-Schmidt
+    and no eigensolver.  With polish=True the 8 best frames of every
+    column are orthonormalized and refined together by 200 steps of
+    projected gradient descent with Gram-Schmidt retraction, at a step of
+    0.5 / (d_max - d_min) per column; it uses only matrix-vector products
+    with the Hessian.  Every evaluation is the trace over a genuine
     subspace, so the result can never undercut the true minimum (beyond
     rounding), and pure sampling (polish=False) converges to it from above
-    as trials grow.  A column's frames are drawn at once, so trials is
-    capped at 200 000 to bound memory.
+    as trials grow.  trials is capped at 200 000 to bound the buffer.
     """
     d = np.array(d, dtype=float)
     if d.ndim not in (1, 2) or d.shape[0] != 4 or not np.all(np.isfinite(d)):
@@ -125,17 +178,17 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
     cols = d.reshape(4, -1).T
     best = np.empty(len(cols))
     V = np.empty((len(cols) * 8, 4, k))
+    # one frame buffer and one trace array, refilled for every column
+    frames, tr = np.empty((trials, 4, k)), np.empty(trials)
     for i, di in enumerate(cols):
         rng = np.random.default_rng(None if seed is None else seed + i)
-        frames = _orthonormalize(rng.standard_normal((trials, 4, k)))
-        tr = np.einsum("i,tij,tij->t", di, frames, frames)
+        rng.standard_normal(out=frames)
+        _plane_traces(frames, di, tr)
         best[i] = tr.min()
         V[8 * i:8 * i + 8] = frames[np.argpartition(tr, 7)[:8]]
-        # one stack live at a time (ten: 96 MB at k = 3); storing the best in
-        # place, not in a list, keeps verify's peak RSS 2 MB lower
-        del frames, tr
     if polish:
         # row 8i + j of V is frame j of column i, with that column's d
+        V = _orthonormalize(V)
         dd = np.repeat(cols, 8, axis=0)
         step = np.repeat(0.5 / np.maximum(np.ptp(cols, axis=1), 1e-300), 8)
         traces = []

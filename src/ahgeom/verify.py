@@ -7,12 +7,13 @@ table is echoed into every report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .config import ModelParams, RunConfig
+from .config import M_MAX, ModelParams, RunConfig
 from .convexity import (brute_force_plane_min, chain_margins, hessian_r2,
                         hessian_r2_diagonal, min_trace_over_kplanes,
                         second_derivative_signs)
@@ -268,24 +269,28 @@ def check_second_derivative_signs(ctx: VerifyContext) -> CheckResult:
 def check_scale_covariance(ctx: VerifyContext) -> CheckResult:
     tols = tolerances(ctx.tol)
     p1 = ctx.profile.params
-    p2 = ModelParams(m=2.0 * p1.m, r_max=2.0 * p1.r_max, tol=p1.tol)
+    # compare against 2m, or against m/2 where 2m leaves the accepted range;
+    # either factor is a power of two, so the rescaling itself is exact
+    f = 2.0 if 2.0 * p1.m <= M_MAX else 0.5
+    p2 = ModelParams(m=f * p1.m, r_max=f * p1.r_max, tol=p1.tol)
     prof2 = integrate(p2)
     r = p2.r_max * np.arange(1, 101) / 100.0
     s2 = prof2.eval(r)
-    s1 = ctx.profile.eval(r / 2.0)
+    s1 = ctx.profile.eval(r / f)
     worst = max(
         float(np.max(np.abs(got - want) / np.maximum(floor, np.abs(got))))
         for got, want, floor in (
-            (s2.a, 2.0 * s1.a, p2.m), (s2.b, 2.0 * s1.b, p2.m),
-            (s2.c, 2.0 * s1.c, p2.m), (s2.da, s1.da, 1.0),
-            (s2.dda, 0.5 * s1.dda, 1.0 / p2.m)))
+            (s2.a, f * s1.a, p2.m), (s2.b, f * s1.b, p2.m),
+            (s2.c, f * s1.c, p2.m), (s2.da, s1.da, 1.0),
+            (s2.dda, s1.dda / f, 1.0 / p2.m)))
     return CheckResult(
         name="scale_covariance",
         anchor="coefficients at parameter 2m are the doubled rescaling "
                "a(r) -> 2 a(r/2) of the parameter-m profile",
         passed=worst <= tols["scale_covariance_rel"], worst=worst,
         budget=tols["scale_covariance_rel"], direction="<=", grid=100,
-        note="values, first and second derivatives compared")
+        note="values, first and second derivatives compared" + (
+            "" if f == 2.0 else "; at parameter m/2, as 2m is out of range"))
 
 
 def check_zero_section_limits(ctx: VerifyContext) -> CheckResult:
@@ -332,6 +337,9 @@ class VerificationReport:
     config: dict
     tolerances: dict
     checks: tuple
+    # wall seconds of integrate (when run here) and of each check, by name;
+    # never in to_dict, so report bytes stay reproducible
+    seconds: dict = field(default_factory=dict, compare=False)
 
     @property
     def all_pass(self) -> bool:
@@ -353,10 +361,17 @@ class VerificationReport:
 def run_verification(config: RunConfig,
                      profile: MetricProfile | None = None) -> VerificationReport:
     params = config.params()
+    seconds = {}
     if profile is None:
+        t0 = time.perf_counter()
         profile = integrate(params)
+        seconds["integrate"] = time.perf_counter() - t0
     ctx = VerifyContext(config=config, profile=profile)
-    checks = tuple(fn(ctx) for fn in ALL_CHECKS)
+    checks = []
+    for fn in ALL_CHECKS:
+        t0 = time.perf_counter()
+        checks.append(fn(ctx))
+        seconds[checks[-1].name] = time.perf_counter() - t0
     echo = {
         "m": params.m,
         "r_max": params.r_max,
@@ -365,4 +380,4 @@ def run_verification(config: RunConfig,
         "seed": config.seed,
     }
     return VerificationReport(config=echo, tolerances=tolerances(params.tol),
-                              checks=checks)
+                              checks=tuple(checks), seconds=seconds)

@@ -1,13 +1,14 @@
 """CLI contracts: table formats, exit codes, determinism, config precedence."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ahgeom import cli, ode
+from ahgeom import cli, ode, verify
 from ahgeom.cli import main
-from ahgeom.config import MAX_GRID_POINTS, ModelParams, RunConfig
+from ahgeom.config import M_MAX, MAX_GRID_POINTS, ModelParams, RunConfig
 
 FAST = ["--r-max", "6", "--grid", "60"]
 
@@ -149,6 +150,21 @@ class TestVerify:
         assert main(VERIFY_ARGS + ["--output", str(again)]) == 0
         assert again.read_bytes() == verify_report[2]
 
+    def test_timings_on_stderr_only(self, verify_report, tmp_path, capsys):
+        # the report is the fixture's, byte for byte; stderr gains one line
+        # for integrate and one per check, in run order, after the checks'
+        timed = tmp_path / "timed.json"
+        code, out, err = run(VERIFY_ARGS + ["--timings", "--output",
+                                            str(timed)], capsys)
+        assert code == 0 and out == ""
+        assert timed.read_bytes() == verify_report[2]
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == (
+            [f"PASS {name}" for name in self.EXPECTED]
+            + [f"time {name}" for name in ["integrate"] + self.EXPECTED])
+        assert all(re.fullmatch(r"time \w+: \d+\.\d{4} s", line)
+                   for line in lines[12:])
+
 
 class TestConfigHandling:
     def test_usage_error_bad_m(self, capsys):
@@ -229,6 +245,16 @@ class TestConfigHandling:
             rows = [line.split(",") for line in out.splitlines()[1:]]
             assert len(rows) == 60
             assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+    def test_scale_covariance_at_top_of_m_range(self):
+        # 2m would leave the accepted range, so the check compares the
+        # profile at m/2 against this one; the rescaling is exact
+        config = RunConfig(m=M_MAX)
+        ctx = verify.VerifyContext(config=config,
+                                   profile=ode.integrate(config.params()))
+        result = verify.check_scale_covariance(ctx)
+        assert result.passed and result.worst == 0.0
+        assert result.note.endswith("at parameter m/2, as 2m is out of range")
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_output(self, tmp_path, capsys, monkeypatch, where):

@@ -1,15 +1,18 @@
 """Convexity machinery: Hessian spectrum, derivative chain, k-plane minima."""
 import math
 import re
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ahgeom
-from ahgeom import verify
+from ahgeom import convexity, verify
 from ahgeom.config import RunConfig
-from ahgeom.convexity import (_orthonormalize, brute_force_plane_min,
+from ahgeom.convexity import (_orthonormalize, _plane_traces,
+                              brute_force_plane_min,
                               chain_margins, hessian_r2, hessian_r2_diagonal,
                               min_trace_over_kplanes, second_derivative_signs)
 
@@ -217,6 +220,98 @@ class TestBruteForce:
         ctx = verify.VerifyContext(config=RunConfig(seed=7), profile=profile1)
         verify.check_kplane_oracle(ctx)
         assert calls == [((4, 10), k, 7 + 1000 * k) for k in (1, 2, 3)]
+
+
+def _gram_schmidt_traces(frames, d):
+    """Reference traces: orthonormalize a copy, then sum d_i over the
+    squared entries of each frame."""
+    q = _orthonormalize(frames.copy())
+    return np.einsum("i,tij,tij->t", d, q, q)
+
+
+def _exact_trace(frame, d):
+    """tr(P_L diag(d)) for the span of one float frame, in exact rational
+    arithmetic from its k x k minors (Cauchy-Binet)."""
+    g = [[Fraction(x) for x in row] for row in frame.tolist()]
+    k = len(g[0])
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        return sum((-1) ** j * rows[0][j]
+                   * det([row[:j] + row[j + 1:] for row in rows[1:]])
+                   for j in range(len(rows)))
+    num = den = Fraction(0)
+    for rows in combinations(range(4), k):
+        p2 = det([g[i] for i in rows]) ** 2
+        num += sum(Fraction(d[i]) for i in rows) * p2
+        den += p2
+    return num / den
+
+
+class TestPlaneTraces:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_gram_schmidt(self, profile1, k):
+        # Cauchy-Binet minors give the traces of the orthonormalized frames,
+        # across several slices, and leave the frames as they were
+        frames = np.random.default_rng(300 + k).standard_normal((20_000, 4, k))
+        before = frames.copy()
+        d = hessian_r2_diagonal(profile1.at(1.0))
+        out = np.empty(len(frames))
+        assert _plane_traces(frames, d, out) is out
+        assert np.abs(out - _gram_schmidt_traces(frames, d)).max() <= 1e-13
+        assert np.array_equal(frames, before)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ill_conditioned_frames(self, profile1, k):
+        # two columns about 1e-6 apart (cond ~ 1e6): the minors lose about
+        # cond * eps, the Gram inverse (G^T G)^-1 G^T D G about cond^2 * eps
+        rng = np.random.default_rng(3)
+        frames = rng.standard_normal((32, 4, k))
+        frames[:, :, 1] = frames[:, :, 0] + 1e-6 * rng.standard_normal((32, 4))
+        d = hessian_r2_diagonal(profile1.at(1.0))
+        exact = np.array([float(_exact_trace(g, d)) for g in frames])
+        got = _plane_traces(frames, d, np.empty(len(frames)))
+        assert np.abs(got - exact).max() <= 1e-8
+        gram = np.einsum("tij,tik->tjk", frames, frames)
+        dg = np.einsum("tij,i,tik->tjk", frames, d, frames)
+        gram_inverse = np.trace(np.linalg.solve(gram, dg), axis1=1, axis2=2)
+        assert np.abs(gram_inverse - exact).max() > 1e-8
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_unpolished_minima_match_gram_schmidt(self, profile1, k):
+        d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
+        got = brute_force_plane_min(d, k, trials=5_000, seed=50 * k,
+                                    polish=False)
+        want = [_gram_schmidt_traces(
+                    np.random.default_rng(50 * k + i).standard_normal(
+                        (5_000, 4, k)), d[:, i]).min()
+                for i in range(3)]
+        assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("polish", [True, False])
+    def test_only_polish_frames_orthonormalized(self, profile1, monkeypatch,
+                                                polish):
+        # no sampled stack goes through Gram-Schmidt: it sees the 8 best
+        # frames per radius, once before the polish and once per step; the
+        # traces of every radius go through one frame buffer and one array
+        seen, buffers = [], set()
+        orthonormalize = convexity._orthonormalize
+        traces = convexity._plane_traces
+
+        def spy_orthonormalize(frames):
+            seen.append(len(frames))
+            return orthonormalize(frames)
+
+        def spy_traces(frames, d, out):
+            buffers.add((frames.ctypes.data, out.ctypes.data))
+            return traces(frames, d, out)
+        monkeypatch.setattr(convexity, "_orthonormalize", spy_orthonormalize)
+        monkeypatch.setattr(convexity, "_plane_traces", spy_traces)
+        d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
+        brute_force_plane_min(d, 3, trials=5_000, seed=1, polish=polish)
+        assert seen == ([24] * 201 if polish else [])
+        assert len(buffers) == 1
 
 
 class TestOrthonormalize:

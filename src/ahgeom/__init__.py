@@ -7,14 +7,12 @@ from .config import ModelParams, RunConfig
 from .convexity import (SignReport, brute_force_plane_min, chain_margins,
                         hessian_r2, hessian_r2_diagonal,
                         min_trace_over_kplanes, second_derivative_signs)
-from .curvature import (ConnectionCoefficients, CurvatureComponents,
-                        asd_residual, connection_coefficients,
+from .curvature import (CurvatureComponents, asd_residual,
                         curvature_components, fiber_gauss_curvature, kappa,
                         kappa_at_zero)
 from .ode import (CoefficientSample, IntegrationError, IntegrationStats,
-                  MetricProfile, ShapePoint, integrate,
-                  product_identity_residual, region_margins, rhs,
-                  sample_from_series, second_derivatives, shape_point)
+                  MetricProfile, integrate, product_identity_residual,
+                  region_margins, rhs, sample_from_series, second_derivatives)
 from .series import SeriesCoefficients, expand, formal_residual_ok
 from .verify import CheckResult, VerificationReport, run_verification
 from .zero_section import (CalibrationResult, calibration_check,

@@ -22,7 +22,7 @@ import numpy as np
 from .config import RunConfig
 from .curvature import (asd_residual, curvature_components,
                         fiber_gauss_curvature, kappa_at_zero)
-from .ode import IntegrationError, integrate, shape_point
+from .ode import IntegrationError, integrate
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -53,9 +53,8 @@ def _solve_grid(config: RunConfig):
 def cmd_solve(config: RunConfig, out) -> int:
     profile = integrate(config.params())
     s = profile.eval(_solve_grid(config))
-    sp = shape_point(s)
     rows = _rows((s.r, s.a, s.b, s.c, s.da, s.db, s.dc,
-                  s.dda, s.ddb, s.ddc, sp.x, sp.y))
+                  s.dda, s.ddb, s.ddc, s.a / s.c, s.b / s.c))
     if config.fmt == "csv":
         chunks = _csv_lines(SOLVE_COLUMNS, rows)
     else:
@@ -74,9 +73,10 @@ def cmd_curvature(config: RunConfig, out) -> int:
     params = config.params()
     profile = integrate(params)
     # the grid starts at r = 0, where kappa is 0/0: that row holds the exact
-    # limits, and the anti-self-duality residuals extend continuously to 0
+    # limits (the fiber curvature -a''/a is -k1), and the anti-self-duality
+    # residuals extend continuously to 0
     k0 = kappa_at_zero(params.m)
-    zero = (0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, 1.5 / params.m ** 2)
+    zero = (0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, -k0.k1)
     s = profile.eval(_solve_grid(config)[1:])
     k = curvature_components(s)
     rows = chain([zero], _rows((s.r, k.k1, k.k2, k.k3, *asd_residual(s),
@@ -131,6 +131,8 @@ _FLAG_TYPES = {
     "format": str,
     "output": str,
 }
+# flags whose RunConfig field has another name
+_FIELD_NAMES = {"grid": "grid_points", "format": "fmt"}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -144,15 +146,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    return RunConfig(
-        m=values.get("m", 1.0),
-        r_max=values.get("r_max"),
-        tol=values.get("tol", 1e-10),
-        grid_points=values.get("grid", 1000),
-        seed=values.get("seed"),
-        fmt=values.get("format", "csv"),
-        output=values.get("output"),
-    )
+    return RunConfig(**{_FIELD_NAMES.get(key, key): value
+                        for key, value in values.items()})
 
 
 def _add_common(p: argparse.ArgumentParser):

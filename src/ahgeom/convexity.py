@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import CoefficientSample, MetricProfile, shape_point
+from .ode import CoefficientSample, MetricProfile
 
 
 def hessian_r2_diagonal(sample: CoefficientSample) -> np.ndarray:
@@ -65,9 +65,9 @@ def chain_margins(profile: MetricProfile, grid):
     """
     r = np.asarray(grid, dtype=float)
     s = profile.eval(r)
-    sp = shape_point(s)
+    x, y = s.a / s.c, s.b / s.c
     gaps = (1.0 - r * s.da / s.a,
-            r * sp.one_minus_x * (1.0 + sp.x - sp.y) / (s.c * sp.x * (-sp.y)),
+            r * (s.gap / s.c) * (1.0 + x - y) / (s.c * x * (-y)),
             r * s.dc / s.c + r * s.db / s.b,
             -r * s.db / s.b)
     return tuple(float(np.min(g, initial=math.inf)) for g in gaps)
@@ -204,10 +204,9 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
 
 @dataclass(frozen=True)
 class SignReport:
-    """Signs of the coefficient second derivatives along the profile."""
+    """Signs of the coefficient second derivatives along the profile:
+    a'' < 0 and b'' < 0 on the grid exactly when both maxima are negative."""
 
-    a_concave: bool          # a'' < 0 at every grid radius
-    b_concave: bool          # b'' < 0 at every grid radius
     max_dda: float
     max_ddb: float
     c_sign_changes: int      # bracketed sign changes of c''
@@ -215,8 +214,8 @@ class SignReport:
 
 
 def second_derivative_signs(profile: MetricProfile, grid) -> SignReport:
-    """Check a'' < 0 and b'' < 0 on the grid and locate the sign change of
-    c'' (positive near the zero section, negative far out) to 1e-10
+    """Largest a'' and b'' on the grid, and the sign change of c''
+    (positive near the zero section, negative far out) located to 1e-10
     relative in r: each round evaluates 65 evenly spaced radii of the
     bracket in one batch and keeps the first subinterval where c'' changes
     sign."""
@@ -234,11 +233,8 @@ def second_derivative_signs(profile: MetricProfile, grid) -> SignReport:
             j = np.flatnonzero(up[:-1] != up[1:])[0]
             lo, hi = float(r[j]), float(r[j + 1])
         crossing = 0.5 * (lo + hi)
-    max_dda, max_ddb = float(np.max(s.dda)), float(np.max(s.ddb))
     return SignReport(
-        a_concave=max_dda < 0.0,
-        b_concave=max_ddb < 0.0,
-        max_dda=max_dda,
-        max_ddb=max_ddb,
+        max_dda=float(np.max(s.dda)),
+        max_ddb=float(np.max(s.ddb)),
         c_sign_changes=len(brackets),
         c_crossing=crossing)

@@ -1,4 +1,4 @@
-"""Connection and curvature of the metric in its orthonormal co-frame.
+"""Curvature of the metric in its orthonormal co-frame.
 
 Everything reduces to one scalar function kappa(a, b, c): the nontrivial
 Riemann components are its cyclic permutations,
@@ -74,32 +74,6 @@ def curvature_components(sample: CoefficientSample) -> CurvatureComponents:
         raise ValueError("curvature_components needs r > 0; use kappa_at_zero")
     a, b, c = sample.a, sample.b, sample.c
     return CurvatureComponents(k1=kappa(a, b, c), k2=kappa(b, c, a), k3=kappa(c, a, b))
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Scalar coefficients of the connection one-forms: w0i multiplies the
-    i-th co-frame leg of w_0^i, and wjk the dual legs, up to the co-frame
-    sign convention."""
-
-    w01: float  # a'/a
-    w02: float  # b'/b
-    w03: float  # c'/c
-    w23: float  # (b^2 + c^2 - a^2) / (2abc)
-    w31: float  # (a^2 + c^2 - b^2) / (2abc)
-    w12: float  # (a^2 + b^2 - c^2) / (2abc)
-
-
-def connection_coefficients(sample: CoefficientSample) -> ConnectionCoefficients:
-    if np.any(sample.r <= 0.0):
-        raise ValueError("connection coefficients diverge at r = 0")
-    a, b, c = sample.a, sample.b, sample.c
-    den = 2.0 * a * b * c
-    return ConnectionCoefficients(
-        w01=sample.da / a, w02=sample.db / b, w03=sample.dc / c,
-        w23=(b * b + c * c - a * a) / den,
-        w31=(a * a + c * c - b * b) / den,
-        w12=(a * a + b * b - c * c) / den)
 
 
 def asd_residual(sample: CoefficientSample):

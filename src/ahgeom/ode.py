@@ -86,8 +86,7 @@ class CoefficientSample:
 
     gap carries c - a at full relative precision (it underflows the plain
     float subtraction c - a beyond r ~ 12 m); dgap and ddgap are its first
-    and second r-derivatives.  ddgap is the one optional field: a sample
-    built by hand without it has NaN there.
+    and second r-derivatives.
     """
 
     r: float
@@ -102,31 +101,11 @@ class CoefficientSample:
     ddc: float
     gap: float
     dgap: float
-    ddgap: float = math.nan
+    ddgap: float
 
     def __len__(self) -> int:
         """Number of radii of an array sample."""
         return len(self.r)
-
-
-@dataclass(frozen=True)
-class ShapePoint:
-    """Scale-free shape coordinates (x, y) = (a/c, b/c).
-
-    one_minus_x carries 1 - x at full relative precision; the rounded x
-    saturates at 1.0 once c - a falls below the resolution of c.
-    """
-
-    x: float
-    y: float
-    one_minus_x: float
-
-
-def shape_point(sample: CoefficientSample) -> ShapePoint:
-    if np.any(sample.c == 0.0):
-        raise ValueError("shape coordinates are undefined where c = 0")
-    return ShapePoint(x=sample.a / sample.c, y=sample.b / sample.c,
-                      one_minus_x=sample.gap / sample.c)
 
 
 def region_margins(sample: CoefficientSample):
@@ -137,9 +116,9 @@ def region_margins(sample: CoefficientSample):
     the tracked gap c - a, and y < -1 + x as (-b - (c - a))/c, so both stay
     meaningful after the rounded x saturates at 1.
     """
-    sp = shape_point(sample)
+    x, y = sample.a / sample.c, sample.b / sample.c
     m_region = (-sample.b - sample.gap) / sample.c  # (x - 1) - y
-    return (m_region, sp.x, sp.one_minus_x, sp.y + 1.0, -sp.y)
+    return (m_region, x, sample.gap / sample.c, y + 1.0, -y)
 
 
 def sample_from_series(series: SeriesCoefficients, r) -> CoefficientSample:
@@ -309,8 +288,8 @@ def integrate(params: ModelParams) -> "MetricProfile":
     stats = IntegrationStats(
         accepted=accepted, rejected=rejected, rhs_calls=rhs_calls,
         h_min=h_lo, h_max=h_hi, capped_share=capped / accepted)
-    return MetricProfile(params=params, bootstrap=series, r0=r0,
-                         samples=nodes, stats=stats)
+    return MetricProfile(params=params, bootstrap=series, samples=nodes,
+                         stats=stats)
 
 
 def _second_derivatives_on_flow(a, b, c, gap, dgap):
@@ -357,13 +336,17 @@ class MetricProfile:
 
     params: ModelParams
     bootstrap: SeriesCoefficients
-    r0: float
     samples: CoefficientSample
     stats: IntegrationStats | None = None
 
     def __post_init__(self):
         if not np.all(np.diff(self.samples.r) > 0):
             raise ValueError("profile samples must have strictly increasing r")
+
+    @property
+    def r0(self) -> float:
+        """Bootstrap radius, where `integrate` stores its first node."""
+        return float(self.samples.r[0])
 
     @property
     def r_max(self) -> float:

@@ -93,7 +93,8 @@ def check_ode_residuals(ctx: VerifyContext) -> CheckResult:
         float(np.max(np.abs(d - f) / np.maximum(1.0, np.abs(f))))
         for d, f in zip((n.da, n.db, n.dc), rhs(n.a, n.b, n.c)))
     mids = 0.5 * (n.r[:-1] + n.r[1:])
-    worst_mid = product_identity_residual(ctx.profile, mids)
+    # the identities' residual is a length; over m it is scale-free
+    worst_mid = product_identity_residual(ctx.profile, mids) / ctx.m
     ratio = max(worst_stored / tols["ode_stored_rel"],
                 worst_mid / tols["ode2_interp_abs"])
     stats = ctx.profile.stats
@@ -153,8 +154,10 @@ def check_hyperkahler_certificate(ctx: VerifyContext) -> CheckResult:
     asd_interp = float(np.max(np.abs(asd_residual(s))))
     k = curvature_components(s)
     cyc = float(np.max(np.abs(k.cyclic_sum) / kappa_term_scale(s.a, s.b, s.c)))
+    # relative to |kappa|, floored at the curvature scale 1/m^2
     cert = max(
-        float(np.max(np.abs(du / u - ki) / np.maximum(1.0, np.abs(ki))))
+        float(np.max(np.abs(du / u - ki)
+                     / np.maximum(1.0 / ctx.m ** 2, np.abs(ki))))
         for du, u, ki in ((s.dda, s.a, k.k1), (s.ddb, s.b, k.k2),
                           (s.ddc, s.c, k.k3)))
     ratio = max(asd_stored / tols["asd_stored_abs"],
@@ -255,8 +258,8 @@ def check_kplane_oracle(ctx: VerifyContext) -> CheckResult:
 
 def check_second_derivative_signs(ctx: VerifyContext) -> CheckResult:
     rep = second_derivative_signs(ctx.profile, ctx.grid)
-    ok = (rep.a_concave and rep.b_concave and rep.c_sign_changes == 1
-          and rep.c_crossing is not None)
+    ok = (rep.max_dda < 0.0 and rep.max_ddb < 0.0
+          and rep.c_sign_changes == 1 and rep.c_crossing is not None)
     return CheckResult(
         name="second_derivative_signs",
         anchor="a'' < 0 and b'' < 0 for r > 0; c'' positive near 0, one sign change",

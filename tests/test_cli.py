@@ -166,6 +166,31 @@ class TestVerify:
                    for line in lines[12:])
 
 
+def _verify_context(m):
+    config = RunConfig(m=m)
+    return verify.VerifyContext(config=config,
+                                profile=ode.integrate(config.params()))
+
+
+class TestScaleFreeResiduals:
+    # a power-of-two m rescales the m = 1 profile exactly, so a scale-free
+    # residual reads the same bits at every such m
+    @pytest.mark.parametrize("m", [2.0 ** -10, 2.0 ** 10, 2.0 ** 12])
+    @pytest.mark.parametrize("check", [verify.check_ode_residuals,
+                                       verify.check_hyperkahler_certificate])
+    def test_worst_equals_unit_scale(self, profile1, check, m):
+        unit = check(verify.VerifyContext(config=RunConfig(), profile=profile1))
+        scaled = check(_verify_context(m))
+        assert scaled.worst == unit.worst
+        assert scaled.note == unit.note  # each term of the ratio, too
+        assert scaled.passed
+
+    def test_ode_residuals_pass_at_large_m(self):
+        # the midpoint residual is a length: an absolute budget failed here
+        result = verify.check_ode_residuals(_verify_context(1e4))
+        assert result.passed, result.note
+
+
 class TestConfigHandling:
     def test_usage_error_bad_m(self, capsys):
         code, _, err = run(["solve", "--m", "-1"], capsys)
@@ -249,10 +274,7 @@ class TestConfigHandling:
     def test_scale_covariance_at_top_of_m_range(self):
         # 2m would leave the accepted range, so the check compares the
         # profile at m/2 against this one; the rescaling is exact
-        config = RunConfig(m=M_MAX)
-        ctx = verify.VerifyContext(config=config,
-                                   profile=ode.integrate(config.params()))
-        result = verify.check_scale_covariance(ctx)
+        result = verify.check_scale_covariance(_verify_context(M_MAX))
         assert result.passed and result.worst == 0.0
         assert result.note.endswith("at parameter m/2, as 2m is out of range")
 

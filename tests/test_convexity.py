@@ -353,8 +353,8 @@ def test_no_scalar_profile_reads_in_package_or_scripts():
 class TestSignReport:
     def test_signs_and_crossing(self, profile1, grid1):
         rep = second_derivative_signs(profile1, grid1)
-        assert rep.a_concave and rep.max_dda < 0
-        assert rep.b_concave and rep.max_ddb < 0
+        assert rep.max_dda < 0
+        assert rep.max_ddb < 0
         assert rep.c_sign_changes == 1
         assert rep.c_crossing == pytest.approx(C_CROSSING_M1, abs=1e-7)
 

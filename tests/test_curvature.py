@@ -1,15 +1,13 @@
-"""Curvature: the generator kappa, its identities, connection, ASD residuals."""
-import math
-
+"""Curvature: the generator kappa, its identities, ASD residuals."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahgeom.curvature import (asd_residual, connection_coefficients,
-                              curvature_components, fiber_gauss_curvature,
-                              kappa, kappa_at_zero, kappa_term_scale)
-from ahgeom.ode import CoefficientSample, rhs, sample_from_series
+from ahgeom.curvature import (asd_residual, curvature_components,
+                              fiber_gauss_curvature, kappa, kappa_at_zero,
+                              kappa_term_scale)
+from ahgeom.ode import sample_from_series
 from ahgeom.series import expand
 
 nz = st.floats(min_value=0.1, max_value=10.0).flatmap(
@@ -63,33 +61,6 @@ class TestKappaAtZero:
         assert k.k1 == pytest.approx(-1.5, abs=1e-3)
         assert k.k2 == pytest.approx(0.75, abs=1e-3)
         assert k.k3 == pytest.approx(0.75, abs=1e-3)
-
-
-class TestConnection:
-    def test_hand_evaluated_offflow_state(self):
-        # rhs(1,-2,3) = (2, 0, 0), so w01 = 2, w02 = w03 = 0, and the dual
-        # coefficients are (4+9-1)/(-12), (1+9-4)/(-12), (1+4-9)/(-12)
-        # connection_coefficients reads no second derivatives and no gap
-        w = connection_coefficients(CoefficientSample(
-            1.0, 1.0, -2.0, 3.0, *rhs(1.0, -2.0, 3.0), *[math.nan] * 5))
-        assert (w.w01, w.w02, w.w03) == (2.0, 0.0, 0.0)
-        assert w.w23 == pytest.approx(-1.0, rel=1e-15)
-        assert w.w31 == pytest.approx(-0.5, rel=1e-15)
-        assert w.w12 == pytest.approx(1 / 3, rel=1e-15)
-
-    def test_small_r_divergence(self):
-        s = sample_from_series(expand(1.0, 10), 0.01)
-        w = connection_coefficients(s)
-        assert w.w01 * 0.01 == pytest.approx(1.0, abs=1e-3)
-
-    def test_sign_pattern_on_profile(self, profile1, grid1):
-        for r in grid1[:: 25]:
-            w = connection_coefficients(profile1.at(r))
-            assert w.w01 > 0 and w.w03 > 0 and w.w02 < 0
-
-    def test_domain_error_at_zero(self, profile1):
-        with pytest.raises(ValueError):
-            connection_coefficients(profile1.at(0.0))
 
 
 class TestAsdResidual:

@@ -12,7 +12,7 @@ from ahgeom import ode
 from ahgeom.config import ModelParams, RunConfig
 from ahgeom.ode import (IntegrationError, MetricProfile, integrate,
                         product_identity_residual, region_margins, rhs,
-                        sample_from_series, shape_point)
+                        sample_from_series)
 from ahgeom.series import expand
 
 nonzero = st.floats(min_value=0.05, max_value=50.0).flatmap(
@@ -69,7 +69,9 @@ class TestBootstrap:
 class TestIntegrate:
     def test_profile_basics(self, profile1):
         nodes = profile1.samples
-        assert nodes.r[0] == profile1.r0
+        # the first node is the bootstrap radius
+        assert nodes.r[0] == expand(1.0, 10).truncation_radius(1e-10)
+        assert profile1.r0 == nodes.r[0]
         assert nodes.r[-1] == 20.0
         assert len(nodes) == nodes.r.size
         assert np.all(np.diff(nodes.r) > 0)
@@ -201,25 +203,27 @@ class TestIntegrate:
             integrate(params)
 
     def test_shape_flow(self, profile1, grid1):
-        pts = shape_point(profile1.eval(grid1))
-        assert np.all(pts.one_minus_x > 0)
-        assert np.all(np.diff(pts.one_minus_x) < 0)  # x strictly increasing
-        assert np.all(np.diff(pts.y) > 0)            # y strictly increasing
-        assert 0.9 <= pts.x[-1] <= 1.0 and pts.one_minus_x[-1] > 0
-        assert -0.1 < pts.y[-1] < 0
+        # shape coordinates (x, y) = (a/c, b/c); 1 - x from the tracked gap
+        s = profile1.eval(grid1)
+        x, y, one_minus_x = s.a / s.c, s.b / s.c, s.gap / s.c
+        assert np.all(one_minus_x > 0)
+        assert np.all(np.diff(one_minus_x) < 0)  # x strictly increasing
+        assert np.all(np.diff(y) > 0)            # y strictly increasing
+        assert 0.9 <= x[-1] <= 1.0 and one_minus_x[-1] > 0
+        assert -0.1 < y[-1] < 0
 
     def test_region_margins_positive(self, profile1, grid1):
         for margin in region_margins(profile1.eval(grid1[:: 10])):
             assert np.all(margin > 0)
 
     def test_shape_at_zero_and_small_r(self, profile1):
-        sp0 = shape_point(profile1.at(0.0))
-        assert (sp0.x, sp0.y) == (0.0, -1.0)
+        s0 = profile1.at(0.0)
+        assert (s0.a / s0.c, s0.b / s0.c) == (0.0, -1.0)
         # x ~ 2r - r^2 and y ~ -1 + r - r^2/2 for m = 1
         r = 0.01
-        sp = shape_point(profile1.at(r))
-        assert sp.x == pytest.approx(2 * r - r * r, abs=5 * r ** 3)
-        assert sp.y == pytest.approx(-1 + r - r * r / 2, abs=5 * r ** 3)
+        s = profile1.at(r)
+        assert s.a / s.c == pytest.approx(2 * r - r * r, abs=5 * r ** 3)
+        assert s.b / s.c == pytest.approx(-1 + r - r * r / 2, abs=5 * r ** 3)
 
     def test_gap_matches_plain_difference_where_representable(self, profile1):
         for r in (0.3, 1.0, 3.0, 6.0):
@@ -283,7 +287,7 @@ class TestEval:
                                       u0, u1, u2)
         profile = MetricProfile(
             params=ModelParams(m=1.0, r_max=3.0, tol=1e-10),
-            bootstrap=expand(1.0, 10), r0=1.0, samples=nodes)
+            bootstrap=expand(1.0, 10), samples=nodes)
         mids = 0.5 * (r[:-1] + r[1:])
         got = profile.eval(mids)
         for p, v, dv in ((a, got.a, got.da), (b, got.b, got.db),
@@ -334,5 +338,5 @@ class TestProductIdentities:
         nodes = profile1.samples
         flipped = replace(nodes, b=-nodes.b)
         bad = MetricProfile(params=profile1.params, bootstrap=profile1.bootstrap,
-                            r0=profile1.r0, samples=flipped)
+                            samples=flipped)
         assert product_identity_residual(bad, nodes.r[:: 50]) > 0.1

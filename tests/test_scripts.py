@@ -1,9 +1,14 @@
-"""Smoke test of the scripts under scripts/, so an API change cannot leave
-them broken unnoticed."""
+"""Smoke test of the scripts under scripts/ and of the benchmark's traced
+runner, so an API change cannot leave them broken unnoticed."""
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = REPO / "scripts"
 
 
 def load(name):
@@ -22,3 +27,20 @@ def test_convexity_scan_one_m(capsys):
     assert 1.9 < delta < 2.0
     assert crossing == crossing_over_m
     assert abs(crossing - 1.7175933) < 1e-6
+
+
+def test_traced_runner_wraps_every_layer(tmp_path):
+    # the tracer wraps each public name it times when it starts, so a name
+    # removed from ahgeom fails here rather than only in a traced benchmark
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    flags = ["solve", "--grid", "40", "--tol", "1e-6", "--output"]
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    spans = tmp_path / "spans.json"
+    subprocess.run([sys.executable, "-m", "ahgeom", *flags, str(plain)],
+                   env=env, check=True, timeout=120)
+    done = subprocess.run([sys.executable, str(REPO / "perfbench" / "traced.py"),
+                           str(spans), *flags, str(traced)],
+                          env=env, timeout=120)
+    assert done.returncode == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    assert "ode.integrate" in json.loads(spans.read_text())["spans"]

@@ -76,7 +76,7 @@ class TestCalibration:
         nodes = profile1.samples
         flipped = replace(nodes, b=-nodes.b)
         bad = MetricProfile(params=profile1.params, bootstrap=profile1.bootstrap,
-                            r0=profile1.r0, samples=flipped)
+                            samples=flipped)
         cal = calibration_check(bad, grid1[100::200], SLACK)
         assert not cal.bound_holds
 

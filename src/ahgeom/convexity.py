@@ -14,6 +14,8 @@ the exact k-plane minimum and an independent random-subspace minimizer.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +99,13 @@ def _orthonormalize(frames: np.ndarray) -> np.ndarray:
 
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# frames per slice: the largest temporary, six minors, takes 96 KB, below
-# glibc's default 128 KB mmap threshold
+# frames per trace slice: the largest temporary, six minors, takes 96 KB,
+# below glibc's default 128 KB mmap threshold
 _CHUNK = 2048
+# frames per draw block: a multiple of _CHUNK, so `_plane_traces` slices a
+# block at the offsets one full-length draw would have; 2 048-frame blocks
+# left too little work per draw for two threads to gain anything
+_BLOCK = 8 * _CHUNK
 
 
 def _plane_traces(frames: np.ndarray, d: np.ndarray,
@@ -118,7 +124,10 @@ def _plane_traces(frames: np.ndarray, d: np.ndarray,
     Gram-Schmidt does, where the Gram inverse loses cond(G)^2 * eps.
     Slices of _CHUNK frames keep the temporaries in cache and off fresh
     pages: full-length ones page-faulted tens of thousands of times per call
-    and raised verify's peak RSS by 12 MB.
+    and raised verify's peak RSS by 12 MB.  `brute_force_plane_min` passes
+    one draw block of at most _BLOCK frames per call; each trace depends
+    only on its own frame, so a block gives the traces a full-length stack
+    would.
     """
     k = frames.shape[2]
     if k == 4:
@@ -147,6 +156,44 @@ def _plane_traces(frames: np.ndarray, d: np.ndarray,
     return out
 
 
+def _workers(columns: int) -> int:
+    """Sampling threads for a call over `columns` radii: one per CPU this
+    process may run on (os.cpu_count() where affinity is unknown), never
+    more than the columns."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(columns, cpus))
+
+
+def _sample_columns(cols: np.ndarray, k: int, trials: int, seed: int | None,
+                    best: np.ndarray, V: np.ndarray, columns) -> None:
+    """Draw and score the `trials` frames of each column i in `columns`,
+    writing its smallest trace to best[i] and its 8 best frames to
+    V[8i:8i + 8].  Column i draws from seed + i in blocks of _BLOCK frames;
+    each block keeps its 8 best frames as candidates, and the 8 best
+    candidates are the column's 8 best frames."""
+    block = np.empty((min(trials, _BLOCK), 4, k))
+    tr = np.empty(len(block))
+    blocks = -(-trials // _BLOCK)
+    cand, cand_tr = np.empty((8 * blocks, 4, k)), np.empty(8 * blocks)
+    for i in columns:
+        rng = np.random.default_rng(None if seed is None else seed + i)
+        top = 0
+        for lo in range(0, trials, _BLOCK):
+            n = min(_BLOCK, trials - lo)
+            rng.standard_normal(out=block[:n])
+            _plane_traces(block[:n], cols[i], tr[:n])
+            kept = min(8, n)
+            keep = np.argpartition(tr[:n], kept - 1)[:kept]
+            np.take(block, keep, axis=0, out=cand[top:top + kept])
+            np.take(tr, keep, out=cand_tr[top:top + kept])
+            top += kept
+        best[i] = cand_tr[:top].min()
+        V[8 * i:8 * i + 8] = cand[np.argpartition(cand_tr[:top], 7)[:8]]
+
+
 def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
                           seed: int | None = None, polish: bool = True):
     """Minimize tr_L diag(d) over random k-planes L, for d a Hess(r^2)
@@ -155,17 +202,21 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
 
     Candidate subspaces are spanned by standard-normal frames (Haar on the
     Stiefel manifold once orthonormalized, Mezzadri 2007); column i draws
-    its own `trials` frames from seed + i (unseeded if seed is None) into
-    one buffer reused for every column.  Each frame is scored in closed
-    form by its Cauchy-Binet minors (`_plane_traces`), with no Gram-Schmidt
-    and no eigensolver.  With polish=True the 8 best frames of every
-    column are orthonormalized and refined together by 200 steps of
-    projected gradient descent with Gram-Schmidt retraction, at a step of
-    0.5 / (d_max - d_min) per column; it uses only matrix-vector products
-    with the Hessian.  Every evaluation is the trace over a genuine
-    subspace, so the result can never undercut the true minimum (beyond
-    rounding), and pure sampling (polish=False) converges to it from above
-    as trials grow.  trials is capped at 200 000 to bound the buffer.
+    its own `trials` frames from seed + i (unseeded if seed is None) as one
+    stream, in blocks of _BLOCK frames, keeping its running minimum and its
+    8 best frames.  The columns are spread over one thread per CPU
+    (`_workers`; numpy draws with the GIL released), and each column's
+    stream and minimum are the same whatever the thread count.  Each frame
+    is scored in closed form by its Cauchy-Binet minors (`_plane_traces`),
+    with no Gram-Schmidt and no eigensolver.  With polish=True the 8 best
+    frames of every column are orthonormalized and refined together by 200
+    steps of projected gradient descent with Gram-Schmidt retraction, at a
+    step of 0.5 / (d_max - d_min) per column; it uses only matrix-vector
+    products with the Hessian.  Every evaluation is the trace over a
+    genuine subspace, so the result can never undercut the true minimum
+    (beyond rounding), and pure sampling (polish=False) converges to it
+    from above as trials grow.  trials is capped at 200 000 to bound the
+    time of a call; the draw buffers hold one block per thread at any trials.
     """
     d = np.array(d, dtype=float)
     if d.ndim not in (1, 2) or d.shape[0] != 4 or not np.all(np.isfinite(d)):
@@ -178,14 +229,25 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
     cols = d.reshape(4, -1).T
     best = np.empty(len(cols))
     V = np.empty((len(cols) * 8, 4, k))
-    # one frame buffer and one trace array, refilled for every column
-    frames, tr = np.empty((trials, 4, k)), np.empty(trials)
-    for i, di in enumerate(cols):
-        rng = np.random.default_rng(None if seed is None else seed + i)
-        rng.standard_normal(out=frames)
-        _plane_traces(frames, di, tr)
-        best[i] = tr.min()
-        V[8 * i:8 * i + 8] = frames[np.argpartition(tr, 7)[:8]]
+    workers = _workers(len(cols))
+    failed = []
+
+    def work(columns):
+        try:
+            _sample_columns(cols, k, trials, seed, best, V, columns)
+        except BaseException as exc:
+            failed.append(exc)
+    # worker w takes columns w, w + workers, ...; the first runs inline
+    threads = [threading.Thread(target=work,
+                                args=(range(w, len(cols), workers),))
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(range(0, len(cols), workers))
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[0]
     if polish:
         # row 8i + j of V is frame j of column i, with that column's d
         V = _orthonormalize(V)

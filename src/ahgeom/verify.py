@@ -300,12 +300,16 @@ def check_zero_section_limits(ctx: VerifyContext) -> CheckResult:
     tols = tolerances(ctx.tol)
     m = ctx.m
     s = ctx.profile.eval(np.array([0.0, m / 1000.0]))
-    pairs = (
-        (s.a, 0.0), (s.b, -m), (s.c, m),
-        (s.da, 2.0), (s.db, 0.5), (s.dc, 0.5),
-        (s.dda, 0.0), (s.ddb, -0.75 / m), (s.ddc, 0.75 / m),
+    # (value, limit, scale): each error is relative to its limit, floored at
+    # the scale of its quantity (m, 1, 1/m), so the check is scale-free
+    triples = (
+        (s.a, 0.0, m), (s.b, -m, m), (s.c, m, m),
+        (s.da, 2.0, 1.0), (s.db, 0.5, 1.0), (s.dc, 0.5, 1.0),
+        (s.dda, 0.0, 1.0 / m), (s.ddb, -0.75 / m, 1.0 / m),
+        (s.ddc, 0.75 / m, 1.0 / m),
     )
-    worst = max(abs(got[0] - want) / max(1.0, abs(want)) for got, want in pairs)
+    worst = max(abs(got[0] - want) / max(scale, abs(want))
+                for got, want, scale in triples)
     k_fiber, k_near = fiber_gauss_curvature(s)
     worst = float(max(worst, abs(k_fiber * m * m / 1.5 - 1.0)))
     approach = float(abs(k_near * m * m / 1.5 - 1.0))

@@ -1,7 +1,12 @@
 """CLI contracts: table formats, exit codes, determinism, config precedence."""
+import dataclasses
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +195,32 @@ class TestScaleFreeResiduals:
         result = verify.check_ode_residuals(_verify_context(1e4))
         assert result.passed, result.note
 
+    @pytest.mark.parametrize("m", [2.0 ** -10, 2.0 ** 10])
+    def test_zero_section_limits_unit_scale(self, profile1, m):
+        unit = verify.check_zero_section_limits(
+            verify.VerifyContext(config=RunConfig(), profile=profile1))
+        scaled = verify.check_zero_section_limits(_verify_context(m))
+        assert scaled.passed, scaled.note
+        assert scaled.worst == unit.worst
+
+    def test_zero_section_limits_catch_second_derivative_at_large_m(
+            self, monkeypatch):
+        # b''(0) = -3/(4m) is -7.5e-31 at m = 1e30: held to an absolute
+        # 1e-13, a zeroed b''(0) passed; against its scale 1/m it reads 0.75
+        ctx = _verify_context(1e30)
+        assert verify.check_zero_section_limits(ctx).passed
+        evaluate = ode.MetricProfile.eval
+
+        def zeroed_ddb(self, r):
+            s = evaluate(self, r)
+            ddb = s.ddb.copy()
+            ddb[0] = 0.0
+            return dataclasses.replace(s, ddb=ddb)
+        monkeypatch.setattr(ode.MetricProfile, "eval", zeroed_ddb)
+        result = verify.check_zero_section_limits(ctx)
+        assert not result.passed
+        assert result.worst == pytest.approx(0.75)
+
 
 class TestConfigHandling:
     def test_usage_error_bad_m(self, capsys):
@@ -316,3 +347,15 @@ class TestConfigHandling:
     def test_missing_config_file(self, capsys):
         code, _, err = run(["solve", "--config", "/nonexistent.cfg"], capsys)
         assert code == 2
+
+
+def test_cli_import_leaves_out_logging():
+    # concurrent.futures pulls in logging, about 10 ms of every start-up;
+    # the k-plane oracle's threads use plain threading instead
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, ahgeom.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.strip() == "[]"

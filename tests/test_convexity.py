@@ -1,6 +1,8 @@
 """Convexity machinery: Hessian spectrum, derivative chain, k-plane minima."""
 import math
+import os
 import re
+import threading
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -293,9 +295,10 @@ class TestPlaneTraces:
     def test_only_polish_frames_orthonormalized(self, profile1, monkeypatch,
                                                 polish):
         # no sampled stack goes through Gram-Schmidt: it sees the 8 best
-        # frames per radius, once before the polish and once per step; the
-        # traces of every radius go through one frame buffer and one array
-        seen, buffers = [], set()
+        # frames per radius, once before the polish and once per step; each
+        # trace call scores one draw block, and each sampling thread reuses
+        # one block buffer and one trace array for all of its radii
+        seen, sizes, buffers = [], [], set()
         orthonormalize = convexity._orthonormalize
         traces = convexity._plane_traces
 
@@ -304,14 +307,70 @@ class TestPlaneTraces:
             return orthonormalize(frames)
 
         def spy_traces(frames, d, out):
+            sizes.append(len(frames))
             buffers.add((frames.ctypes.data, out.ctypes.data))
             return traces(frames, d, out)
         monkeypatch.setattr(convexity, "_orthonormalize", spy_orthonormalize)
         monkeypatch.setattr(convexity, "_plane_traces", spy_traces)
+        _force_cpus(monkeypatch, 2)
         d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
-        brute_force_plane_min(d, 3, trials=5_000, seed=1, polish=polish)
+        brute_force_plane_min(d, 3, trials=40_000, seed=1, polish=polish)
         assert seen == ([24] * 201 if polish else [])
-        assert len(buffers) == 1
+        assert sum(sizes) == 3 * 40_000
+        assert max(sizes) <= convexity._BLOCK
+        assert len(buffers) <= 2
+
+
+def _force_cpus(monkeypatch, n):
+    """Let the k-plane sampler see n CPUs, hence use min(n, radii) threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+class TestSamplingThreads:
+    # the radii are spread over threads and drawn in blocks; no minimum may
+    # depend on either
+    @pytest.mark.parametrize("trials", [5_000, 16_390, 100_000])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_minima_independent_of_workers(self, profile1, monkeypatch, k,
+                                           trials):
+        # 16 390 frames end in a block of 6, fewer than the 8 kept per
+        # block; 100 000 in a partial block of 1 696
+        d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
+        got = {}
+        for cpus in (1, 2):
+            _force_cpus(monkeypatch, cpus)
+            assert convexity._workers(3) == cpus
+            for polish in (True, False):
+                got[cpus, polish] = brute_force_plane_min(
+                    d, k, trials=trials, seed=70 * k, polish=polish)
+        for polish in (True, False):
+            assert np.array_equal(got[1, polish], got[2, polish])
+        # bitwise the traces of one full-length draw per radius
+        want = [_plane_traces(
+                    np.random.default_rng(70 * k + i).standard_normal(
+                        (trials, 4, k)), d[:, i], np.empty(trials)).min()
+                for i in range(3)]
+        assert np.array_equal(got[1, False], want)
+
+    def test_thread_error_raised_by_the_call(self, profile1, monkeypatch):
+        traces = convexity._plane_traces
+
+        def fail_off_main_thread(frames, d, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("in a sampling thread")
+            return traces(frames, d, out)
+        monkeypatch.setattr(convexity, "_plane_traces", fail_off_main_thread)
+        _force_cpus(monkeypatch, 2)
+        d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
+        with pytest.raises(FloatingPointError, match="sampling thread"):
+            brute_force_plane_min(d, 2, trials=1000, seed=0)
+
+    def test_worker_count(self, monkeypatch):
+        _force_cpus(monkeypatch, 2)
+        assert [convexity._workers(n) for n in (1, 2, 10)] == [1, 2, 2]
+        _force_cpus(monkeypatch, 1)
+        assert convexity._workers(10) == 1
 
 
 class TestOrthonormalize:

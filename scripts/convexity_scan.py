@@ -31,11 +31,17 @@ def main(argv=None) -> int:
     ap.add_argument("--m", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     ap.add_argument("--tol", type=float, default=1e-10)
     args = ap.parse_args(argv)
+    try:
+        params = [ModelParams(m=m, r_max=20.0 * m, tol=args.tol)
+                  for m in args.m]
+    except ValueError as exc:
+        ap.error(str(exc))
 
-    print(f"{'m':>6} {'delta (min2/r^2, r<=m/10)':>28} "
-          f"{'2/m^2':>10} {'c'' crossing':>14} {'crossing/m':>12}")
-    for m in args.m:
-        profile = integrate(ModelParams(m=m, r_max=20.0 * m, tol=args.tol))
+    print("{:>6} {:>28} {:>10} {:>14} {:>12}".format(
+        "m", "delta (min2/r^2, r<=m/10)", "2/m^2", "c'' crossing",
+        "crossing/m"))
+    for m, p in zip(args.m, params):
+        profile = integrate(p)
         delta = tube_modulus(profile)
         rep = second_derivative_signs(profile, profile.grid(1000))
         cross = rep.c_crossing if rep.c_crossing is not None else float("nan")

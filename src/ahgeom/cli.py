@@ -40,7 +40,7 @@ def _rows(columns):
 
 
 def _csv_lines(header, rows):
-    # full-precision shortest form; outputs double as fixtures
+    # 17 significant digits round-trip every double; outputs double as fixtures
     line = ",".join(["%.17g"] * len(header)) + "\n"
     return chain([",".join(header) + "\n"], (line % row for row in rows))
 

@@ -111,46 +111,32 @@ _BLOCK = 8 * _CHUNK
 def _plane_traces(frames: np.ndarray, d: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """Write tr(P_L diag(d)) into `out` for the plane L spanned by each
-    frame G of a (t, 4, k) stack, without orthonormalizing G, and return
-    `out`.
+    frame G of a (t, 4, k) stack, k in {1, 2}, without orthonormalizing G,
+    and return `out`.
 
     By Cauchy-Binet, tr((G^T G)^-1 G^T D G) = sum_I d_I p_I^2 / sum_I p_I^2
     over the k-subsets I of the four rows, where p_I is the k x k minor of
     G on the rows I and d_I = sum of d_i over I: a convex combination of
     the Ky Fan sums d_I, so no trace undercuts the smallest beyond rounding.
-    k = 1 weighs the entries, k = 2 the six Pluecker minors and k = 3 the
-    generalized cross product (d_I = tr d - d_i for the rows I without i);
-    at k = 4 every trace is tr d.  The minors lose about cond(G) * eps, as
-    Gram-Schmidt does, where the Gram inverse loses cond(G)^2 * eps.
-    Slices of _CHUNK frames keep the temporaries in cache and off fresh
-    pages: full-length ones page-faulted tens of thousands of times per call
-    and raised verify's peak RSS by 12 MB.  `brute_force_plane_min` passes
-    one draw block of at most _BLOCK frames per call; each trace depends
-    only on its own frame, so a block gives the traces a full-length stack
-    would.
+    k = 1 weighs the entries and k = 2 the six Pluecker minors;
+    `brute_force_plane_min` scores a 3-plane through its normal line.  The
+    minors lose about cond(G) * eps, as Gram-Schmidt does, where the Gram
+    inverse loses cond(G)^2 * eps.  Slices of _CHUNK frames keep the
+    temporaries in cache and off fresh pages: full-length ones page-faulted
+    tens of thousands of times per call and raised verify's peak RSS by
+    12 MB.  `brute_force_plane_min` passes one draw block of at most _BLOCK
+    frames per call; each trace depends only on its own frame, so a block
+    gives the traces a full-length stack would.
     """
     k = frames.shape[2]
-    if k == 4:
-        out.fill(np.sum(d))
-        return out
-    if k == 2:
-        weights = np.array([d[i] + d[j] for i, j in _PAIRS])
-    else:
-        weights = d if k == 1 else np.sum(d) - d
+    weights = d if k == 1 else np.array([d[i] + d[j] for i, j in _PAIRS])
     for lo in range(0, len(frames), _CHUNK):
         g = frames[lo:lo + _CHUNK]
         if k == 1:
             minors = g[:, :, 0].T
-        elif k == 2:
+        else:
             u, v = g[:, :, 0].T, g[:, :, 1].T
             minors = np.array([u[i] * v[j] - u[j] * v[i] for i, j in _PAIRS])
-        else:
-            u, v, w = g[:, :, 0].T, g[:, :, 1].T, g[:, :, 2].T
-            q = {(i, j): v[i] * w[j] - v[j] * w[i] for i, j in _PAIRS}
-            # row l of the cross product: the minor on the other three rows
-            minors = np.array([u[b] * q[c, e] - u[c] * q[b, e] + u[e] * q[b, c]
-                               for b, c, e in ((1, 2, 3), (0, 2, 3),
-                                               (0, 1, 3), (0, 1, 2))])
         sq = minors * minors
         np.divide(weights @ sq, np.sum(sq, axis=0), out=out[lo:lo + _CHUNK])
     return out
@@ -196,9 +182,9 @@ def _sample_columns(cols: np.ndarray, k: int, trials: int, seed: int | None,
 
 def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
                           seed: int | None = None, polish: bool = True):
-    """Minimize tr_L diag(d) over random k-planes L, for d a Hess(r^2)
-    diagonal from `hessian_r2_diagonal`: a float for one radius, shape (4,),
-    n minima for n radii, shape (4, n).
+    """Minimize tr_L diag(d) over random k-planes L, k in 1..3, for d a
+    Hess(r^2) diagonal from `hessian_r2_diagonal`: a float for one radius,
+    shape (4,), n minima for n radii, shape (4, n).
 
     Candidate subspaces are spanned by standard-normal frames (Haar on the
     Stiefel manifold once orthonormalized, Mezzadri 2007); column i draws
@@ -210,9 +196,13 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
     is scored in closed form by its Cauchy-Binet minors (`_plane_traces`),
     with no Gram-Schmidt and no eigensolver.  With polish=True the 8 best
     frames of every column are orthonormalized and refined together by 200
-    steps of projected gradient descent with Gram-Schmidt retraction, at a
-    step of 0.5 / (d_max - d_min) per column; it uses only matrix-vector
-    products with the Hessian.  Every evaluation is the trace over a
+    steps of projected gradient descent with Gram-Schmidt retraction (on
+    lines, a Rayleigh-quotient descent), at a step of 0.5 / (d_max - d_min)
+    per column; it uses only matrix-vector products with the Hessian.
+    k = 3 goes through its normal line: a 3-plane L with unit normal n has
+    tr(P_L D) = tr d - n^T D n, and the normal of a Haar 3-plane is a Haar
+    line, so the call minimizes over lines for -d and adds tr d, drawing 4
+    numbers per trial instead of 12.  Every evaluation is the trace over a
     genuine subspace, so the result can never undercut the true minimum
     (beyond rounding), and pure sampling (polish=False) converges to it
     from above as trials grow.  trials is capped at 200 000 to bound the
@@ -222,10 +212,13 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
     if d.ndim not in (1, 2) or d.shape[0] != 4 or not np.all(np.isfinite(d)):
         raise ValueError("plane minimization needs a finite diagonal of "
                          "shape (4,) or (4, n), from radii r > 0")
-    if not 1 <= k <= 4:
-        raise ValueError(f"k must be in 1..4, got {k}")
+    if not 1 <= k <= 3:
+        raise ValueError(f"k must be in 1..3, got {k}")
     if not 1000 <= trials <= 200_000:
         raise ValueError(f"trials must be in 1000..200000, got {trials}")
+    offset = 0.0
+    if k == 3:
+        offset, d, k = np.sum(d, axis=0), -d, 1
     cols = d.reshape(4, -1).T
     best = np.empty(len(cols))
     V = np.empty((len(cols) * 8, 4, k))
@@ -261,6 +254,7 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
             V = _orthonormalize(V - step[:, None, None] * horiz)
             traces.append(np.einsum("pi,pij,pij->p", dd, V, V))
         best = np.minimum(best, np.min(traces, axis=0).reshape(-1, 8).min(1))
+    best = offset + best
     return float(best[0]) if d.ndim == 1 else best
 
 

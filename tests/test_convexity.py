@@ -143,12 +143,30 @@ class TestBruteForce:
             assert abs(got - exact) <= 1e-3
             assert got >= exact - 1e-8
 
-    def test_k4_plane_independent(self, profile1):
-        s = profile1.at(3.0)
-        eig = hessian_r2(s)
-        got = brute_force_plane_min(hessian_r2_diagonal(s), 4, trials=1000,
-                                    seed=0, polish=False)
-        assert got == pytest.approx(math.fsum(eig), rel=1e-12)
+    def test_k_outside_1_to_3_rejected(self, profile1):
+        # every 4-plane is the whole space: min_trace_over_kplanes gives tr d
+        d = hessian_r2_diagonal(profile1.at(3.0))
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="1..3"):
+                brute_force_plane_min(d, k, trials=1000, seed=0)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("polish", [True, False])
+    def test_k3_is_tr_d_plus_line_minimum_of_minus_d(self, profile1,
+                                                     monkeypatch, polish,
+                                                     cpus):
+        # a 3-plane is sampled and polished through its normal line:
+        # bitwise tr d plus the line minimum of -d at the same seed
+        _force_cpus(monkeypatch, cpus)
+        d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
+        got = brute_force_plane_min(d, 3, trials=5_000, seed=31,
+                                    polish=polish)
+        want = np.sum(d, axis=0) + brute_force_plane_min(
+            -d, 1, trials=5_000, seed=31, polish=polish)
+        assert got.tobytes() == want.tobytes()
+        one = brute_force_plane_min(d[:, 1], 3, trials=5_000, seed=32,
+                                    polish=polish)
+        assert one == got[1]
 
     def test_pure_sampling_converges_from_above(self, profile1):
         s = profile1.at(1.0)
@@ -212,13 +230,15 @@ class TestBruteForce:
 
     def test_oracle_calls_once_per_k(self, profile1, monkeypatch):
         # the k-plane oracle hands all ten radii to one call per k, with
-        # per-radius seeds seed + 1000*k + i
+        # per-radius seeds seed + 1000*k + i; k = 3 reduces to lines inside
+        # that call, so a spy on the module's own binding sees no second one
         calls = []
 
         def spy(d, k, trials, seed):
             calls.append((d.shape, k, seed))
             return brute_force_plane_min(d, k, trials=1000, seed=seed)
         monkeypatch.setattr(verify, "brute_force_plane_min", spy)
+        monkeypatch.setattr(convexity, "brute_force_plane_min", spy)
         ctx = verify.VerifyContext(config=RunConfig(seed=7), profile=profile1)
         verify.check_kplane_oracle(ctx)
         assert calls == [((4, 10), k, 7 + 1000 * k) for k in (1, 2, 3)]
@@ -231,28 +251,41 @@ def _gram_schmidt_traces(frames, d):
     return np.einsum("i,tij,tij->t", d, q, q)
 
 
+def _det(rows):
+    """Determinant of a square list of exact rows, by cofactors."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j]
+               * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)))
+
+
 def _exact_trace(frame, d):
     """tr(P_L diag(d)) for the span of one float frame, in exact rational
     arithmetic from its k x k minors (Cauchy-Binet)."""
     g = [[Fraction(x) for x in row] for row in frame.tolist()]
     k = len(g[0])
-
-    def det(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        return sum((-1) ** j * rows[0][j]
-                   * det([row[:j] + row[j + 1:] for row in rows[1:]])
-                   for j in range(len(rows)))
     num = den = Fraction(0)
     for rows in combinations(range(4), k):
-        p2 = det([g[i] for i in rows]) ** 2
+        p2 = _det([g[i] for i in rows]) ** 2
         num += sum(Fraction(d[i]) for i in rows) * p2
         den += p2
     return num / den
 
 
+def _draws(seed, trials, k, d):
+    """The frames one radius draws from `seed`, with the diagonal that
+    scores them and the offset added to their traces: at k = 3 the normal
+    lines, scored with -d and offset by tr d."""
+    offset = 0.0
+    if k == 3:
+        offset, d, k = np.sum(d), -d, 1
+    frames = np.random.default_rng(seed).standard_normal((trials, 4, k))
+    return frames, d, offset
+
+
 class TestPlaneTraces:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2])
     def test_matches_gram_schmidt(self, profile1, k):
         # Cauchy-Binet minors give the traces of the orthonormalized frames,
         # across several slices, and leave the frames as they were
@@ -264,7 +297,7 @@ class TestPlaneTraces:
         assert np.abs(out - _gram_schmidt_traces(frames, d)).max() <= 1e-13
         assert np.array_equal(frames, before)
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2])
     def test_ill_conditioned_frames(self, profile1, k):
         # two columns about 1e-6 apart (cond ~ 1e6): the minors lose about
         # cond * eps, the Gram inverse (G^T G)^-1 G^T D G about cond^2 * eps
@@ -285,11 +318,26 @@ class TestPlaneTraces:
         d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
         got = brute_force_plane_min(d, k, trials=5_000, seed=50 * k,
                                     polish=False)
-        want = [_gram_schmidt_traces(
-                    np.random.default_rng(50 * k + i).standard_normal(
-                        (5_000, 4, k)), d[:, i]).min()
-                for i in range(3)]
+        want = []
+        for i in range(3):
+            frames, c, offset = _draws(50 * k + i, 5_000, k, d[:, i])
+            want.append(offset + _gram_schmidt_traces(frames, c).min())
         assert np.abs(got - want).max() <= 1e-13
+
+    def test_three_plane_trace_through_normal(self, profile1):
+        # exactly: a 4x3 frame spans the 3-plane with normal n, its
+        # generalized cross product, and tr(P_L D) = tr d - n^T D n / n^T n
+        frames = np.random.default_rng(5).standard_normal((16, 4, 3))
+        d = hessian_r2_diagonal(profile1.at(1.0))
+        dq = [Fraction(x) for x in d]
+        for g in frames:
+            rows = [[Fraction(x) for x in row] for row in g.tolist()]
+            n = [(-1) ** l * _det(rows[:l] + rows[l + 1:]) for l in range(4)]
+            assert all(sum(n[i] * rows[i][j] for i in range(4)) == 0
+                       for j in range(3))
+            nn = sum(x * x for x in n)
+            ndn = sum(di * x * x for di, x in zip(dq, n))
+            assert _exact_trace(g, d) == sum(dq) - ndn / nn
 
     @pytest.mark.parametrize("polish", [True, False])
     def test_only_polish_frames_orthonormalized(self, profile1, monkeypatch,
@@ -347,10 +395,11 @@ class TestSamplingThreads:
         for polish in (True, False):
             assert np.array_equal(got[1, polish], got[2, polish])
         # bitwise the traces of one full-length draw per radius
-        want = [_plane_traces(
-                    np.random.default_rng(70 * k + i).standard_normal(
-                        (trials, 4, k)), d[:, i], np.empty(trials)).min()
-                for i in range(3)]
+        want = []
+        for i in range(3):
+            frames, c, offset = _draws(70 * k + i, trials, k, d[:, i])
+            want.append(offset
+                        + _plane_traces(frames, c, np.empty(trials)).min())
         assert np.array_equal(got[1, False], want)
 
     def test_thread_error_raised_by_the_call(self, profile1, monkeypatch):

@@ -4,8 +4,11 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = REPO / "scripts"
@@ -21,12 +24,30 @@ def load(name):
 def test_convexity_scan_one_m(capsys):
     assert load("convexity_scan").main(["--m", "1.0", "--tol", "1e-8"]) == 0
     header, row = capsys.readouterr().out.splitlines()
+    assert re.split(r"\s{2,}", header.strip()) == [
+        "m", "delta (min2/r^2, r<=m/10)", "2/m^2", "c'' crossing",
+        "crossing/m"]
     m, delta, two_over_m2, crossing, crossing_over_m = map(float, row.split())
     assert m == 1.0 and two_over_m2 == 2.0
     # the tube modulus approaches 2/m^2 from below at the sphere
     assert 1.9 < delta < 2.0
     assert crossing == crossing_over_m
     assert abs(crossing - 1.7175933) < 1e-6
+
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "-1"], "m must be positive"),
+    (["--m", "1.0", "2e30"], "m must be positive"),
+    (["--tol", "1e-1"], "tol must lie in"),
+], ids=["negative-m", "m-above-range", "tol-too-large"])
+def test_convexity_scan_bad_input_is_usage_error(capsys, argv, message):
+    # rejected before any profile is built or any line is printed
+    with pytest.raises(SystemExit) as exit_info:
+        load("convexity_scan").main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_traced_runner_wraps_every_layer(tmp_path):

@@ -7,23 +7,24 @@ at r = 0 (every right-hand side divides by a coefficient that vanishes
 there), so integration starts from an exact series bootstrap at a small
 radius r0 and proceeds with an adaptive embedded Runge-Kutta pair.  A
 profile stores its accepted steps as one sample of arrays (radius, values,
-first and second derivatives, gap with its derivatives) and evaluates a
-whole array of radii in [0, r_max] at once with `MetricProfile.eval`: by
-series below r0, by quintic Hermite interpolation of the stored values, first
-and second derivatives above.  `eval` is the one way the package reads a
-profile.
+first and second derivatives, gap and log gap) and evaluates a whole array
+of radii in [0, r_max] at once with `MetricProfile.eval`: by series below
+r0, by quintic Hermite interpolation of the stored values, first and second
+derivatives above.  `eval` is the one way the package reads a profile.
 
 The difference c - a closes exponentially (rate ~ 3/m), so beyond r ~ 12 m
 it falls below the floating-point resolution of c itself and the rounded
 a, c collapse onto each other.  Since several strict inequalities of the
 geometry (x = a/c < 1 and the derivative ordering a'/a > c'/c) live exactly
-in that difference, the integrator tracks the gap u = c - a as an extra
-state component with its own cancellation-free equation
+in that difference, the integrator carries its logarithm
+l = log((c - a)/m) in place of c, with the cancellation-free equation
 
-    u' = u * (a + c - b)(a + b + c) / (2abc),
+    l' = (a + c - b)(a + b + c) / (2abc),
 
-an exact algebraic consequence of the coefficient system.  Samples expose it
-as `gap`, at full relative precision at every radius.
+an exact algebraic consequence of the coefficient system, and forms
+c = a + m e^l wherever it needs c.  So the gap is c - a by construction and
+sits in the error norm as l.  Samples expose l as `log_gap` and the gap as
+`gap` = m e^l, at full relative precision until it underflows (r ~ 240 m).
 """
 from __future__ import annotations
 
@@ -47,11 +48,13 @@ class IntegrationError(RuntimeError):
 
 def rhs(a, b, c):
     """Right-hand side (a', b', c') of the coefficient system, elementwise
-    on arrays.  For Python floats, a vanishing a, b or c raises ValueError."""
+    on arrays.  For Python floats, a vanishing a, b or c raises ValueError.
+    Squares are products, not libm's pow, so floats and arrays agree bit for
+    bit and a power-of-two rescaling is exact."""
     try:
-        return ((a * a - (b - c) ** 2) / (2.0 * b * c),
-                (b * b - (c - a) ** 2) / (2.0 * c * a),
-                (c * c - (a - b) ** 2) / (2.0 * a * b))
+        return ((a * a - (b - c) * (b - c)) / (2.0 * b * c),
+                (b * b - (c - a) * (c - a)) / (2.0 * c * a),
+                (c * c - (a - b) * (a - b)) / (2.0 * a * b))
     except ZeroDivisionError:
         raise ValueError(
             "coefficient ODE is singular where a, b or c vanishes; "
@@ -59,7 +62,7 @@ def rhs(a, b, c):
 
 
 def gap_rate(a: float, b: float, c: float) -> float:
-    """g with (c - a)' = (c - a) * g; exact consequence of the system."""
+    """g = (log(c - a))'; exact consequence of the system."""
     return (a + c - b) * (a + b + c) / (2.0 * a * b * c)
 
 
@@ -85,7 +88,8 @@ class CoefficientSample:
     when every field is an array of the same shape.
 
     gap carries c - a at full relative precision (it underflows the plain
-    float subtraction c - a beyond r ~ 12 m); dgap and ddgap are its first
+    float subtraction c - a beyond r ~ 12 m).  log_gap = log(gap / m) stays
+    finite where gap itself underflows; dlog_gap and ddlog_gap are its first
     and second r-derivatives.
     """
 
@@ -100,8 +104,9 @@ class CoefficientSample:
     ddb: float
     ddc: float
     gap: float
-    dgap: float
-    ddgap: float
+    log_gap: float
+    dlog_gap: float
+    ddlog_gap: float
 
     def __len__(self) -> int:
         """Number of radii of an array sample."""
@@ -128,9 +133,11 @@ def sample_from_series(series: SeriesCoefficients, r) -> CoefficientSample:
     b, c = 0.5 * (p - q), 0.5 * (p + q)
     db, dc = 0.5 * (dp - dq), 0.5 * (dp + dq)
     ddb, ddc = 0.5 * (ddp - ddq), 0.5 * (ddp + ddq)
-    return CoefficientSample(
-        r=r, a=a, b=b, c=c, da=da, db=db, dc=dc, dda=dda, ddb=ddb, ddc=ddc,
-        gap=c - a, dgap=dc - da, ddgap=ddc - dda)
+    gap = c - a
+    dl = (dc - da) / gap
+    return CoefficientSample(r, a, b, c, da, db, dc, dda, ddb, ddc, gap,
+                             np.log(gap / series.m), dl,
+                             (ddc - dda) / gap - dl * dl)
 
 
 # Dormand-Prince 5(4) embedded pair; the fifth-order solution propagates and
@@ -146,67 +153,56 @@ _DP_A = (
 )
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-# Step cap keeping quintic Hermite interpolation between stored nodes well
-# inside the 10*tol reconstruction budget: its error is h^6 |y^(6)| / 46080,
-# so the cap scales as tol^(1/6).  It binds on almost every step; without it
-# the DP5(4) steps grow long enough for integration error alone to fail
-# checks.
-_HERMITE_STEP_FACTOR = 0.75
-
-# Stored-node budget, about 170x a tol-floor run to 20 m (5 745 nodes); a huge
-# finite r_max would otherwise grow the node store by 72 bytes a step until
-# memory runs out.
+# Stored-node budget, also the largest (r_max - r0)/m: steps grow with r
+# until rounding binds, so at tol 1e-14 a run to 1e6 m stores about 36 000
+# nodes (2.5 s) and one to 1e7 m would store about 327 000 (23 s).
 _MAX_NODES = 1_000_000
 
 
-def _f4(y):
-    # flow of the augmented state (a, b, c, u): coefficient system plus the
-    # slaved gap equation
-    a, b, c, u = y
-    da, db, dc = rhs(a, b, c)
-    return (da, db, dc, u * gap_rate(a, b, c))
-
-
-def _step_cap(m: float, tol: float) -> float:
-    """Largest step `integrate` takes, and so the widest interpolation
-    interval of a profile."""
-    return _HERMITE_STEP_FACTOR * m * tol ** (1.0 / 6.0)
+def _flow(y, m):
+    # flow of the integrated state (a, b, l = log((c - a)/m))
+    a, b, l = y
+    c = a + m * math.exp(l)
+    da, db, _ = rhs(a, b, c)
+    return (da, db, gap_rate(a, b, c))
 
 
 @dataclass(frozen=True)
 class IntegrationStats:
     """What the stepper did in one `integrate` run.  Steps are the accepted
-    r-increments (the last one is cut to land on r_max); a step is capped
-    when it equals the step cap, so the error controller did not bind."""
+    r-increments (the last one is cut to land on r_max)."""
 
     accepted: int
     rejected: int
-    rhs_calls: int  # evaluations of the augmented flow, one per RK stage
+    rhs_calls: int  # evaluations of the flow, one per RK stage
     h_min: float
     h_max: float
-    capped_share: float
 
 
 def _combine(y, h, ks, coefs):
     return tuple(
         y[i] + h * math.fsum(cf * k[i] for cf, k in zip(coefs, ks))
-        for i in range(4))
+        for i in range(3))
 
 
 def integrate(params: ModelParams) -> "MetricProfile":
-    """Adaptive integration from the series bootstrap at r0 out to r_max.
+    """Adaptive integration of (a, b, l) from the series bootstrap at r0
+    out to r_max.
 
-    Every accepted step has an embedded local error estimate at most tol
-    relative to the solution scale m + |y| on the coefficient components,
-    and is at most `_step_cap(m, tol)` long.  The gap component is not
-    error-controlled: since log u is the integral of g, its relative error
-    is the accumulated error of g along the path and grows with r (to about
-    50 tol at r = 20 m for m = 1, tol = 1e-10).  Nodes store u'' = u' g + u g' beside the
-    coefficients' second derivatives, for the quintic interpolation.
+    Every accepted step has an embedded local error estimate at most
+    0.1 tol on each component: relative to m + |y| for a and b, absolute
+    for the dimensionless l = log((c - a)/m), so m -> 2^k m rescales a run
+    bit for bit.  The error controller alone sets the steps: at m = 1,
+    r_max = 20 a run stores 78, 195, 490 and 1 242 nodes at tol 1e-8,
+    1e-10, 1e-12 and 1e-14, with (a, b, c) within 0.22 tol of scipy's
+    DOP853 and the gap at r in [12, 20] within 3.1 tol relative of a run
+    at tol / 100.  With a factor 1 in place of 0.1, `verify` fails at tol
+    3e-7.  Nodes store c = a + m e^l and analytic first and second
+    derivatives of (a, b, c, l), l'' = g' among them.
     Raises IntegrationError on step-size underflow, if a stored state
-    leaves the physical region (a > 0, c > a, b < 0), or if the run would
-    store more than _MAX_NODES nodes: before the first step when
-    (r_max - r0) / h_max alone exceeds the budget, otherwise when it is hit.
+    leaves the physical region (a > 0 > b), or if the run would store more
+    than _MAX_NODES nodes: before the first step when (r_max - r0)/m
+    exceeds the budget, otherwise when it is hit.
     """
     series = expand(params.m, 10)
     r0 = series.truncation_radius(params.tol)
@@ -216,25 +212,21 @@ def integrate(params: ModelParams) -> "MetricProfile":
             f"covers r < {r0:g}")
 
     m, tol = params.m, params.tol
-    h_max = _step_cap(m, tol)
     h_min = 1e-13 * m
-    # every accepted step is at most h_max, so this many nodes is a floor
-    if (params.r_max - r0) / h_max > _MAX_NODES:
+    if (params.r_max - r0) / m > _MAX_NODES:
         raise IntegrationError(
-            f"stored-node budget of {_MAX_NODES} exceeded: steps of at most "
-            f"{h_max:.3g} need {(params.r_max - r0) / h_max:.3g} nodes; "
-            "raise tol or lower r_max", r0)
+            f"stored-node budget of {_MAX_NODES} exceeded: r_max - r0 = "
+            f"{(params.r_max - r0) / m:.3g} m is above {_MAX_NODES} m; "
+            "lower r_max", r0)
 
     start = sample_from_series(series, r0)
-    y = (start.a, start.b, start.c, start.gap)
-    k1 = _f4(y)
-    # one row (r, a, b, c, gap, da, db, dc, dgap) per accepted state, with
-    # the derivatives taken from its FSAL stage
-    rows = array("d", (r0, *y, *k1))
+    y = (start.a, start.b, float(start.log_gap))
+    k1 = _flow(y, m)
+    # one row (r, a, b, l) per accepted state
+    rows = array("d", (r0, *y))
 
-    r = r0
-    h = min(h_max, r0)
-    accepted = rejected = capped = 0
+    r = h = r0
+    accepted = rejected = 0
     rhs_calls = 1
     h_lo, h_hi = math.inf, 0.0
     while r < params.r_max:
@@ -245,63 +237,61 @@ def integrate(params: ModelParams) -> "MetricProfile":
         try:
             for s in range(1, 7):
                 ys = _combine(y, h, ks, _DP_A[s])
-                ks.append(_f4(ys))
-        except ValueError:
-            raise IntegrationError("stage state hit a coordinate zero", r)
+                ks.append(_flow(ys, m))
+        except (ValueError, OverflowError):
+            raise IntegrationError(
+                "stage state hit a coordinate zero or overflowed", r)
         rhs_calls += len(ks) - 1
         y_new = ys  # stage 7 state: the fifth-order solution
-        norm = max(
-            abs(h * math.fsum(e * k[i] for e, k in zip(_DP_ERR, ks)))
-            / (tol * (m + abs(y[i])))
-            for i in range(3))
+        err = [abs(h * math.fsum(e * k[i] for e, k in zip(_DP_ERR, ks)))
+               for i in range(3)]
+        norm = max(err[0] / (m + abs(y[0])), err[1] / (m + abs(y[1])),
+                   err[2]) / (0.1 * tol)
         if norm <= 1.0:
             r_new = params.r_max if last else r + h
-            a, b, c, u = y_new
-            if a <= 0.0 or c <= 0.0 or b >= 0.0 or u <= 0.0:
+            if not y_new[0] > 0.0 > y_new[1]:
                 raise IntegrationError(
-                    "state left the physical region a > 0 > b, c > a; "
+                    "state left the physical region a > 0 > b; "
                     "integrator failure", r_new)
-            if len(rows) >= 9 * _MAX_NODES:
+            if len(rows) >= 4 * _MAX_NODES:
                 raise IntegrationError(
                     f"stored-node budget of {_MAX_NODES} exhausted; "
                     "raise tol or lower r_max", r)
             accepted += 1
-            capped += h == h_max
             h_lo, h_hi = min(h_lo, h), max(h_hi, h)
             r, y = r_new, y_new
             k1 = ks[6]  # FSAL
             rows.append(r)
             rows.extend(y)
-            rows.extend(k1)
-            fac = 5.0 if norm == 0.0 else min(5.0, 0.9 * norm ** -0.2)
-            h = min(h * fac, h_max)
+            h *= 5.0 if norm == 0.0 else min(5.0, 0.9 * norm ** -0.2)
         else:
             rejected += 1
             h *= max(0.2, 0.9 * norm ** -0.2)
         if h < h_min and r < params.r_max:
             raise IntegrationError("step size underflow", r)
 
-    r, a, b, c, gap, da, db, dc, dgap = np.array(rows).reshape(-1, 9).T.copy()
-    dda, ddb, ddc, ddgap = _second_derivatives_on_flow(a, b, c, gap, dgap)
+    r, a, b, log_gap = np.array(rows).reshape(-1, 4).T.copy()
+    gap = m * np.exp(log_gap)
+    c = a + gap
+    (da, db, dc, dlog_gap), (dda, ddb, ddc, ddlog_gap) = _jet_on_flow(a, b, c)
     nodes = CoefficientSample(r, a, b, c, da, db, dc, dda, ddb, ddc,
-                              gap, dgap, ddgap)
-    stats = IntegrationStats(
-        accepted=accepted, rejected=rejected, rhs_calls=rhs_calls,
-        h_min=h_lo, h_max=h_hi, capped_share=capped / accepted)
+                              gap, log_gap, dlog_gap, ddlog_gap)
+    stats = IntegrationStats(accepted=accepted, rejected=rejected,
+                             rhs_calls=rhs_calls, h_min=h_lo, h_max=h_hi)
     return MetricProfile(params=params, bootstrap=series, samples=nodes,
                          stats=stats)
 
 
-def _second_derivatives_on_flow(a, b, c, gap, dgap):
-    # (a'', b'', c'', gap'') of states on the flow, with (a', b', c') from
-    # the right-hand side; gap'' = gap' g + gap g' with g = gap_rate and g'
-    # its analytic r-derivative, g times the logarithmic derivative
+def _jet_on_flow(a, b, c):
+    # first and second r-derivatives of (a, b, c, l) for states on the flow:
+    # (a', b', c') from the right-hand side, l' = g = gap_rate, and
+    # l'' = g' as g times its logarithmic derivative
     da, db, dc = rhs(a, b, c)
     g = gap_rate(a, b, c)
     dlog_g = ((da + dc - db) / (a + c - b) + (da + db + dc) / (a + b + c)
               - da / a - db / b - dc / c)
-    return (*second_derivatives(a, b, c, da, db, dc),
-            dgap * g + gap * g * dlog_g)
+    return ((da, db, dc, g),
+            (*second_derivatives(a, b, c, da, db, dc), g * dlog_g))
 
 
 def _quintic_hermite_weights(t, h):
@@ -356,14 +346,15 @@ class MetricProfile:
         """Metric data at every radius of the array r, each in [0, r_max],
         as one sample of arrays: exact series limit below the bootstrap
         radius, quintic Hermite interpolation of the stored values, first
-        and second derivatives elsewhere (a, b, c and the gap alike).
+        and second derivatives of a, b and l = log(gap / m) elsewhere, with
+        gap = m e^l and c = a + gap.
 
-        Interpolated samples carry the Hermite derivative as (da, db, dc,
-        dgap) and analytic second derivatives of the interpolated state, so
-        residual checks against the ODE measure genuine interpolation error.
-        Stored nodes come back exactly: there t is 0 or 1, where every
-        Hermite weight is exactly 0 or 1 and selects one node's value and
-        derivative.
+        Interpolated samples carry Hermite derivatives as (da, db, dc,
+        dlog_gap), dc that of the stored c, and analytic second derivatives
+        of the interpolated state, so residual checks against the ODE
+        measure genuine interpolation error.  Stored nodes come back
+        exactly: there t is 0 or 1, where every Hermite weight is exactly 0
+        or 1 and selects one node's value and derivative.
         """
         r = np.array(r, dtype=float, ndmin=1)
         inside = (r >= 0.0) & (r <= self.r_max * (1.0 + 1e-12))
@@ -388,13 +379,15 @@ class MetricProfile:
 
         a, da = interp(nodes.a, nodes.da, nodes.dda)
         b, db = interp(nodes.b, nodes.db, nodes.ddb)
-        c, dc = interp(nodes.c, nodes.dc, nodes.ddc)
-        gap, dgap = interp(nodes.gap, nodes.dgap, nodes.ddgap)
+        l, dl = interp(nodes.log_gap, nodes.dlog_gap, nodes.ddlog_gap)
+        dc = interp(nodes.c, nodes.dc, nodes.ddc)[1]
         # the second derivatives below set eval's peak memory
         del w, dw, lo, hi, h
-        dda, ddb, ddc, ddgap = _second_derivatives_on_flow(a, b, c, gap, dgap)
+        gap = self.params.m * np.exp(l)
+        c = a + gap
+        _, (dda, ddb, ddc, ddl) = _jet_on_flow(a, b, c)
         out = CoefficientSample(x, a, b, c, da, db, dc, dda, ddb, ddc,
-                                gap, dgap, ddgap)
+                                gap, l, dl, ddl)
         below = r < self.r0
         if below.any():
             series = sample_from_series(self.bootstrap, r[below])

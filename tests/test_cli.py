@@ -58,10 +58,11 @@ class TestSolve:
         assert err
 
     def test_node_budget_exit(self, capsys, monkeypatch):
-        monkeypatch.setattr(ode, "_MAX_NODES", 1000)
+        # below the 195 nodes of the default run
+        monkeypatch.setattr(ode, "_MAX_NODES", 100)
         code, out, err = run(["solve"], capsys)
         assert code == 3
-        assert "numerical failure: stored-node budget of 1000" in err
+        assert "numerical failure: stored-node budget of 100" in err
         assert out == ""
 
 
@@ -128,13 +129,12 @@ class TestVerify:
         assert "tolerances" in payload
 
     def test_ode_note_reports_steps(self, verify_report):
-        # the integrator's node count and capped share, in the report's note
-        # and not in the config echo
+        # the integrator's node count, in the report's note and not in the
+        # config echo
         _, payload, _ = verify_report
         profile = ode.integrate(ModelParams(m=1.0, r_max=10.0, tol=1e-10))
         note = payload["checks"][0]["note"]
-        assert f"nodes={len(profile.samples)}, " in note
-        assert f"capped steps={profile.stats.capped_share:.4f}" in note
+        assert note.endswith(f"; nodes={len(profile.samples)}")
         assert set(payload["config"]) == {"m", "r_max", "tol", "grid_points",
                                           "seed"}
 

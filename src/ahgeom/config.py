@@ -1,7 +1,9 @@
-"""Dataclass configs for the model and for CLI runs."""
+"""Dataclass configs for the model and for CLI runs, and the CPU count a
+run may spread its work over."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 # The accepted m, [M_MIN, M_MAX]: curvature divides by (abc)^2 ~ m^6, so it
@@ -36,6 +38,15 @@ class ModelParams:
         # nodes above the rounding of the values they bound
         if not 1e-14 <= self.tol < 1e-2:
             raise ValueError(f"tol must lie in [1e-14, 1e-2), got {self.tol}")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or os.cpu_count()
+    where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 # Grid cap, 20x the densest grid in use (50 000 rows): solve and curvature

@@ -14,12 +14,12 @@ the exact k-plane minimum and an independent random-subspace minimizer.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import usable_cpus
 from .ode import CoefficientSample, MetricProfile
 
 
@@ -144,13 +144,8 @@ def _plane_traces(frames: np.ndarray, d: np.ndarray,
 
 def _workers(columns: int) -> int:
     """Sampling threads for a call over `columns` radii: one per CPU this
-    process may run on (os.cpu_count() where affinity is unknown), never
-    more than the columns."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(columns, cpus))
+    process may run on (`usable_cpus`), never more than the columns."""
+    return max(1, min(columns, usable_cpus()))
 
 
 def _sample_columns(cols: np.ndarray, k: int, trials: int, seed: int | None,

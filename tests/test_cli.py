@@ -1,5 +1,6 @@
 """CLI contracts: table formats, exit codes, determinism, config precedence."""
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -14,6 +15,8 @@ import pytest
 from ahgeom import cli, ode, verify
 from ahgeom.cli import main
 from ahgeom.config import M_MAX, MAX_GRID_POINTS, ModelParams, RunConfig
+from ahgeom.curvature import (asd_residual, curvature_components,
+                              fiber_gauss_curvature, kappa_at_zero)
 
 FAST = ["--r-max", "6", "--grid", "60"]
 
@@ -86,6 +89,126 @@ class TestCurvature:
             rec = dict(zip(cols, row))
             scale = max(abs(rec["k1"]), abs(rec["k2"]), abs(rec["k3"]))
             assert abs(rec["k1"] + rec["k2"] + rec["k3"]) <= 1e-10 * scale
+
+
+WRITER_ARGS = ["--r-max", "6", "--tol", "1e-6"]
+FLOOR = cli._FORK_FLOOR
+
+
+def _force_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_csv(command, grid):
+    """The CSV text of a WRITER_ARGS run, one "%.17g" line per row."""
+    config = RunConfig(r_max=6.0, tol=1e-6, grid_points=grid)
+    r = cli._solve_grid(config)
+    profile = ode.integrate(config.params())
+    if command == "solve":
+        s = profile.eval(r)
+        header = cli.SOLVE_COLUMNS
+        columns = (s.r, s.a, s.b, s.c, s.da, s.db, s.dc, s.dda, s.ddb, s.ddc,
+                   s.a / s.c, s.b / s.c)
+        rows = list(zip(*(col.tolist() for col in columns)))
+    else:
+        s = profile.eval(r[1:])
+        k, k0 = curvature_components(s), kappa_at_zero(1.0)
+        header = cli.CURV_COLUMNS
+        columns = (s.r, k.k1, k.k2, k.k3, *asd_residual(s),
+                   fiber_gauss_curvature(s))
+        rows = [(0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, -k0.k1),
+                *zip(*(col.tolist() for col in columns))]
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(line % row for row in rows)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCsvWriter:
+    # blocks of rows, shares split over forked processes: the bytes are those
+    # of one "%.17g" per row at any CPU count; a share is never under FLOOR
+    # rows, so two CPUs fork from 2 * FLOOR rows on
+    @pytest.mark.parametrize("grid", [2, 255, 257, 2 * FLOOR - 1, 2 * FLOOR,
+                                      2 * FLOOR + 1, 50_000])
+    @pytest.mark.parametrize("command", ["solve", "curvature"])
+    def test_bytes_at_any_cpu_count(self, capsys, monkeypatch, command, grid):
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+        monkeypatch.setattr(os, "fork", counted_fork)
+        want = _reference_csv(command, grid)
+        for cpus in (1, 2, 3):
+            _force_cpus(monkeypatch, cpus)
+            forks.clear()
+            code, out, err = run([command, "--grid", str(grid), *WRITER_ARGS],
+                                 capsys)
+            assert (code, err) == (0, "")
+            assert out == want
+            assert len(forks) == min(cpus, max(1, grid // FLOOR)) - 1
+            _no_child_left()
+
+    @pytest.mark.parametrize("output", ["stdout", "file"])
+    def test_child_failure_exits_2(self, tmp_path, capsys, monkeypatch,
+                                   output):
+        # a share lost in a child is an error, never a shorter file
+        parent, format_blocks = os.getpid(), cli._format_blocks
+
+        def fail_in_child(line, table):
+            if os.getpid() != parent:
+                raise MemoryError("in a formatting process")
+            return format_blocks(line, table)
+        monkeypatch.setattr(cli, "_format_blocks", fail_in_child)
+        _force_cpus(monkeypatch, 2)
+        path = tmp_path / "out.csv"
+        dest = "<stdout>" if output == "stdout" else str(path)
+        extra = [] if output == "stdout" else ["--output", dest]
+        code, _, err = run(["curvature", "--grid", str(2 * FLOOR),
+                            *WRITER_ARGS, *extra], capsys)
+        assert code == 2
+        assert err == (f"ahgeom: cannot write {dest}: a CSV formatting "
+                       "process exited with status 1\n")
+        _no_child_left()
+
+
+class TestWriteFailures:
+    # exit 2 with the cannot-write message, not a traceback and exit 1
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["solve", "curvature", "verify"])
+    def test_device_full(self, capsys, monkeypatch, command):
+        _force_cpus(monkeypatch, 2)
+        grid = "60" if command == "verify" else str(4 * FLOOR)
+        code, _, err = run([command, "--grid", grid, *WRITER_ARGS,
+                            "--output", "/dev/full"], capsys)
+        assert code == 2
+        assert err.endswith("ahgeom: cannot write /dev/full: "
+                            "No space left on device\n")
+        _no_child_left()
+
+    @pytest.mark.parametrize("command, grid, lines", [
+        ("solve", 50_000, 1), ("curvature", 1000, 0)])
+    def test_reader_closes_pipe_early(self, command, grid, lines):
+        # stdout block-buffered, as outside this test environment: data
+        # left in its buffer must not fail again in the flush at exit
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ahgeom", command, "--grid", str(grid)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines):
+            assert proc.stdout.readline().startswith(b"r,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert err == b"ahgeom: cannot write <stdout>: Broken pipe\n"
 
 
 VERIFY_ARGS = ["verify", "--r-max", "10", "--grid", "200", "--seed", "7"]

@@ -50,11 +50,10 @@ def test_convexity_scan_bad_input_is_usage_error(capsys, argv, message):
     assert out == "" and message in err
 
 
-def test_traced_runner_wraps_every_layer(tmp_path):
-    # the tracer wraps each public name it times when it starts, so a name
-    # removed from ahgeom fails here rather than only in a traced benchmark
+def _traced_matches_plain(tmp_path, flags):
+    """Run the CLI plainly and under perfbench/traced.py; the traced
+    in-process run must write the same bytes.  Returns its spans."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    flags = ["solve", "--grid", "40", "--tol", "1e-6", "--output"]
     plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
     spans = tmp_path / "spans.json"
     subprocess.run([sys.executable, "-m", "ahgeom", *flags, str(plain)],
@@ -64,4 +63,17 @@ def test_traced_runner_wraps_every_layer(tmp_path):
                           env=env, timeout=120)
     assert done.returncode == 0
     assert traced.read_bytes() == plain.read_bytes()
-    assert "ode.integrate" in json.loads(spans.read_text())["spans"]
+    return json.loads(spans.read_text())["spans"]
+
+
+def test_traced_runner_wraps_every_layer(tmp_path):
+    # the tracer wraps each public name it times when it starts, so a name
+    # removed from ahgeom fails here rather than only in a traced benchmark
+    flags = ["solve", "--grid", "40", "--tol", "1e-6", "--output"]
+    assert "ode.integrate" in _traced_matches_plain(tmp_path, flags)
+
+
+def test_traced_runner_with_forked_csv_writer(tmp_path):
+    # enough rows for the CSV writer to fork on two or more CPUs
+    flags = ["curvature", "--grid", "20000", "--tol", "1e-6", "--output"]
+    assert "curvature.eval" in _traced_matches_plain(tmp_path, flags)

@@ -56,23 +56,30 @@ def min_trace_over_kplanes(eig: np.ndarray, k: int):
 def chain_margins(profile: MetricProfile, grid):
     """Worst (smallest) values over the grid of the four strict gaps in
 
-        1 > r a'/a > r c'/c > -r b'/b > 0.
+        1 > r a'/a > r c'/c > -r b'/b > 0,
 
-    The middle gap r a'/a - r c'/c closes exponentially with the coefficient
-    gap c - a, so it is evaluated in the cancellation-free form
+    and the log10 of the smallest middle gap.  The middle gap
+    r a'/a - r c'/c closes exponentially with the coefficient gap
+    c - a = m e^l, so it is evaluated in the cancellation-free form
 
-        r (1 - x)(1 + x - y) / (c x (-y)),   1 - x = (c - a)/c,
+        e^l * r (m/c)(1 + x - y) / (c x (-y)),   1 - x = e^l m/c,
 
     which is the same quantity by the quotient rule applied to x = a/c.
+    The factor e^l > 0 is taken out of the returned margin, which so keeps
+    its sign where the gap underflows (r ~ 240 m), and is put back into the
+    log10, which stays finite there.
     """
     r = np.asarray(grid, dtype=float)
     s = profile.eval(r)
     x, y = s.a / s.c, s.b / s.c
+    middle = r * (profile.params.m / s.c) * (1.0 + x - y) / (s.c * x * (-y))
     gaps = (1.0 - r * s.da / s.a,
-            r * (s.gap / s.c) * (1.0 + x - y) / (s.c * x * (-y)),
+            middle,
             r * s.dc / s.c + r * s.db / s.b,
             -r * s.db / s.b)
-    return tuple(float(np.min(g, initial=math.inf)) for g in gaps)
+    margins = tuple(float(np.min(g, initial=math.inf)) for g in gaps)
+    return margins, float(np.min(np.log10(middle) + s.log_gap / math.log(10),
+                                 initial=math.inf))
 
 
 def _orthonormalize(frames: np.ndarray) -> np.ndarray:
@@ -98,48 +105,107 @@ def _orthonormalize(frames: np.ndarray) -> np.ndarray:
     return frames
 
 
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# frames per trace slice: the largest temporary, six minors, takes 96 KB,
+# draws per trial: a line takes 4 normals, a 2-plane 6 (two 3-vectors)
+_WIDTH = {1: 4, 2: 6}
+# draws per trace slice: each temporary of the 2-plane kernel takes 16 KB,
 # below glibc's default 128 KB mmap threshold
 _CHUNK = 2048
-# frames per draw block: a multiple of _CHUNK, so `_plane_traces` slices a
-# block at the offsets one full-length draw would have; 2 048-frame blocks
-# left too little work per draw for two threads to gain anything
+# draws per block: a multiple of _CHUNK, so `_plane_traces` slices a block
+# at the offsets one full-length draw would have; 2 048-draw blocks left too
+# little work per draw for two threads to gain anything
 _BLOCK = 8 * _CHUNK
 
 
-def _plane_traces(frames: np.ndarray, d: np.ndarray,
+def _plane_traces(draws: np.ndarray, d: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
-    """Write tr(P_L diag(d)) into `out` for the plane L spanned by each
-    frame G of a (t, 4, k) stack, k in {1, 2}, without orthonormalizing G,
-    and return `out`.
+    """Write tr(P_L diag(d)) into `out` for the subspace L that each row of
+    a (t, 4) or (t, 6) stack of draws stands for, and return `out`.
 
-    By Cauchy-Binet, tr((G^T G)^-1 G^T D G) = sum_I d_I p_I^2 / sum_I p_I^2
-    over the k-subsets I of the four rows, where p_I is the k x k minor of
-    G on the rows I and d_I = sum of d_i over I: a convex combination of
-    the Ky Fan sums d_I, so no trace undercuts the smallest beyond rounding.
-    k = 1 weighs the entries and k = 2 the six Pluecker minors;
-    `brute_force_plane_min` scores a 3-plane through its normal line.  The
-    minors lose about cond(G) * eps, as Gram-Schmidt does, where the Gram
-    inverse loses cond(G)^2 * eps.  Slices of _CHUNK frames keep the
-    temporaries in cache and off fresh pages: full-length ones page-faulted
-    tens of thousands of times per call and raised verify's peak RSS by
-    12 MB.  `brute_force_plane_min` passes one draw block of at most _BLOCK
-    frames per call; each trace depends only on its own frame, so a block
-    gives the traces a full-length stack would.
+    A (t, 4) row x is a line, with tr = sum_i d_i x_i^2 / |x|^2.  A (t, 6)
+    row (u, v) of two 3-vectors is the 2-plane of `_plane_frames`, whose
+    Pluecker vector is (u+ + v-)/sqrt(2): u+ a self-dual and v- an
+    anti-self-dual 2-form.  Its trace, summed from the Pluecker
+    coordinates by Cauchy-Binet, is
+
+        tr = s/2 + (1/2) sum_i delta_i u_i v_i / sqrt(|u|^2 |v|^2),
+
+    with s = tr d and delta = (d0+d1-d2-d3, d0+d2-d1-d3, d0+d3-d1-d2).
+    The oriented Gr(2, 4) is S^2 x S^2 this way and its Haar measure the
+    product of the uniform measures, so two Gaussian 3-vectors draw a Haar
+    2-plane from 6 normals (a Gaussian 4x2 frame needs 8).  Both kernels
+    are elementwise over the columns of a row slice, with no
+    orthonormalization.  Every trace is that of a genuine
+    subspace, so none undercuts the Ky Fan sum beyond rounding;
+    `brute_force_plane_min` scores a 3-plane through its normal line.
+    Slices of _CHUNK rows keep the temporaries in cache and off fresh pages
+    (full-length ones page-faulted tens of thousands of times per call);
+    each trace depends only on its own row, so one draw block gives the
+    traces a full-length stack would.
     """
-    k = frames.shape[2]
-    weights = d if k == 1 else np.array([d[i] + d[j] for i, j in _PAIRS])
-    for lo in range(0, len(frames), _CHUNK):
-        g = frames[lo:lo + _CHUNK]
-        if k == 1:
-            minors = g[:, :, 0].T
+    d0, d1, d2, d3 = d.tolist()
+    half_trace = 0.5 * (d0 + d1 + d2 + d3)
+    h1, h2, h3 = (0.5 * (d0 + d1 - d2 - d3), 0.5 * (d0 + d2 - d1 - d3),
+                  0.5 * (d0 + d3 - d1 - d2))
+    # in-place sums: 13-20 % less kernel time than the same sums written
+    # as expressions (numpy 2.4 on an x86-64 VM)
+    for lo in range(0, len(draws), _CHUNK):
+        rows, tr = draws[lo:lo + _CHUNK].T, out[lo:lo + _CHUNK]
+        if len(rows) == 4:
+            x0, x1, x2, x3 = rows
+            s0, s1, s2, s3 = x0 * x0, x1 * x1, x2 * x2, x3 * x3
+            num = d0 * s0
+            num += d1 * s1
+            num += d2 * s2
+            num += d3 * s3
+            s0 += s1
+            s0 += s2
+            s0 += s3
+            np.divide(num, s0, out=tr)
         else:
-            u, v = g[:, :, 0].T, g[:, :, 1].T
-            minors = np.array([u[i] * v[j] - u[j] * v[i] for i, j in _PAIRS])
-        sq = minors * minors
-        np.divide(weights @ sq, np.sum(sq, axis=0), out=out[lo:lo + _CHUNK])
+            u0, u1, u2, v0, v1, v2 = rows
+            num = h1 * (u0 * v0)
+            num += h2 * (u1 * v1)
+            num += h3 * (u2 * v2)
+            uu, vv = u0 * u0, v0 * v0
+            uu += u1 * u1
+            uu += u2 * u2
+            vv += v1 * v1
+            vv += v2 * v2
+            uu *= vv
+            num /= np.sqrt(uu, out=uu)
+            np.add(num, half_trace, out=tr)
     return out
+
+
+def _plane_frames(draws: np.ndarray) -> np.ndarray:
+    """(t, 4, 2) frames, orthogonal with equal column lengths, of the
+    2-planes that the rows (u, v) of a (t, 6) stack of draws stand for.
+
+    With u and v normalized, the plane's Pluecker vector is the 4x4
+    antisymmetric W with
+
+        W01 = (u0+v0)/2,  W02 = (u1+v1)/2,  W03 = (u2+v2)/2,
+        W23 = (u0-v0)/2,  W13 = -(u1-v1)/2, W12 = (u2-v2)/2,
+
+    i.e. u on the self-dual basis (e01+e23, e02-e13, e03+e12)/sqrt(2) and v
+    on the anti-self-dual one.  |W| = 1 and the Pluecker relation
+    W01 W23 - W02 W13 + W03 W12 = (|u|^2 - |v|^2)/4 = 0 hold, so W = e f^T -
+    f e^T for an orthonormal basis (e, f) of the plane, and -W^2 = P_L.
+    Column a of W and column a of W^2 lie in the plane, are orthogonal (W
+    is antisymmetric) and have the length sqrt((P_L)_aa); a is W's largest
+    column, where (P_L)_aa >= tr P_L / 4 = 1/2.
+    """
+    u = draws[:, :3] / np.linalg.norm(draws[:, :3], axis=1)[:, None]
+    v = draws[:, 3:] / np.linalg.norm(draws[:, 3:], axis=1)[:, None]
+    plus, minus = 0.5 * (u + v), 0.5 * (u - v)
+    W = np.zeros((len(draws), 4, 4))
+    for (i, j), w in (((0, 1), plus[:, 0]), ((0, 2), plus[:, 1]),
+                      ((0, 3), plus[:, 2]), ((2, 3), minus[:, 0]),
+                      ((1, 3), -minus[:, 1]), ((1, 2), minus[:, 2])):
+        W[:, i, j], W[:, j, i] = w, -w
+    W2 = W @ W
+    t, a = np.arange(len(W)), np.argmin(np.einsum("tii->ti", W2), axis=1)
+    return np.stack([W[t, :, a], W2[t, :, a]], axis=2)
 
 
 def _workers(columns: int) -> int:
@@ -149,16 +215,17 @@ def _workers(columns: int) -> int:
 
 
 def _sample_columns(cols: np.ndarray, k: int, trials: int, seed: int | None,
-                    best: np.ndarray, V: np.ndarray, columns) -> None:
-    """Draw and score the `trials` frames of each column i in `columns`,
-    writing its smallest trace to best[i] and its 8 best frames to
-    V[8i:8i + 8].  Column i draws from seed + i in blocks of _BLOCK frames;
-    each block keeps its 8 best frames as candidates, and the 8 best
-    candidates are the column's 8 best frames."""
-    block = np.empty((min(trials, _BLOCK), 4, k))
+                    best: np.ndarray, draws: np.ndarray, columns) -> None:
+    """Draw and score the `trials` subspaces of each column i in `columns`,
+    writing its smallest trace to best[i] and its 8 best draws to
+    draws[8i:8i + 8].  Column i draws _WIDTH[k] normals per trial from
+    seed + i in blocks of _BLOCK trials; each block keeps its 8 best draws
+    as candidates, and the 8 best candidates are the column's 8 best
+    draws."""
+    block = np.empty((min(trials, _BLOCK), _WIDTH[k]))
     tr = np.empty(len(block))
     blocks = -(-trials // _BLOCK)
-    cand, cand_tr = np.empty((8 * blocks, 4, k)), np.empty(8 * blocks)
+    cand, cand_tr = np.empty((8 * blocks, _WIDTH[k])), np.empty(8 * blocks)
     for i in columns:
         rng = np.random.default_rng(None if seed is None else seed + i)
         top = 0
@@ -172,7 +239,7 @@ def _sample_columns(cols: np.ndarray, k: int, trials: int, seed: int | None,
             np.take(tr, keep, out=cand_tr[top:top + kept])
             top += kept
         best[i] = cand_tr[:top].min()
-        V[8 * i:8 * i + 8] = cand[np.argpartition(cand_tr[:top], 7)[:8]]
+        draws[8 * i:8 * i + 8] = cand[np.argpartition(cand_tr[:top], 7)[:8]]
 
 
 def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
@@ -181,27 +248,30 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
     Hess(r^2) diagonal from `hessian_r2_diagonal`: a float for one radius,
     shape (4,), n minima for n radii, shape (4, n).
 
-    Candidate subspaces are spanned by standard-normal frames (Haar on the
-    Stiefel manifold once orthonormalized, Mezzadri 2007); column i draws
-    its own `trials` frames from seed + i (unseeded if seed is None) as one
-    stream, in blocks of _BLOCK frames, keeping its running minimum and its
-    8 best frames.  The columns are spread over one thread per CPU
-    (`_workers`; numpy draws with the GIL released), and each column's
-    stream and minimum are the same whatever the thread count.  Each frame
-    is scored in closed form by its Cauchy-Binet minors (`_plane_traces`),
-    with no Gram-Schmidt and no eigensolver.  With polish=True the 8 best
-    frames of every column are orthonormalized and refined together by 200
-    steps of projected gradient descent with Gram-Schmidt retraction (on
-    lines, a Rayleigh-quotient descent), at a step of 0.5 / (d_max - d_min)
-    per column; it uses only matrix-vector products with the Hessian.
-    k = 3 goes through its normal line: a 3-plane L with unit normal n has
+    Candidate subspaces are Haar-distributed: a line is spanned by a
+    standard-normal 4-vector (4 draws per trial), and a 2-plane is drawn as
+    a pair of standard-normal 3-vectors, a uniform point of S^2 x S^2 =
+    the oriented Gr(2, 4) (6 draws per trial; see `_plane_traces`).  k = 3
+    goes through its normal line: a 3-plane L with unit normal n has
     tr(P_L D) = tr d - n^T D n, and the normal of a Haar 3-plane is a Haar
-    line, so the call minimizes over lines for -d and adds tr d, drawing 4
-    numbers per trial instead of 12.  Every evaluation is the trace over a
-    genuine subspace, so the result can never undercut the true minimum
-    (beyond rounding), and pure sampling (polish=False) converges to it
-    from above as trials grow.  trials is capped at 200 000 to bound the
-    time of a call; the draw buffers hold one block per thread at any trials.
+    line, so the call minimizes over lines for -d and adds tr d (4 draws
+    per trial).  Column i draws its own `trials` subspaces from seed + i
+    (unseeded if seed is None) as one stream, in blocks of _BLOCK trials,
+    keeping its running minimum and its 8 best draws.  The columns are
+    spread over one thread per CPU (`_workers`; numpy draws with the GIL
+    released), and each column's stream and minimum are the same whatever
+    the thread count.  Each draw is scored in closed form by an elementwise
+    kernel (`_plane_traces`), with no Gram-Schmidt and no eigensolver.
+    With polish=True the 8 best draws of every column become frames (a
+    2-plane's by `_plane_frames`), which are orthonormalized and refined
+    together by 200 steps of projected gradient descent with Gram-Schmidt
+    retraction (on lines, a Rayleigh-quotient descent), at a step of
+    0.5 / (d_max - d_min) per column; it uses only matrix-vector products
+    with the Hessian.  Every evaluation is the trace over a genuine
+    subspace, so the result can never undercut the true minimum (beyond
+    rounding), and pure sampling (polish=False) converges to it from above
+    as trials grow.  trials is capped at 200 000 to bound the time of a
+    call; the draw buffers hold one block per thread at any trials.
     """
     d = np.array(d, dtype=float)
     if d.ndim not in (1, 2) or d.shape[0] != 4 or not np.all(np.isfinite(d)):
@@ -216,13 +286,13 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
         offset, d, k = np.sum(d, axis=0), -d, 1
     cols = d.reshape(4, -1).T
     best = np.empty(len(cols))
-    V = np.empty((len(cols) * 8, 4, k))
+    draws = np.empty((len(cols) * 8, _WIDTH[k]))
     workers = _workers(len(cols))
     failed = []
 
     def work(columns):
         try:
-            _sample_columns(cols, k, trials, seed, best, V, columns)
+            _sample_columns(cols, k, trials, seed, best, draws, columns)
         except BaseException as exc:
             failed.append(exc)
     # worker w takes columns w, w + workers, ...; the first runs inline
@@ -238,7 +308,8 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
         raise failed[0]
     if polish:
         # row 8i + j of V is frame j of column i, with that column's d
-        V = _orthonormalize(V)
+        V = _orthonormalize(draws[:, :, None] if k == 1
+                            else _plane_frames(draws))
         dd = np.repeat(cols, 8, axis=0)
         step = np.repeat(0.5 / np.maximum(np.ptp(cols, axis=1), 1e-300), 8)
         traces = []

@@ -113,17 +113,19 @@ class CoefficientSample:
         return len(self.r)
 
 
-def region_margins(sample: CoefficientSample):
+def region_margins(sample: CoefficientSample, m: float):
     """Margins of the admissible shape region, each positive exactly when
     the strict inequalities  y < -1 + x,  0 < x < 1,  -1 < y < 0  hold.
 
-    Written in cancellation-free form: the x < 1 margin is evaluated from
-    the tracked gap c - a, and y < -1 + x as (-b - (c - a))/c, so both stay
-    meaningful after the rounded x saturates at 1.
+    Written in cancellation-free form: y < -1 + x as (-b - (c - a))/c, and
+    x < 1 as 1 - x = (c - a)/c = e^l m/c with the factor e^l > 0 of the log
+    gap l taken out, so that margin reads m/c.  It keeps its sign where the
+    gap m e^l underflows (r ~ 240 m) and reads 0; its true size is
+    log10(m/c) + l / ln 10.
     """
     x, y = sample.a / sample.c, sample.b / sample.c
     m_region = (-sample.b - sample.gap) / sample.c  # (x - 1) - y
-    return (m_region, x, sample.gap / sample.c, y + 1.0, -y)
+    return (m_region, x, m / sample.c, y + 1.0, -y)
 
 
 def sample_from_series(series: SeriesCoefficients, r) -> CoefficientSample:

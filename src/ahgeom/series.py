@@ -75,22 +75,46 @@ def _cleared_residuals(A, P, Q, deg):
     return e1, e2, e3
 
 
-def _coeff(poly, k):
-    return poly[k] if k < len(poly) else _F0
+def _at(u, v, k):
+    """Coefficient of r^k in the product of u and v, coefficient lists that
+    reach degree k: one convolution at one degree."""
+    out = _F0
+    for i in range(k + 1):
+        if u[i] and v[k - i]:
+            out += u[i] * v[k - i]
+    return out
+
+
+def _identity_at(A, P, Q, which, k):
+    """Coefficient of r^k in the `which`-th cleared identity (see
+    `_cleared_residuals`), from single-degree convolutions of A, P and Q,
+    which reach degree k."""
+    p2q2 = [_at(P, P, n) - _at(Q, Q, n) for n in range(k + 1)]
+    if which == 0:
+        return (_at(_diff(A) + [_F0], p2q2, k)
+                - 2 * (_at(A, A, k) - _at(Q, Q, k)))
+    a_p2q2 = [_at(A, p2q2, n) for n in range(k + 1)]
+    if which == 1:
+        p2a2 = [_at(P, P, n) - _at(A, A, n) for n in range(k + 1)]
+        return _at(_diff(Q) + [_F0], a_p2q2, k) - 2 * _at(Q, p2a2, k)
+    dp_minus_2 = _diff(P) + [_F0]
+    dp_minus_2[0] -= 2
+    q2a2 = [_at(Q, Q, n) - _at(A, A, n) for n in range(k + 1)]
+    return _at(dp_minus_2, a_p2q2, k) - 2 * _at(P, q2a2, k)
 
 
 def _match(A, P, Q, which, order_k, target, index):
     """Solve the `which`-th cleared identity at r^order_k for one coefficient.
 
-    The unknown enters linearly; evaluate the residual coefficient at
-    candidate values 0 and 1 and solve.  A zero linear coefficient would mean
-    the recurrence is degenerate, which the leading terms rule out.
+    The unknown enters linearly: evaluate the identity's r^order_k
+    coefficient, and no other, at candidate values 0 and 1 and solve.  A
+    zero linear coefficient would mean the recurrence is degenerate, which
+    the leading terms rule out.
     """
     target[index] = _F0
-    r0 = _coeff(_cleared_residuals(A, P, Q, order_k)[which], order_k)
+    r0 = _identity_at(A, P, Q, which, order_k)
     target[index] = Fraction(1)
-    r1 = _coeff(_cleared_residuals(A, P, Q, order_k)[which], order_k)
-    lam = r1 - r0
+    lam = _identity_at(A, P, Q, which, order_k) - r0
     if lam == 0:
         raise ArithmeticError(
             f"degenerate recurrence at order {order_k} (identity {which})")
@@ -217,4 +241,4 @@ def formal_residual_ok(series: SeriesCoefficients) -> bool:
     Q = list(series.coeff_q)
     n = series.order
     e1, e2, e3 = _cleared_residuals(A, P, Q, n - 1)
-    return all(_coeff(e, k) == 0 for e in (e1, e2, e3) for k in range(n))
+    return all(c == 0 for e in (e1, e2, e3) for c in e[:n])

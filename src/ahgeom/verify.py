@@ -7,6 +7,7 @@ table is echoed into every report.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,15 +137,19 @@ def check_series_expansion(ctx: VerifyContext) -> CheckResult:
 
 
 def check_shape_region(ctx: VerifyContext) -> CheckResult:
-    worst = min(float(np.min(g))
-                for g in region_margins(ctx.profile.eval(ctx.grid)))
+    s = ctx.profile.eval(ctx.grid)
+    margins = region_margins(s, ctx.m)
+    worst = min(float(np.min(g)) for g in margins)
+    # the x < 1 margin with its factor e^l put back, as log10
+    gap_log10 = float(np.min(np.log10(margins[2]) + s.log_gap / math.log(10)))
     return CheckResult(
         name="shape_region",
         anchor="shape curve (x, y) = (a/c, b/c) stays in "
                "y < -1 + x, 0 < x < 1, -1 < y < 0",
         passed=worst > 0.0, worst=worst, budget=0.0, direction=">",
         grid=len(ctx.grid),
-        note="x < 1 margin evaluated from the integrated gap c - a")
+        note=f"x < 1 margin 1 - x = e^l m/c from the integrated log gap l, "
+             f"checked as m/c; smallest 1 - x = 10^{gap_log10:.3f}")
 
 
 def check_hyperkahler_certificate(ctx: VerifyContext) -> CheckResult:
@@ -207,14 +212,16 @@ def check_calibration_bound(ctx: VerifyContext) -> CheckResult:
 
 
 def check_derivative_chain(ctx: VerifyContext) -> CheckResult:
-    margins = chain_margins(ctx.profile, ctx.grid)
+    margins, gap_log10 = chain_margins(ctx.profile, ctx.grid)
     worst = min(margins)
     return CheckResult(
         name="derivative_chain",
         anchor="1 > r a'/a > r c'/c > -r b'/b > 0",
         passed=worst > 0.0, worst=worst, budget=0.0, direction=">",
         grid=len(ctx.grid),
-        note="margins " + ", ".join(f"{g:.3e}" for g in margins))
+        note="margins " + ", ".join(f"{g:.3e}" for g in margins)
+             + f"; the second without its factor e^l > 0, which puts its "
+               f"smallest at 10^{gap_log10:.3f}")
 
 
 def check_two_convexity(ctx: VerifyContext) -> CheckResult:

@@ -12,11 +12,12 @@ import pytest
 
 import ahgeom
 from ahgeom import convexity, verify
-from ahgeom.config import RunConfig
-from ahgeom.convexity import (_orthonormalize, _plane_traces,
+from ahgeom.config import ModelParams, RunConfig
+from ahgeom.convexity import (_orthonormalize, _plane_frames, _plane_traces,
                               brute_force_plane_min,
                               chain_margins, hessian_r2, hessian_r2_diagonal,
                               min_trace_over_kplanes, second_derivative_signs)
+from ahgeom.ode import integrate
 
 C_CROSSING_M1 = 1.7175933153182266  # frozen; stable under tol 1e-10 -> 1e-12
 
@@ -85,23 +86,37 @@ class TestHessianSpectrum:
 
 class TestChainMargins:
     def test_all_positive(self, profile1, grid1):
-        margins = chain_margins(profile1, grid1)
+        margins, _ = chain_margins(profile1, grid1)
         assert all(g > 0 for g in margins)
 
     def test_leading_margin_near_zero(self, profile1):
         # 1 - r a'/a ~ r^2/(2 m^2), from a/a' = r + r^3/(2 m^2) + ...
         r = 0.01
-        g1 = chain_margins(profile1, [r])[0]
+        g1 = chain_margins(profile1, [r])[0][0]
         assert g1 == pytest.approx(r * r / 2, rel=0.3)
 
     def test_gap_form_matches_direct_form(self, profile1):
-        # the cancellation-free second margin equals r a'/a - r c'/c where
-        # the plain difference is still representable
+        # the cancellation-free second margin, with its factor e^l put
+        # back, equals r a'/a - r c'/c where the plain difference is still
+        # representable; so does its log10
         for r in (0.5, 1.0, 3.0, 6.0):
             s = profile1.at(r)
             direct = r * s.da / s.a - r * s.dc / s.c
-            g2 = chain_margins(profile1, [r])[1]
-            assert g2 == pytest.approx(direct, rel=1e-6)
+            (_, g2, _, _), log10 = chain_margins(profile1, [r])
+            assert g2 * math.exp(s.log_gap) == pytest.approx(direct, rel=1e-6)
+            assert log10 == pytest.approx(math.log10(direct), abs=1e-6)
+
+    def test_positive_where_the_gap_underflows(self):
+        # past r ~ 240 m the gap m e^l reads 0, so the plain middle margin
+        # would too; without its factor e^l it stays positive, and its
+        # log10 keeps falling
+        profile = integrate(ModelParams(m=1.0, r_max=500.0, tol=1e-10))
+        s = profile.eval([250.0, 500.0])
+        assert np.all(s.gap == 0.0)
+        margins, log10 = chain_margins(profile, [250.0, 500.0])
+        assert all(g > 0 for g in margins)
+        assert -700.0 < log10 < -600.0
+        assert chain_margins(profile, [250.0])[1] > log10
 
     def test_negative_control_swapped_roles(self, profile1):
         # swapping the roles of b and c in the third gap makes it negative
@@ -274,44 +289,104 @@ def _exact_trace(frame, d):
 
 
 def _draws(seed, trials, k, d):
-    """The frames one radius draws from `seed`, with the diagonal that
-    scores them and the offset added to their traces: at k = 3 the normal
-    lines, scored with -d and offset by tr d."""
+    """The draws one radius makes from `seed`, with the diagonal that
+    scores them and the offset added to their traces: lines take 4 normals
+    per trial, 2-planes 6 (two 3-vectors), and at k = 3 the normal lines
+    are scored with -d and offset by tr d."""
     offset = 0.0
     if k == 3:
         offset, d, k = np.sum(d), -d, 1
-    frames = np.random.default_rng(seed).standard_normal((trials, 4, k))
-    return frames, d, offset
+    width = 6 if k == 2 else 4
+    draws = np.random.default_rng(seed).standard_normal((trials, width))
+    return draws, d, offset
+
+
+def _frames(draws):
+    """The (t, 4, k) frames of a stack of line or 2-plane draws."""
+    return draws[:, :, None] if draws.shape[1] == 4 else _plane_frames(draws)
 
 
 class TestPlaneTraces:
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_gram_schmidt(self, profile1, k):
-        # Cauchy-Binet minors give the traces of the orthonormalized frames,
-        # across several slices, and leave the frames as they were
-        frames = np.random.default_rng(300 + k).standard_normal((20_000, 4, k))
-        before = frames.copy()
-        d = hessian_r2_diagonal(profile1.at(1.0))
-        out = np.empty(len(frames))
-        assert _plane_traces(frames, d, out) is out
-        assert np.abs(out - _gram_schmidt_traces(frames, d)).max() <= 1e-13
-        assert np.array_equal(frames, before)
+        # the elementwise kernels give the traces of the orthonormalized
+        # frames, across several slices, and leave the draws as they were
+        draws, d, _ = _draws(300 + k, 20_000, k,
+                             hessian_r2_diagonal(profile1.at(1.0)))
+        before = draws.copy()
+        out = np.empty(len(draws))
+        assert _plane_traces(draws, d, out) is out
+        assert np.abs(out - _gram_schmidt_traces(_frames(draws), d)).max() \
+            <= 1e-13
+        assert np.array_equal(draws, before)
 
-    @pytest.mark.parametrize("k", [2])
-    def test_ill_conditioned_frames(self, profile1, k):
-        # two columns about 1e-6 apart (cond ~ 1e6): the minors lose about
-        # cond * eps, the Gram inverse (G^T G)^-1 G^T D G about cond^2 * eps
-        rng = np.random.default_rng(3)
-        frames = rng.standard_normal((32, 4, k))
-        frames[:, :, 1] = frames[:, :, 0] + 1e-6 * rng.standard_normal((32, 4))
+    def test_plane_frames_span_the_projection(self):
+        # -W^2 is a rank-2 orthogonal projection, and the frame (W e_a,
+        # W^2 e_a) is orthogonal, with equal column lengths >= 1/sqrt(2),
+        # and spans its range
+        draws = np.random.default_rng(7).standard_normal((2_000, 6))
+        g = _plane_frames(draws)
+        u = draws[:, :3] / np.linalg.norm(draws[:, :3], axis=1)[:, None]
+        v = draws[:, 3:] / np.linalg.norm(draws[:, 3:], axis=1)[:, None]
+        w = np.zeros((len(draws), 4, 4))
+        for (i, j), x in (((0, 1), u[:, 0] + v[:, 0]),
+                          ((0, 2), u[:, 1] + v[:, 1]),
+                          ((0, 3), u[:, 2] + v[:, 2]),
+                          ((2, 3), u[:, 0] - v[:, 0]),
+                          ((1, 3), v[:, 1] - u[:, 1]),
+                          ((1, 2), u[:, 2] - v[:, 2])):
+            w[:, i, j], w[:, j, i] = x / 2, -x / 2
+        p = -w @ w
+        assert np.abs(p @ p - p).max() <= 1e-14
+        assert np.abs(p - p.transpose(0, 2, 1)).max() == 0.0
+        assert np.abs(np.trace(p, axis1=1, axis2=2) - 2.0).max() <= 1e-14
+        assert np.abs(np.linalg.eigvalsh(p)
+                      - [0.0, 0.0, 1.0, 1.0]).max() <= 1e-14
+        gram = np.einsum("tij,tik->tjk", g, g)
+        assert np.abs(gram[:, 0, 1]).max() <= 1e-14
+        assert np.abs(gram[:, 0, 0] - gram[:, 1, 1]).max() <= 1e-14
+        assert gram[:, 0, 0].min() >= 0.5 - 1e-14
+        assert np.abs(p @ g - g).max() <= 1e-14
+
+    def test_plane_draws_are_haar(self, profile1):
+        # two Gaussian 3-vectors give the trace law of Gaussian 4x2 frames
+        stats = pytest.importorskip("scipy.stats")
         d = hessian_r2_diagonal(profile1.at(1.0))
-        exact = np.array([float(_exact_trace(g, d)) for g in frames])
-        got = _plane_traces(frames, d, np.empty(len(frames)))
-        assert np.abs(got - exact).max() <= 1e-8
-        gram = np.einsum("tij,tik->tjk", frames, frames)
-        dg = np.einsum("tij,i,tik->tjk", frames, d, frames)
-        gram_inverse = np.trace(np.linalg.solve(gram, dg), axis1=1, axis2=2)
-        assert np.abs(gram_inverse - exact).max() > 1e-8
+        draws = np.random.default_rng(11).standard_normal((20_000, 6))
+        frames = np.random.default_rng(12).standard_normal((20_000, 4, 2))
+        got = _plane_traces(draws, d, np.empty(len(draws)))
+        assert stats.ks_2samp(got, _gram_schmidt_traces(frames, d)).pvalue \
+            > 1e-3
+
+    def test_plane_traces_exact(self, profile1):
+        # against exact rational traces of the built frames' spans
+        d = hessian_r2_diagonal(profile1.at(1.0))
+        draws = np.random.default_rng(13).standard_normal((64, 6))
+        exact = [float(_exact_trace(g, d)) for g in _plane_frames(draws)]
+        got = _plane_traces(draws, d, np.empty(len(draws)))
+        assert np.abs(got - exact).max() <= 1e-14
+
+    @pytest.mark.parametrize("k, width", [(1, 4), (2, 6), (3, 4)])
+    def test_draws_per_trial(self, profile1, monkeypatch, k, width):
+        # each radius draws from its own generator: 4 normals per trial for
+        # a line, 6 for a 2-plane, 4 for a 3-plane's normal line
+        generators = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng, self.drawn = default_rng(seed), 0
+                generators.append(self)
+
+            def standard_normal(self, *args, **kwargs):
+                got = self.rng.standard_normal(*args, **kwargs)
+                self.drawn += got.size
+                return got
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        _force_cpus(monkeypatch, 2)
+        d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
+        brute_force_plane_min(d, k, trials=20_000, seed=k)
+        assert [g.drawn for g in generators] == [width * 20_000] * 3
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_unpolished_minima_match_gram_schmidt(self, profile1, k):
@@ -320,8 +395,8 @@ class TestPlaneTraces:
                                     polish=False)
         want = []
         for i in range(3):
-            frames, c, offset = _draws(50 * k + i, 5_000, k, d[:, i])
-            want.append(offset + _gram_schmidt_traces(frames, c).min())
+            draws, c, offset = _draws(50 * k + i, 5_000, k, d[:, i])
+            want.append(offset + _gram_schmidt_traces(_frames(draws), c).min())
         assert np.abs(got - want).max() <= 1e-13
 
     def test_three_plane_trace_through_normal(self, profile1):
@@ -397,9 +472,9 @@ class TestSamplingThreads:
         # bitwise the traces of one full-length draw per radius
         want = []
         for i in range(3):
-            frames, c, offset = _draws(70 * k + i, trials, k, d[:, i])
+            draws, c, offset = _draws(70 * k + i, trials, k, d[:, i])
             want.append(offset
-                        + _plane_traces(frames, c, np.empty(trials)).min())
+                        + _plane_traces(draws, c, np.empty(trials)).min())
         assert np.array_equal(got[1, False], want)
 
     def test_thread_error_raised_by_the_call(self, profile1, monkeypatch):

@@ -243,8 +243,21 @@ class TestIntegrate:
         assert -0.1 < y[-1] < 0
 
     def test_region_margins_positive(self, profile1, grid1):
-        for margin in region_margins(profile1.eval(grid1[:: 10])):
+        s = profile1.eval(grid1[:: 10])
+        margins = region_margins(s, 1.0)
+        for margin in margins:
             assert np.all(margin > 0)
+        # the x < 1 margin is 1 - x without its factor e^l
+        assert np.allclose(margins[2] * np.exp(s.log_gap), s.gap / s.c,
+                           rtol=1e-12, atol=0.0)
+
+    def test_region_margins_where_the_gap_underflows(self):
+        # past r ~ 240 m the gap reads 0, and so would 1 - x = gap/c; the
+        # margin without its factor e^l stays positive
+        p = integrate(ModelParams(m=1.0, r_max=500.0, tol=1e-10))
+        s = p.eval(np.array([250.0, 500.0]))
+        assert np.all(s.gap == 0.0)
+        assert all(np.all(margin > 0) for margin in region_margins(s, 1.0))
 
     def test_shape_at_zero_and_small_r(self, profile1):
         s0 = profile1.at(0.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahgeom import verify
+from ahgeom import series, verify
 from ahgeom.config import RunConfig
 from ahgeom.series import SeriesCoefficients, expand, formal_residual_ok
 
@@ -24,6 +24,36 @@ def test_hand_derived_coefficients():
     lists = {"a": s.unit_a, "p": s.unit_p, "q": s.unit_q}
     for (name, k), want in HAND_COEFFS.items():
         assert lists[name][k] == want, (name, k)
+
+
+def _full_residual_coefficients(order):
+    """Reference solver: each unknown from the whole cleared-identity
+    polynomials through its degree, built at the unknown = 0 and 1."""
+    A, P, Q = ([F(0)] * (order + 1) for _ in range(3))
+    A[1], P[1], Q[0] = F(2), F(1), F(2)
+
+    def match(which, k, target, index):
+        values = []
+        for x in (F(0), F(1)):
+            target[index] = x
+            values.append(series._cleared_residuals(A, P, Q, k)[which][k])
+        target[index] = -values[0] / (values[1] - values[0])
+
+    for j in range(1, order // 2 + 1):
+        match(1, 2 * j, Q, 2 * j)
+        if 2 * j + 1 <= order:
+            match(0, 2 * j, A, 2 * j + 1)
+            match(2, 2 * j + 1, P, 2 * j + 1)
+    return tuple(A), tuple(P), tuple(Q)
+
+
+@pytest.mark.parametrize("order", range(4, 17))
+def test_single_degree_solver_matches_full_residuals(order):
+    # the solver evaluates one coefficient of one identity per unknown; the
+    # full polynomials give the same exact rationals
+    got = series._unit_coefficients(order)
+    assert got == _full_residual_coefficients(order)
+    assert all(type(c) is F for coeffs in got for c in coeffs)
 
 
 def test_printed_leading_terms_b_c():

@@ -14,12 +14,10 @@ the exact k-plane minimum and an independent random-subspace minimizer.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import usable_cpus
 from .ode import CoefficientSample, MetricProfile
 
 
@@ -84,8 +82,8 @@ def chain_margins(profile: MetricProfile, grid):
 
 def _orthonormalize(frames: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of a (t, 4, k) frame stack in place by
-    modified Gram-Schmidt and return it.  `brute_force_plane_min` calls it
-    on the polish's frames only: 8 per radius, never a sampled stack.
+    modified Gram-Schmidt and return it.  Only `_polish` calls it: on 8
+    frames per radius, never on a sampled stack.
 
     Column j of each result spans, with columns 0..j-1, the same subspace
     as the first j + 1 input columns, as LAPACK QR's Q does (up to column
@@ -107,21 +105,22 @@ def _orthonormalize(frames: np.ndarray) -> np.ndarray:
 
 # draws per trial: a line takes 4 normals, a 2-plane 6 (two 3-vectors)
 _WIDTH = {1: 4, 2: 6}
-# draws per trace slice: each temporary of the 2-plane kernel takes 16 KB,
-# below glibc's default 128 KB mmap threshold
-_CHUNK = 2048
-# draws per block: a multiple of _CHUNK, so `_plane_traces` slices a block
-# at the offsets one full-length draw would have; 2 048-draw blocks left too
-# little work per draw for two threads to gain anything
-_BLOCK = 8 * _CHUNK
+# trials per block: a ten-radius call's (radii, block) trace array takes
+# 320 KB; 16 384-trial blocks raised a `verify` run's peak RSS 38.6 -> 42 MB
+_BLOCK = 4096
+# heavy-ball weight of the polish: the previous step, carried along, lets
+# planes split nearly equal eigenvalues (gaps of 0.003-0.01 at r ~ 3 m)
+# that 200 plain gradient steps barely separate
+_MOMENTUM = 0.9
 
 
-def _plane_traces(draws: np.ndarray, d: np.ndarray,
+def _plane_traces(draws: np.ndarray, cols: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
-    """Write tr(P_L diag(d)) into `out` for the subspace L that each row of
-    a (t, 4) or (t, 6) stack of draws stands for, and return `out`.
+    """Write tr(P_L diag(c)) into out[j, t] for each diagonal c = cols[j]
+    of an (n, 4) stack and the subspace L that row t of a (t, 4) or (t, 6)
+    stack of draws stands for, and return `out`, shape (n, t).
 
-    A (t, 4) row x is a line, with tr = sum_i d_i x_i^2 / |x|^2.  A (t, 6)
+    A (t, 4) row x is a line, with tr = sum_i c_i x_i^2 / |x|^2.  A (t, 6)
     row (u, v) of two 3-vectors is the 2-plane of `_plane_frames`, whose
     Pluecker vector is (u+ + v-)/sqrt(2): u+ a self-dual and v- an
     anti-self-dual 2-form.  Its trace, summed from the Pluecker
@@ -129,51 +128,48 @@ def _plane_traces(draws: np.ndarray, d: np.ndarray,
 
         tr = s/2 + (1/2) sum_i delta_i u_i v_i / sqrt(|u|^2 |v|^2),
 
-    with s = tr d and delta = (d0+d1-d2-d3, d0+d2-d1-d3, d0+d3-d1-d2).
+    with s = tr c and delta = (c0+c1-c2-c3, c0+c2-c1-c3, c0+c3-c1-c2).
     The oriented Gr(2, 4) is S^2 x S^2 this way and its Haar measure the
     product of the uniform measures, so two Gaussian 3-vectors draw a Haar
     2-plane from 6 normals (a Gaussian 4x2 frame needs 8).  Both kernels
-    are elementwise over the columns of a row slice, with no
-    orthonormalization.  Every trace is that of a genuine
-    subspace, so none undercuts the Ky Fan sum beyond rounding;
-    `brute_force_plane_min` scores a 3-plane through its normal line.
-    Slices of _CHUNK rows keep the temporaries in cache and off fresh pages
-    (full-length ones page-faulted tens of thousands of times per call);
-    each trace depends only on its own row, so one draw block gives the
-    traces a full-length stack would.
+    are elementwise, with no orthonormalization and no BLAS call.  What
+    does not depend on c (x_i^2 and |x|^2, or u_i v_i and |u||v|) is formed
+    once per draw; each diagonal then takes the same elementwise sums in
+    the same order, so its traces are bitwise those of a call with that
+    diagonal alone.  Every trace is that of a genuine subspace, so none
+    undercuts the Ky Fan sum beyond rounding; `brute_force_plane_min`
+    scores a 3-plane through its normal line.
     """
-    d0, d1, d2, d3 = d.tolist()
-    half_trace = 0.5 * (d0 + d1 + d2 + d3)
-    h1, h2, h3 = (0.5 * (d0 + d1 - d2 - d3), 0.5 * (d0 + d2 - d1 - d3),
-                  0.5 * (d0 + d3 - d1 - d2))
+    rows = draws.T
+    if len(rows) == 4:
+        terms = [x * x for x in rows]
+        den = terms[0] + terms[1]
+        den += terms[2]
+        den += terms[3]
+        weights, shifts = cols, None
+    else:
+        u0, u1, u2, v0, v1, v2 = rows
+        terms = [u0 * v0, u1 * v1, u2 * v2]
+        uu, vv = u0 * u0, v0 * v0
+        uu += u1 * u1
+        uu += u2 * u2
+        vv += v1 * v1
+        vv += v2 * v2
+        uu *= vv
+        den = np.sqrt(uu, out=uu)
+        c0, c1, c2, c3 = cols.T
+        weights = 0.5 * np.stack([c0 + c1 - c2 - c3, c0 + c2 - c1 - c3,
+                                  c0 + c3 - c1 - c2], axis=1)
+        shifts = 0.5 * (c0 + c1 + c2 + c3)
     # in-place sums: 13-20 % less kernel time than the same sums written
     # as expressions (numpy 2.4 on an x86-64 VM)
-    for lo in range(0, len(draws), _CHUNK):
-        rows, tr = draws[lo:lo + _CHUNK].T, out[lo:lo + _CHUNK]
-        if len(rows) == 4:
-            x0, x1, x2, x3 = rows
-            s0, s1, s2, s3 = x0 * x0, x1 * x1, x2 * x2, x3 * x3
-            num = d0 * s0
-            num += d1 * s1
-            num += d2 * s2
-            num += d3 * s3
-            s0 += s1
-            s0 += s2
-            s0 += s3
-            np.divide(num, s0, out=tr)
-        else:
-            u0, u1, u2, v0, v1, v2 = rows
-            num = h1 * (u0 * v0)
-            num += h2 * (u1 * v1)
-            num += h3 * (u2 * v2)
-            uu, vv = u0 * u0, v0 * v0
-            uu += u1 * u1
-            uu += u2 * u2
-            vv += v1 * v1
-            vv += v2 * v2
-            uu *= vv
-            num /= np.sqrt(uu, out=uu)
-            np.add(num, half_trace, out=tr)
+    for j, (w, tr) in enumerate(zip(weights, out)):
+        np.multiply(w[0], terms[0], out=tr)
+        for wi, term in zip(w[1:], terms[1:]):
+            tr += wi * term
+        tr /= den
+        if shifts is not None:
+            tr += shifts[j]
     return out
 
 
@@ -208,38 +204,27 @@ def _plane_frames(draws: np.ndarray) -> np.ndarray:
     return np.stack([W[t, :, a], W2[t, :, a]], axis=2)
 
 
-def _workers(columns: int) -> int:
-    """Sampling threads for a call over `columns` radii: one per CPU this
-    process may run on (`usable_cpus`), never more than the columns."""
-    return max(1, min(columns, usable_cpus()))
-
-
-def _sample_columns(cols: np.ndarray, k: int, trials: int, seed: int | None,
-                    best: np.ndarray, draws: np.ndarray, columns) -> None:
-    """Draw and score the `trials` subspaces of each column i in `columns`,
-    writing its smallest trace to best[i] and its 8 best draws to
-    draws[8i:8i + 8].  Column i draws _WIDTH[k] normals per trial from
-    seed + i in blocks of _BLOCK trials; each block keeps its 8 best draws
-    as candidates, and the 8 best candidates are the column's 8 best
-    draws."""
-    block = np.empty((min(trials, _BLOCK), _WIDTH[k]))
-    tr = np.empty(len(block))
-    blocks = -(-trials // _BLOCK)
-    cand, cand_tr = np.empty((8 * blocks, _WIDTH[k])), np.empty(8 * blocks)
-    for i in columns:
-        rng = np.random.default_rng(None if seed is None else seed + i)
-        top = 0
-        for lo in range(0, trials, _BLOCK):
-            n = min(_BLOCK, trials - lo)
-            rng.standard_normal(out=block[:n])
-            _plane_traces(block[:n], cols[i], tr[:n])
-            kept = min(8, n)
-            keep = np.argpartition(tr[:n], kept - 1)[:kept]
-            np.take(block, keep, axis=0, out=cand[top:top + kept])
-            np.take(tr, keep, out=cand_tr[top:top + kept])
-            top += kept
-        best[i] = cand_tr[:top].min()
-        draws[8 * i:8 * i + 8] = cand[np.argpartition(cand_tr[:top], 7)[:8]]
+def _polish(frames: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Smallest tr V^T diag(d[p]) V met by each frame p of a (p, 4, k)
+    stack over 200 steps of projected gradient descent with heavy-ball
+    momentum and Gram-Schmidt retraction (on lines, a Rayleigh-quotient
+    descent), at a step of 0.5 / (d_max - d_min) per frame; d has shape
+    (p, 4).  Each step carries _MOMENTUM times the previous displacement,
+    projected onto the tangent space, and uses only matrix-vector products
+    with the Hessian.  Every trace is that of a genuine subspace."""
+    V = _orthonormalize(frames)
+    step = 0.5 / np.maximum(np.ptp(d, axis=1), 1e-300)[:, None, None]
+    move = np.zeros_like(V)
+    traces = []
+    for _ in range(200):
+        # half the Riemannian gradient of tr V^T D V: (1 - V V^T) D V
+        dv = d[:, :, None] * V
+        horiz = dv - V @ (V.transpose(0, 2, 1) @ dv)
+        move -= V @ (V.transpose(0, 2, 1) @ move)
+        new = _orthonormalize(V + (_MOMENTUM * move - step * horiz))
+        move, V = new - V, new
+        traces.append(np.einsum("pi,pij,pij->p", d, V, V))
+    return np.min(traces, axis=0)
 
 
 def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
@@ -255,23 +240,19 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
     goes through its normal line: a 3-plane L with unit normal n has
     tr(P_L D) = tr d - n^T D n, and the normal of a Haar 3-plane is a Haar
     line, so the call minimizes over lines for -d and adds tr d (4 draws
-    per trial).  Column i draws its own `trials` subspaces from seed + i
-    (unseeded if seed is None) as one stream, in blocks of _BLOCK trials,
-    keeping its running minimum and its 8 best draws.  The columns are
-    spread over one thread per CPU (`_workers`; numpy draws with the GIL
-    released), and each column's stream and minimum are the same whatever
-    the thread count.  Each draw is scored in closed form by an elementwise
-    kernel (`_plane_traces`), with no Gram-Schmidt and no eigensolver.
-    With polish=True the 8 best draws of every column become frames (a
-    2-plane's by `_plane_frames`), which are orthonormalized and refined
-    together by 200 steps of projected gradient descent with Gram-Schmidt
-    retraction (on lines, a Rayleigh-quotient descent), at a step of
-    0.5 / (d_max - d_min) per column; it uses only matrix-vector products
-    with the Hessian.  Every evaluation is the trace over a genuine
-    subspace, so the result can never undercut the true minimum (beyond
-    rounding), and pure sampling (polish=False) converges to it from above
-    as trials grow.  trials is capped at 200 000 to bound the time of a
-    call; the draw buffers hold one block per thread at any trials.
+    per trial).  The call draws one stream of `trials` subspaces from
+    `seed` (unseeded if None), in blocks of _BLOCK trials, and every column
+    scores that same stream: each radius sees `trials` Haar subspaces, and
+    its minimum is bitwise that of a one-radius call at the same seed.
+    Each draw is scored in closed form by an elementwise kernel
+    (`_plane_traces`), with no Gram-Schmidt and no eigensolver, and each
+    column keeps its running minimum and its 8 best draws.  With
+    polish=True those draws become frames (a 2-plane's by `_plane_frames`)
+    that `_polish` refines, all columns in one batch.  Every evaluation is
+    the trace over a genuine subspace, so the result can never undercut the
+    true minimum (beyond rounding), and pure sampling (polish=False)
+    converges to it from above as trials grow.  trials is capped at 200 000
+    to bound the time of a call; the buffers hold one block at any trials.
     """
     d = np.array(d, dtype=float)
     if d.ndim not in (1, 2) or d.shape[0] != 4 or not np.all(np.isfinite(d)):
@@ -285,41 +266,33 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
     if k == 3:
         offset, d, k = np.sum(d, axis=0), -d, 1
     cols = d.reshape(4, -1).T
-    best = np.empty(len(cols))
-    draws = np.empty((len(cols) * 8, _WIDTH[k]))
-    workers = _workers(len(cols))
-    failed = []
-
-    def work(columns):
-        try:
-            _sample_columns(cols, k, trials, seed, best, draws, columns)
-        except BaseException as exc:
-            failed.append(exc)
-    # worker w takes columns w, w + workers, ...; the first runs inline
-    threads = [threading.Thread(target=work,
-                                args=(range(w, len(cols), workers),))
-               for w in range(1, workers)]
-    for t in threads:
-        t.start()
-    work(range(0, len(cols), workers))
-    for t in threads:
-        t.join()
-    if failed:
-        raise failed[0]
+    rng = np.random.default_rng(seed)
+    block = np.empty((min(trials, _BLOCK), _WIDTH[k]))
+    tr = np.empty((len(cols), len(block)))
+    # each block's 8 best draws per column are candidates, and the 8 best
+    # candidates are the column's 8 best draws
+    blocks = -(-trials // _BLOCK)
+    cand = np.empty((len(cols), 8 * blocks, _WIDTH[k]))
+    cand_tr = np.empty((len(cols), 8 * blocks))
+    top = 0
+    for lo in range(0, trials, _BLOCK):
+        n = min(_BLOCK, trials - lo)
+        rng.standard_normal(out=block[:n])
+        _plane_traces(block[:n], cols, tr[:, :n])
+        kept = min(8, n)
+        keep = np.argpartition(tr[:, :n], kept - 1, axis=1)[:, :kept]
+        cand[:, top:top + kept] = block[keep]
+        cand_tr[:, top:top + kept] = np.take_along_axis(tr, keep, axis=1)
+        top += kept
+    cand, cand_tr = cand[:, :top], cand_tr[:, :top]
+    best = cand_tr.min(axis=1)
     if polish:
-        # row 8i + j of V is frame j of column i, with that column's d
-        V = _orthonormalize(draws[:, :, None] if k == 1
-                            else _plane_frames(draws))
-        dd = np.repeat(cols, 8, axis=0)
-        step = np.repeat(0.5 / np.maximum(np.ptp(cols, axis=1), 1e-300), 8)
-        traces = []
-        for _ in range(200):
-            # half the Riemannian gradient of tr V^T D V: (1 - V V^T) D V
-            dv = dd[:, :, None] * V
-            horiz = dv - V @ (V.transpose(0, 2, 1) @ dv)
-            V = _orthonormalize(V - step[:, None, None] * horiz)
-            traces.append(np.einsum("pi,pij,pij->p", dd, V, V))
-        best = np.minimum(best, np.min(traces, axis=0).reshape(-1, 8).min(1))
+        # row 8i + j of the stack is draw j of column i, with that column's d
+        keep = np.argpartition(cand_tr, 7, axis=1)[:, :8, None]
+        draws = np.take_along_axis(cand, keep, axis=1).reshape(-1, _WIDTH[k])
+        frames = draws[:, :, None] if k == 1 else _plane_frames(draws)
+        polished = _polish(frames, np.repeat(cols, 8, axis=0))
+        best = np.minimum(best, polished.reshape(-1, 8).min(axis=1))
     best = offset + best
     return float(best[0]) if d.ndim == 1 else best
 

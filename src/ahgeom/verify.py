@@ -245,7 +245,8 @@ def check_kplane_oracle(ctx: VerifyContext) -> CheckResult:
     s = ctx.profile.eval(radii)
     diagonal = hessian_r2_diagonal(s)
     spectrum = hessian_r2(s)
-    # one minimizer call per k; radius i draws from seed + 1000*k + i
+    # one minimizer call per k: its one stream, drawn from seed + 1000*k,
+    # is scored at every radius
     errs = np.array([
         brute_force_plane_min(diagonal, k, trials=tols["kplane_trials"],
                               seed=seed + 1000 * k)

@@ -278,6 +278,17 @@ class TestVerify:
         assert main(VERIFY_ARGS + ["--output", str(again)]) == 0
         assert again.read_bytes() == verify_report[2]
 
+    def test_report_at_any_cpu_count(self, profile1, monkeypatch):
+        # no check reads the CPU count: the k-plane oracle draws one stream
+        # per k on the calling thread
+        config = RunConfig(seed=7)
+        reports = []
+        for n in (1, 2):
+            _force_cpus(monkeypatch, n)
+            reports.append(json.dumps(
+                verify.run_verification(config, profile=profile1).to_dict()))
+        assert reports[0] == reports[1]
+
     def test_timings_on_stderr_only(self, verify_report, tmp_path, capsys):
         # the report is the fixture's, byte for byte; stderr gains one line
         # for integrate and one per check, in run order, after the checks'

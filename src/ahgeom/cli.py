@@ -27,7 +27,6 @@ from .config import RunConfig, usable_cpus
 from .curvature import (asd_residual, curvature_components,
                         fiber_gauss_curvature, kappa_at_zero)
 from .ode import IntegrationError, integrate
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -169,12 +168,20 @@ def cmd_curvature(config: RunConfig, out) -> int:
 
 
 def cmd_verify(config: RunConfig, out, timings: bool = False) -> int:
+    # imported here, so that solve and curvature never load the checks
+    from .verify import run_verification
+
     report = run_verification(config)
     for c in report.checks:
         state = "PASS" if c.passed else "FAIL"
         print(f"{state} {c.name}: worst={c.worst:.3e} "
               f"({c.direction} {c.budget:g}); {c.note}", file=sys.stderr)
     if timings:
+        if (stats := report.integration) is not None:
+            print(f"integrate: accepted={stats.accepted} "
+                  f"rejected={stats.rejected} rhs_calls={stats.rhs_calls} "
+                  f"h_min={stats.h_min:.3e} h_max={stats.h_max:.3e}",
+                  file=sys.stderr)
         for name, seconds in report.seconds.items():
             print(f"time {name}: {seconds:.4f} s", file=sys.stderr)
     out.write(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -252,8 +259,9 @@ def main(argv=None) -> int:
         _add_common(cmd := sub.add_parser(name, help=helptext))
         if name == "verify":
             cmd.add_argument("--timings", action="store_true",
-                             help="also write the integrate time and each "
-                                  "check's wall time to stderr")
+                             help="also write the integrator's statistics, "
+                                  "the integrate time and each check's wall "
+                                  "time to stderr")
     args = parser.parse_args(argv)
     try:
         config = build_config(args)

@@ -309,12 +309,14 @@ class SignReport:
 
 
 def second_derivative_signs(profile: MetricProfile, grid) -> SignReport:
-    """Largest a'' and b'' on the grid, and the sign change of c''
-    (positive near the zero section, negative far out) located to 1e-10
-    relative in r: each round evaluates 65 evenly spaced radii of the
+    """Largest a'' and b'' on the grid of radii r > 0, and the sign change
+    of c'' (positive near the zero section, negative far out) located to
+    1e-10 relative in r: each round evaluates 65 evenly spaced radii of the
     bracket in one batch and keeps the first subinterval where c'' changes
-    sign."""
-    grid = np.asarray(grid, dtype=float)
+    sign.  c'' is bracketed on the grid with r = 0 prepended, where
+    c''(0) = 3/(4m) > 0, so a crossing below the grid's first radius (a
+    coarse grid over a long horizon) is still found."""
+    grid = np.r_[0.0, grid]
     s = profile.eval(grid)
     positive = s.ddc > 0.0
     brackets = np.flatnonzero(positive[:-1] != positive[1:])
@@ -329,7 +331,7 @@ def second_derivative_signs(profile: MetricProfile, grid) -> SignReport:
             lo, hi = float(r[j]), float(r[j + 1])
         crossing = 0.5 * (lo + hi)
     return SignReport(
-        max_dda=float(np.max(s.dda)),
-        max_ddb=float(np.max(s.ddb)),
+        max_dda=float(np.max(s.dda[1:])),
+        max_ddb=float(np.max(s.ddb[1:])),
         c_sign_changes=len(brackets),
         c_crossing=crossing)

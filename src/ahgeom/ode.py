@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
+from operator import mul
 
 import numpy as np
 
@@ -181,10 +182,14 @@ class IntegrationStats:
     h_max: float
 
 
+def _stage_sums(ks, coefs):
+    # sum_j coefs[j] k_j, componentwise, each correctly rounded: one fsum
+    # per component over its column (k_1[i], ..., k_s[i]) of stage values
+    return [math.fsum(map(mul, coefs, column)) for column in zip(*ks)]
+
+
 def _combine(y, h, ks, coefs):
-    return tuple(
-        y[i] + h * math.fsum(cf * k[i] for cf, k in zip(coefs, ks))
-        for i in range(3))
+    return tuple(yi + h * s for yi, s in zip(y, _stage_sums(ks, coefs)))
 
 
 def integrate(params: ModelParams) -> "MetricProfile":
@@ -245,8 +250,7 @@ def integrate(params: ModelParams) -> "MetricProfile":
                 "stage state hit a coordinate zero or overflowed", r)
         rhs_calls += len(ks) - 1
         y_new = ys  # stage 7 state: the fifth-order solution
-        err = [abs(h * math.fsum(e * k[i] for e, k in zip(_DP_ERR, ks)))
-               for i in range(3)]
+        err = [abs(h * s) for s in _stage_sums(ks, _DP_ERR)]
         norm = max(err[0] / (m + abs(y[0])), err[1] / (m + abs(y[1])),
                    err[2]) / (0.1 * tol)
         if norm <= 1.0:

@@ -290,8 +290,9 @@ class TestVerify:
         assert reports[0] == reports[1]
 
     def test_timings_on_stderr_only(self, verify_report, tmp_path, capsys):
-        # the report is the fixture's, byte for byte; stderr gains one line
-        # for integrate and one per check, in run order, after the checks'
+        # the report is the fixture's, byte for byte; after the checks'
+        # lines stderr gains the integrator's statistics, then one time line
+        # for integrate and one per check, in run order
         timed = tmp_path / "timed.json"
         code, out, err = run(VERIFY_ARGS + ["--timings", "--output",
                                             str(timed)], capsys)
@@ -299,10 +300,15 @@ class TestVerify:
         assert timed.read_bytes() == verify_report[2]
         lines = err.splitlines()
         assert [line.split(":")[0] for line in lines] == (
-            [f"PASS {name}" for name in self.EXPECTED]
+            [f"PASS {name}" for name in self.EXPECTED] + ["integrate"]
             + [f"time {name}" for name in ["integrate"] + self.EXPECTED])
+        stats = ode.integrate(ModelParams(m=1.0, r_max=10.0, tol=1e-10)).stats
+        assert lines[12] == (
+            f"integrate: accepted={stats.accepted} rejected={stats.rejected} "
+            f"rhs_calls={stats.rhs_calls} h_min={stats.h_min:.3e} "
+            f"h_max={stats.h_max:.3e}")
         assert all(re.fullmatch(r"time \w+: \d+\.\d{4} s", line)
-                   for line in lines[12:])
+                   for line in lines[13:])
 
 
 def _verify_context(m):
@@ -390,8 +396,9 @@ class TestConfigHandling:
         assert "ahgeom: tol must lie in [1e-14, 1e-2), got 1e-16" in err
 
     def test_negative_seed(self, capsys, monkeypatch):
-        # rejected before the profile and the checks run, naming the seed
-        monkeypatch.setattr(cli, "run_verification", _must_not_run)
+        # rejected before the profile and the checks run, naming the seed;
+        # cmd_verify looks run_verification up in verify when it is called
+        monkeypatch.setattr(verify, "run_verification", _must_not_run)
         assert RunConfig(seed=0).seed == 0
         code, out, err = run(["verify", "--seed", "-5"], capsys)
         assert code == 2
@@ -448,7 +455,7 @@ class TestConfigHandling:
         # refused before any work with a usage error, not a traceback and
         # exit 1 after the whole run
         monkeypatch.setattr(cli, "integrate", _must_not_run)
-        monkeypatch.setattr(cli, "run_verification", _must_not_run)
+        monkeypatch.setattr(verify, "run_verification", _must_not_run)
         path = tmp_path / "no" / "x.csv" if where == "missing-dir" else tmp_path
         for command in ("solve", "curvature", "verify"):
             code, out, err = run([command, "--output", str(path)], capsys)
@@ -493,3 +500,20 @@ def test_cli_import_leaves_out_logging():
                           text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [["solve", "--tol", "1e-6"], ["verify"]],
+                         ids=["solve", "verify"])
+def test_only_verify_loads_the_checks(tmp_path, args):
+    # solve pays the start-up of config, series, ode and curvature only; the
+    # package re-exports nothing and cli imports verify inside cmd_verify
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    checks = ["ahgeom.convexity", "ahgeom.verify", "ahgeom.zero_section"]
+    argv = args + ["--grid", "40", "--output", str(tmp_path / "out")]
+    code = ("import sys, ahgeom.cli; "
+            f"assert ahgeom.cli.main({argv!r}) == 0; "
+            f"print(sorted(set({checks!r}) & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.strip() == str(checks if args[0] == "verify" else [])

@@ -557,3 +557,18 @@ class TestSignReport:
         rep = second_derivative_signs(profile1, [0.5, 1.0, 1.5])
         assert rep.c_sign_changes == 0
         assert rep.c_crossing is None
+
+    @pytest.mark.parametrize("r_max", [1800.0, 1e4])
+    def test_crossing_below_first_grid_radius(self, r_max):
+        # at 1000 points the grid starts at r_max/1000 > 1.7176 m, past the
+        # crossing: c'' is bracketed from r = 0, where it is 3/(4m) > 0
+        config = RunConfig(r_max=r_max)
+        ctx = verify.VerifyContext(config=config,
+                                   profile=integrate(config.params()))
+        assert ctx.grid[0] > C_CROSSING_M1
+        rep = second_derivative_signs(ctx.profile, ctx.grid)
+        assert rep.max_dda < 0 and rep.max_ddb < 0
+        assert rep.c_sign_changes == 1
+        assert rep.c_crossing == pytest.approx(C_CROSSING_M1, abs=1e-7)
+        result = verify.check_second_derivative_signs(ctx)
+        assert result.passed, result.note

@@ -191,6 +191,16 @@ class TestIntegrate:
         assert steps.max() == pytest.approx(stats.h_max, rel=1e-12)
         assert steps.min() == pytest.approx(stats.h_min, rel=1e-12)
 
+    def test_stats_at_tight_tol(self, profile1_tight):
+        # the stepper's path at tol 1e-12, pinned: a change in any stage sum
+        # or error estimate moves a step and with it these counts
+        stats = profile1_tight.stats
+        assert (stats.accepted, stats.rejected, stats.rhs_calls) == (
+            489, 2, 2947)
+        assert len(profile1_tight.samples) == 490
+        assert stats.h_min == pytest.approx(0.0019280383729839052, rel=1e-12)
+        assert stats.h_max == pytest.approx(0.15602054011730004, rel=1e-12)
+
     def test_series_agreement_at_twice_r0(self, profile1):
         # the integrated profile just past the bootstrap radius against a
         # longer series, at the hold-out budget of 10*tol
@@ -284,6 +294,44 @@ class TestIntegrate:
             prev_ap = ap
         s0 = profile1.at(0.0)
         assert s0.c - s0.b == 2.0
+
+
+def _sums_by_stage(ks, coefs):
+    # reference form of the stage sums: one generator over the stages per
+    # component
+    return [math.fsum(cf * k[i] for cf, k in zip(coefs, ks)) for i in range(3)]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestStageSums:
+    @staticmethod
+    def _stacks(seed, n=200):
+        # 7 stages of 3 components over sixteen decades, both signs
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            ks = rng.standard_normal((7, 3)) * 10.0 ** rng.uniform(-8, 8, (7, 3))
+            yield (tuple(rng.standard_normal(3).tolist()),
+                   float(rng.uniform(1e-4, 1.0)), [tuple(k) for k in ks.tolist()])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_combine_bitwise(self, seed):
+        # every stage's coefficient row, the 0.0 of _DP_A[6] among them
+        for y, h, ks in self._stacks(seed):
+            for s in range(1, 7):
+                coefs = ode._DP_A[s]
+                want = [yi + h * v
+                        for yi, v in zip(y, _sums_by_stage(ks[:s], coefs))]
+                assert _bits(ode._combine(y, h, ks[:s], coefs)) == _bits(want)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_error_weights_bitwise(self, seed):
+        # the embedded error estimate's sums, with the 0.0 of _DP_ERR
+        for _, _, ks in self._stacks(seed):
+            assert (_bits(ode._stage_sums(ks, ode._DP_ERR))
+                    == _bits(_sums_by_stage(ks, ode._DP_ERR)))
 
 
 class TestEval:

@@ -51,6 +51,26 @@ class TestStabilityOperator:
         assert np.max(np.abs(s - np.eye(2) / m ** 2)) <= 1e-12 / m ** 2
         assert np.all(np.linalg.eigvalsh(s) > 0)
 
+    @pytest.mark.parametrize("operator, passed", [
+        ([[2.0, 1.0], [1.0, 2.0]], True),     # eigenvalues 1 and 3
+        ([[1.0, 2.0], [2.0, 1.0]], False),    # -1 and 3: positive diagonal
+        ([[1.0, 0.0], [0.0, -1e-3]], False),
+        ([[-1.0, 0.0], [0.0, -1.0]], False),  # positive determinant
+    ], ids=["definite", "indefinite", "one-negative", "negative"])
+    def test_check_needs_positive_definite(self, monkeypatch, profile1,
+                                           operator, passed):
+        # with the closeness budget out of the way, the check's verdict is
+        # positive definiteness alone, and agrees with the eigenvalues
+        assert bool(np.all(np.linalg.eigvalsh(operator) > 0)) == passed
+        tols = verify.tolerances(1e-10)
+        monkeypatch.setattr(verify, "tolerances",
+                            lambda tol: {**tols, "stability_rel": 10.0})
+        monkeypatch.setattr(verify, "stability_operator",
+                            lambda m: np.array(operator) / m ** 2)
+        result = verify.check_strong_stability(verify.VerifyContext(
+            config=RunConfig(), profile=profile1))
+        assert result.passed == passed
+
     def test_assembly_arithmetic(self):
         # 2 * (3/(4m^2)) - 2 * (1/(2m))^2 = 1/m^2, in exact rationals
         m = F(3)

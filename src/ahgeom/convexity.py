@@ -80,38 +80,26 @@ def chain_margins(profile: MetricProfile, grid):
                                  initial=math.inf))
 
 
-def _orthonormalize(frames: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of a (t, 4, k) frame stack in place by
-    modified Gram-Schmidt and return it.  Only `_polish` calls it: on 8
-    frames per radius, never on a sampled stack.
-
-    Column j of each result spans, with columns 0..j-1, the same subspace
-    as the first j + 1 input columns, as LAPACK QR's Q does (up to column
-    signs, which no trace sees).  Each column is projected out twice: one
-    pass loses orthogonality in proportion to the frame's condition number
-    (1.8e-12 over 10 000 Gaussian 4x4 frames), and a second pass brings it
-    back to rounding ("twice is enough": Parlett, The Symmetric Eigenvalue
-    Problem, 1980, section 6-9).
-    """
-    for j in range(frames.shape[2]):
-        v = frames[:, :, j]
-        for _ in range(2):
-            for i in range(j):
-                q = frames[:, :, i]
-                v -= np.einsum("ti,ti->t", q, v)[:, None] * q
-        v /= np.sqrt(np.einsum("ti,ti->t", v, v))[:, None]
-    return frames
-
-
 # draws per trial: a line takes 4 normals, a 2-plane 6 (two 3-vectors)
 _WIDTH = {1: 4, 2: 6}
-# trials per block: a ten-radius call's (radii, block) trace array takes
-# 320 KB; 16 384-trial blocks raised a `verify` run's peak RSS 38.6 -> 42 MB
-_BLOCK = 4096
+# trials per block: the oracle's 20-column line call keeps a (20, block)
+# trace array, 320 KB; at 4 096 trials (640 KB) a `verify` run's peak RSS
+# read 38.9 MB against 37.9 MB.  No minimum depends on the block size
+_BLOCK = 2048
 # heavy-ball weight of the polish: the previous step, carried along, lets
 # planes split nearly equal eigenvalues (gaps of 0.003-0.01 at r ~ 3 m)
 # that 200 plain gradient steps barely separate
 _MOMENTUM = 0.9
+
+
+def _plane_weights(cols: np.ndarray):
+    """The weights h, shape (n, 3), and the shift, shape (n,), of the
+    2-plane trace s/2 + sum_i h_i u_i v_i for each diagonal c = cols[j] of
+    an (n, 4) stack: h = delta/2 and s/2 = tr c / 2 (see `_plane_traces`)."""
+    c0, c1, c2, c3 = cols.T
+    return (0.5 * np.stack([c0 + c1 - c2 - c3, c0 + c2 - c1 - c3,
+                            c0 + c3 - c1 - c2], axis=1),
+            0.5 * (c0 + c1 + c2 + c3))
 
 
 def _plane_traces(draws: np.ndarray, cols: np.ndarray,
@@ -121,10 +109,11 @@ def _plane_traces(draws: np.ndarray, cols: np.ndarray,
     stack of draws stands for, and return `out`, shape (n, t).
 
     A (t, 4) row x is a line, with tr = sum_i c_i x_i^2 / |x|^2.  A (t, 6)
-    row (u, v) of two 3-vectors is the 2-plane of `_plane_frames`, whose
-    Pluecker vector is (u+ + v-)/sqrt(2): u+ a self-dual and v- an
-    anti-self-dual 2-form.  Its trace, summed from the Pluecker
-    coordinates by Cauchy-Binet, is
+    row (u, v) of two 3-vectors is the 2-plane whose Pluecker vector is
+    (u+ + v-)/sqrt(2) for unit u and v: u on the self-dual basis
+    (e01+e23, e02-e13, e03+e12)/sqrt(2) and v on the anti-self-dual one
+    (e01-e23, e02+e13, e03-e12)/sqrt(2).  Its trace, summed from the
+    Pluecker coordinates by Cauchy-Binet, is
 
         tr = s/2 + (1/2) sum_i delta_i u_i v_i / sqrt(|u|^2 |v|^2),
 
@@ -137,8 +126,7 @@ def _plane_traces(draws: np.ndarray, cols: np.ndarray,
     once per draw; each diagonal then takes the same elementwise sums in
     the same order, so its traces are bitwise those of a call with that
     diagonal alone.  Every trace is that of a genuine subspace, so none
-    undercuts the Ky Fan sum beyond rounding; `brute_force_plane_min`
-    scores a 3-plane through its normal line.
+    undercuts the Ky Fan sum beyond rounding.
     """
     rows = draws.T
     if len(rows) == 4:
@@ -157,10 +145,7 @@ def _plane_traces(draws: np.ndarray, cols: np.ndarray,
         vv += v2 * v2
         uu *= vv
         den = np.sqrt(uu, out=uu)
-        c0, c1, c2, c3 = cols.T
-        weights = 0.5 * np.stack([c0 + c1 - c2 - c3, c0 + c2 - c1 - c3,
-                                  c0 + c3 - c1 - c2], axis=1)
-        shifts = 0.5 * (c0 + c1 + c2 + c3)
+        weights, shifts = _plane_weights(cols)
     # in-place sums: 13-20 % less kernel time than the same sums written
     # as expressions (numpy 2.4 on an x86-64 VM)
     for j, (w, tr) in enumerate(zip(weights, out)):
@@ -173,84 +158,70 @@ def _plane_traces(draws: np.ndarray, cols: np.ndarray,
     return out
 
 
-def _plane_frames(draws: np.ndarray) -> np.ndarray:
-    """(t, 4, 2) frames, orthogonal with equal column lengths, of the
-    2-planes that the rows (u, v) of a (t, 6) stack of draws stand for.
+def _polish(draws: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Smallest trace met by each draw p of a (p, 4) or (p, 6) stack, for
+    the diagonal d[p] of a (p, 4) stack, over 200 steps of projected
+    gradient descent with heavy-ball momentum in the sampler's own
+    coordinates.
 
-    With u and v normalized, the plane's Pluecker vector is the 4x4
-    antisymmetric W with
-
-        W01 = (u0+v0)/2,  W02 = (u1+v1)/2,  W03 = (u2+v2)/2,
-        W23 = (u0-v0)/2,  W13 = -(u1-v1)/2, W12 = (u2-v2)/2,
-
-    i.e. u on the self-dual basis (e01+e23, e02-e13, e03+e12)/sqrt(2) and v
-    on the anti-self-dual one.  |W| = 1 and the Pluecker relation
-    W01 W23 - W02 W13 + W03 W12 = (|u|^2 - |v|^2)/4 = 0 hold, so W = e f^T -
-    f e^T for an orthonormal basis (e, f) of the plane, and -W^2 = P_L.
-    Column a of W and column a of W^2 lie in the plane, are orthogonal (W
-    is antisymmetric) and have the length sqrt((P_L)_aa); a is W's largest
-    column, where (P_L)_aa >= tr P_L / 4 = 1/2.
-    """
-    u = draws[:, :3] / np.linalg.norm(draws[:, :3], axis=1)[:, None]
-    v = draws[:, 3:] / np.linalg.norm(draws[:, 3:], axis=1)[:, None]
-    plus, minus = 0.5 * (u + v), 0.5 * (u - v)
-    W = np.zeros((len(draws), 4, 4))
-    for (i, j), w in (((0, 1), plus[:, 0]), ((0, 2), plus[:, 1]),
-                      ((0, 3), plus[:, 2]), ((2, 3), minus[:, 0]),
-                      ((1, 3), -minus[:, 1]), ((1, 2), minus[:, 2])):
-        W[:, i, j], W[:, j, i] = w, -w
-    W2 = W @ W
-    t, a = np.arange(len(W)), np.argmin(np.einsum("tii->ti", W2), axis=1)
-    return np.stack([W[t, :, a], W2[t, :, a]], axis=2)
-
-
-def _polish(frames: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Smallest tr V^T diag(d[p]) V met by each frame p of a (p, 4, k)
-    stack over 200 steps of projected gradient descent with heavy-ball
-    momentum and Gram-Schmidt retraction (on lines, a Rayleigh-quotient
-    descent), at a step of 0.5 / (d_max - d_min) per frame; d has shape
-    (p, 4).  Each step carries _MOMENTUM times the previous displacement,
-    projected onto the tangent space, and uses only matrix-vector products
-    with the Hessian.  Every trace is that of a genuine subspace."""
-    V = _orthonormalize(frames)
+    A line is a point x of S^3 with tr = sum_i d_i x_i^2, and descends
+    along d x, half the Euclidean gradient (a Rayleigh-quotient descent).
+    A 2-plane is a point (u, v) of S^2 x S^2 with tr = s/2 + sum_i h_i u_i
+    v_i (`_plane_weights`), whose Euclidean gradient is (h v, h u).  On
+    each sphere the gradient and the previous displacement, carried
+    _MOMENTUM times, are projected onto the tangent space, and the
+    retraction normalizes the point.  The step is 0.5 / (d_max - d_min) per
+    draw: the product metric of S^2 x S^2 is twice that of Gr(2, 4), so
+    this step moves a plane as far as the same step along half the
+    Riemannian gradient moves an orthonormal frame.  Every iterate is a
+    genuine subspace."""
+    p = len(draws)
+    if draws.shape[1] == 4:
+        x, weights, shift = draws.reshape(p, 1, 4), d, 0.0
+    else:
+        x = draws.reshape(p, 2, 3)
+        weights, shift = _plane_weights(d)
+    x = x / np.sqrt(np.einsum("pmi,pmi->pm", x, x))[..., None]
+    w = weights[:, None]
     step = 0.5 / np.maximum(np.ptp(d, axis=1), 1e-300)[:, None, None]
-    move = np.zeros_like(V)
-    traces = []
+    move = np.zeros_like(x)
+    best = np.full(p, np.inf)
     for _ in range(200):
-        # half the Riemannian gradient of tr V^T D V: (1 - V V^T) D V
-        dv = d[:, :, None] * V
-        horiz = dv - V @ (V.transpose(0, 2, 1) @ dv)
-        move -= V @ (V.transpose(0, 2, 1) @ move)
-        new = _orthonormalize(V + (_MOMENTUM * move - step * horiz))
-        move, V = new - V, new
-        traces.append(np.einsum("pi,pij,pij->p", d, V, V))
-    return np.min(traces, axis=0)
+        # x[:, ::-1] is x itself on a line and (v, u) on a plane
+        grad = w * x[:, ::-1]
+        grad -= np.einsum("pmi,pmi->pm", x, grad)[..., None] * x
+        move -= np.einsum("pmi,pmi->pm", x, move)[..., None] * x
+        new = x + (_MOMENTUM * move - step * grad)
+        new /= np.sqrt(np.einsum("pmi,pmi->pm", new, new))[..., None]
+        move, x = new - x, new
+        np.minimum(best, shift + np.einsum("pi,pi,pi->p", weights, x[:, 0],
+                                           x[:, -1]), out=best)
+    return best
 
 
 def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
                           seed: int | None = None, polish: bool = True):
-    """Minimize tr_L diag(d) over random k-planes L, k in 1..3, for d a
-    Hess(r^2) diagonal from `hessian_r2_diagonal`: a float for one radius,
-    shape (4,), n minima for n radii, shape (4, n).
+    """Minimize tr_L diag(d) over random k-planes L, k = 1 or 2, for d a
+    Hess(r^2) diagonal from `hessian_r2_diagonal` (or its negative): a
+    float for one radius, shape (4,), n minima for n radii, shape (4, n).
 
     Candidate subspaces are Haar-distributed: a line is spanned by a
     standard-normal 4-vector (4 draws per trial), and a 2-plane is drawn as
     a pair of standard-normal 3-vectors, a uniform point of S^2 x S^2 =
-    the oriented Gr(2, 4) (6 draws per trial; see `_plane_traces`).  k = 3
-    goes through its normal line: a 3-plane L with unit normal n has
-    tr(P_L D) = tr d - n^T D n, and the normal of a Haar 3-plane is a Haar
-    line, so the call minimizes over lines for -d and adds tr d (4 draws
-    per trial).  The call draws one stream of `trials` subspaces from
-    `seed` (unseeded if None), in blocks of _BLOCK trials, and every column
-    scores that same stream: each radius sees `trials` Haar subspaces, and
-    its minimum is bitwise that of a one-radius call at the same seed.
-    Each draw is scored in closed form by an elementwise kernel
-    (`_plane_traces`), with no Gram-Schmidt and no eigensolver, and each
-    column keeps its running minimum and its 8 best draws.  With
-    polish=True those draws become frames (a 2-plane's by `_plane_frames`)
-    that `_polish` refines, all columns in one batch.  Every evaluation is
-    the trace over a genuine subspace, so the result can never undercut the
-    true minimum (beyond rounding), and pure sampling (polish=False)
+    the oriented Gr(2, 4) (6 draws per trial; see `_plane_traces`).  A
+    3-plane L with unit normal n has tr(P_L D) = tr d - n^T D n, and the
+    normal of a Haar 3-plane is a Haar line, so tr d plus the line minimum
+    for -d is the 3-plane minimum.  The call draws one stream of `trials`
+    subspaces from `seed` (unseeded if None), in blocks of _BLOCK trials,
+    and every column scores that same stream: each radius sees `trials`
+    Haar subspaces, and its minimum is bitwise that of a one-radius call at
+    the same seed.  Each draw is scored in closed form by an elementwise
+    kernel (`_plane_traces`), with no orthonormalization and no
+    eigensolver, and each column keeps its running minimum and its 8 best
+    draws.  With polish=True `_polish` refines those draws where they were
+    drawn, on S^3 or S^2 x S^2, all columns in one batch.  Every evaluation
+    is the trace over a genuine subspace, so the result can never undercut
+    the true minimum (beyond rounding), and pure sampling (polish=False)
     converges to it from above as trials grow.  trials is capped at 200 000
     to bound the time of a call; the buffers hold one block at any trials.
     """
@@ -258,13 +229,10 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
     if d.ndim not in (1, 2) or d.shape[0] != 4 or not np.all(np.isfinite(d)):
         raise ValueError("plane minimization needs a finite diagonal of "
                          "shape (4,) or (4, n), from radii r > 0")
-    if not 1 <= k <= 3:
-        raise ValueError(f"k must be in 1..3, got {k}")
+    if k not in (1, 2):
+        raise ValueError(f"k must be 1 or 2, got {k}")
     if not 1000 <= trials <= 200_000:
         raise ValueError(f"trials must be in 1000..200000, got {trials}")
-    offset = 0.0
-    if k == 3:
-        offset, d, k = np.sum(d, axis=0), -d, 1
     cols = d.reshape(4, -1).T
     rng = np.random.default_rng(seed)
     block = np.empty((min(trials, _BLOCK), _WIDTH[k]))
@@ -290,10 +258,8 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
         # row 8i + j of the stack is draw j of column i, with that column's d
         keep = np.argpartition(cand_tr, 7, axis=1)[:, :8, None]
         draws = np.take_along_axis(cand, keep, axis=1).reshape(-1, _WIDTH[k])
-        frames = draws[:, :, None] if k == 1 else _plane_frames(draws)
-        polished = _polish(frames, np.repeat(cols, 8, axis=0))
+        polished = _polish(draws, np.repeat(cols, 8, axis=0))
         best = np.minimum(best, polished.reshape(-1, 8).min(axis=1))
-    best = offset + best
     return float(best[0]) if d.ndim == 1 else best
 
 

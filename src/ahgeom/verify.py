@@ -249,12 +249,18 @@ def check_kplane_oracle(ctx: VerifyContext) -> CheckResult:
     s = ctx.profile.eval(radii)
     diagonal = hessian_r2_diagonal(s)
     spectrum = hessian_r2(s)
-    # one minimizer call per k: its one stream, drawn from seed + 1000*k,
-    # is scored at every radius
-    errs = np.array([
-        brute_force_plane_min(diagonal, k, trials=tols["kplane_trials"],
-                              seed=seed + 1000 * k)
-        - min_trace_over_kplanes(spectrum, k) for k in (1, 2, 3)])
+    # one stream of lines (seed + 1000) and one of 2-planes (seed + 2000),
+    # each scored at every radius; a 3-plane with unit normal n has trace
+    # tr d - n^T D n, so the lines scored with -d give k = 3
+    trials = tols["kplane_trials"]
+    lines = brute_force_plane_min(np.hstack([diagonal, -diagonal]), 1,
+                                  trials=trials, seed=seed + 1000)
+    planes = brute_force_plane_min(diagonal, 2, trials=trials,
+                                   seed=seed + 2000)
+    on_d, on_minus_d = np.split(lines, 2)
+    minima = (on_d, planes, np.sum(diagonal, axis=0) + on_minus_d)
+    errs = np.array([m - min_trace_over_kplanes(spectrum, k)
+                     for k, m in enumerate(minima, 1)])
     worst_diff = float(np.max(np.abs(errs)))
     worst_undercut = min(0.0, float(np.min(errs)))
     ok = worst_diff <= tols["kplane_agree"] and worst_undercut >= -tols["kplane_undercut"]
@@ -264,7 +270,7 @@ def check_kplane_oracle(ctx: VerifyContext) -> CheckResult:
                "the k smallest eigenvalues",
         passed=ok, worst=worst_diff, budget=tols["kplane_agree"],
         direction="<=", grid=30,
-        note=f"k in 1..3 at 10 radii, {tols['kplane_trials']} trials each; "
+        note=f"k in 1..3 at 10 radii, {trials} trials each; "
              f"worst undercut {worst_undercut:.2e} (>= -{tols['kplane_undercut']:.0e})")
 
 

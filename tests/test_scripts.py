@@ -77,3 +77,11 @@ def test_traced_runner_with_forked_csv_writer(tmp_path):
     # enough rows for the CSV writer to fork on two or more CPUs
     flags = ["curvature", "--grid", "20000", "--tol", "1e-6", "--output"]
     assert "curvature.eval" in _traced_matches_plain(tmp_path, flags)
+
+
+def test_traced_runner_with_verify(tmp_path):
+    # the k-plane oracle calls the minimizer through verify's own binding,
+    # which the tracer wraps: one line call (k = 1 and 3), one 2-plane call
+    flags = ["verify", "--grid", "100", "--seed", "7", "--output"]
+    spans = _traced_matches_plain(tmp_path, flags)
+    assert spans["convexity.kplane"]["calls"] == 2

@@ -74,8 +74,8 @@ class RunConfig:
         if not 2 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], "
                              f"got {self.grid_points}")
-        # numpy generators take non-negative seeds only; the k-plane oracle
-        # seeds them with seed + 1000 and seed + 2000
+        # the CLI takes seeds >= 0 (exit 2 otherwise); the oracle keys
+        # SplitMix64 by seed, seed + 1000 and seed + 2000.
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # delegate positivity checks (m, r_max, tol) to ModelParams

@@ -15,9 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .config import M_MAX, ModelParams, RunConfig
-from .convexity import (brute_force_plane_min, chain_margins, hessian_r2,
-                        hessian_r2_diagonal, min_trace_over_kplanes,
-                        second_derivative_signs)
+from .convexity import (SplitMix64, brute_force_plane_min, chain_margins,
+                        hessian_r2, hessian_r2_diagonal,
+                        min_trace_over_kplanes, second_derivative_signs)
 from .curvature import (asd_residual, curvature_components,
                         fiber_gauss_curvature, kappa_term_scale)
 from .ode import (IntegrationStats, MetricProfile, integrate,
@@ -245,7 +245,8 @@ def check_kplane_oracle(ctx: VerifyContext) -> CheckResult:
     tols = tolerances(ctx.tol)
     seed = 0 if ctx.config.seed is None else ctx.config.seed
     r_max = ctx.profile.r_max
-    radii = np.random.default_rng(seed).uniform(r_max / 100.0, r_max, size=10)
+    lo = r_max / 100.0
+    radii = lo + (r_max - lo) * SplitMix64(seed).uniform(10)
     s = ctx.profile.eval(radii)
     diagonal = hessian_r2_diagonal(s)
     spectrum = hessian_r2(s)

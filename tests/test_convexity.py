@@ -12,9 +12,10 @@ import pytest
 import ahgeom
 from ahgeom import convexity, verify
 from ahgeom.config import ModelParams, RunConfig
-from ahgeom.convexity import (_plane_traces, brute_force_plane_min,
-                              chain_margins, hessian_r2, hessian_r2_diagonal,
-                              min_trace_over_kplanes, second_derivative_signs)
+from ahgeom.convexity import (SplitMix64, _plane_traces, _plane_weights,
+                              brute_force_plane_min, chain_margins, hessian_r2,
+                              hessian_r2_diagonal, min_trace_over_kplanes,
+                              second_derivative_signs)
 from ahgeom.ode import integrate
 
 C_CROSSING_M1 = 1.7175933153182266  # frozen; stable under tol 1e-10 -> 1e-12
@@ -145,6 +146,64 @@ class TestKPlaneMin:
         assert min_trace_over_kplanes(eig, 2) == pytest.approx(want, rel=1e-12)
 
 
+class TestSplitMix64:
+    def test_reference_outputs(self):
+        # word i is SplitMix64's output i from the state key, and a seed
+        # below 2^64 keys the stream with the first output from that seed:
+        # the reference outputs from state 0
+        reference = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                     0x06C45D188009454F]
+        stream = SplitMix64(0)
+        assert stream.key == reference[0]
+        stream.key = 0
+        assert stream.words(0, 3).tolist() == reference
+        assert stream.words(1, 2).tolist() == reference[1:]
+
+    def test_blockwise_draw_is_one_shot(self):
+        stream = SplitMix64(3)
+        whole = stream.normals(np.empty(10_001))
+        cuts = [0, 1, 4, 7, 2048, 2049, 6000, 10_001]
+        parts = [stream.normals(np.empty(b - a), a)
+                 for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        # as the minimizer draws: into one (block, 6) buffer, tail included
+        block = np.empty((2048, 6))
+        rows = [stream.normals(block[:n], 6 * lo).copy()
+                for lo, n in ((0, 2048), (2048, 2048), (4096, 3))]
+        assert (np.vstack(rows).tobytes()
+                == stream.normals(np.empty((4099, 6))).tobytes())
+        assert (stream.uniform(5).tolist()
+                == ((stream.words(0, 5) >> 11) * 2.0 ** -53).tolist())
+
+    def test_seeds_give_unrelated_streams(self):
+        one, two = (SplitMix64(7).normals(np.empty(1000)) for _ in range(2))
+        assert one.tobytes() == two.tobytes()
+        # the oracle's seeds s, s + 1000 and s + 2000 share no word, so no
+        # stream is a shifted copy of another
+        words = [set(SplitMix64(s).words(0, 10_000).tolist())
+                 for s in (7, 1007, 2007)]
+        assert all(not a & b for a, b in combinations(words, 2))
+
+    def test_seed_range(self, profile1):
+        d = hessian_r2_diagonal(profile1.at(1.0))
+        exact = min_trace_over_kplanes(np.sort(d), 2)
+        assert SplitMix64(2 ** 64 + 5).key != SplitMix64(5).key
+        for seed in (0, 2 ** 64 + 5, None):
+            got = brute_force_plane_min(d, 2, trials=1000, seed=seed)
+            assert exact - 1e-8 <= got <= exact + 1e-3
+        # unseeded streams are keyed from os.urandom
+        assert SplitMix64().key != SplitMix64().key
+        with pytest.raises(ValueError, match=">= 0"):
+            SplitMix64(-1)
+
+    def test_draws_are_standard(self):
+        stats = pytest.importorskip("scipy.stats")
+        normals = SplitMix64(1).normals(np.empty(100_000))
+        assert stats.kstest(normals, "norm").pvalue > 1e-3
+        assert stats.kstest(SplitMix64(2).uniform(100_000),
+                            "uniform").pvalue > 1e-3
+
+
 class TestBruteForce:
     def test_matches_exact_minimum(self, profile1):
         s = profile1.at(1.0)
@@ -190,7 +249,7 @@ class TestBruteForce:
         ctx = verify.VerifyContext(config=RunConfig(seed=7), profile=profile1)
         result = verify.check_kplane_oracle(ctx)
         assert calls == [((4, 20), 1, 1007), ((4, 10), 2, 2007)]
-        radii = np.random.default_rng(7).uniform(0.2, 20.0, size=10)
+        radii = 0.2 + (20.0 - 0.2) * SplitMix64(7).uniform(10)
         d = hessian_r2_diagonal(profile1.eval(radii))
         alone = brute_force_plane_min(-d, 1, trials=1000, seed=1007,
                                       polish=polish)
@@ -327,13 +386,22 @@ def _draws(seed, trials, k, d):
     if k == 3:
         offset, d, k = np.sum(d, axis=0), -d, 1
     width = 6 if k == 2 else 4
-    draws = np.random.default_rng(seed).standard_normal((trials, width))
+    draws = SplitMix64(seed).normals(np.empty((trials, width)))
     return draws, d, offset
+
+
+def _score(draws, cols, out):
+    """`_plane_traces` of a stack of line or 2-plane draws for the
+    diagonals cols[j] of an (n, 4) stack, with the weights the minimizer
+    takes."""
+    if draws.shape[1] == 4:
+        return _plane_traces(draws, cols, None, out)
+    return _plane_traces(draws, *_plane_weights(cols), out)
 
 
 def _traces(draws, d):
     """`_plane_traces` of a stack of draws for one diagonal d."""
-    return _plane_traces(draws, d[None], np.empty((1, len(draws))))[0]
+    return _score(draws, d[None], np.empty((1, len(draws))))[0]
 
 
 def _frames(draws):
@@ -368,17 +436,18 @@ class TestPlaneTraces:
                              hessian_r2_diagonal(profile1.eval([0.5, 3.0])))
         before = draws.copy()
         out = np.empty((2, len(draws)))
-        assert _plane_traces(draws, d.T, out) is out
+        assert _score(draws, d.T, out) is out
         for c, tr in zip(d.T, out):
             assert np.abs(tr - _qr_traces(_frames(draws), c)).max() <= 1e-13
             assert np.array_equal(tr, _traces(draws, c))
         assert np.array_equal(draws, before)
 
     def test_plane_draws_are_haar(self, profile1):
-        # two Gaussian 3-vectors give the trace law of Gaussian 4x2 frames
+        # two Gaussian 3-vectors of the package's stream give the trace law
+        # of Gaussian 4x2 frames drawn by numpy
         stats = pytest.importorskip("scipy.stats")
         d = hessian_r2_diagonal(profile1.at(1.0))
-        draws = np.random.default_rng(11).standard_normal((20_000, 6))
+        draws = SplitMix64(11).normals(np.empty((20_000, 6)))
         frames = np.random.default_rng(12).standard_normal((20_000, 4, 2))
         got = _traces(draws, d)
         assert stats.ks_2samp(got, _qr_traces(frames, d)).pvalue > 1e-3
@@ -393,21 +462,21 @@ class TestPlaneTraces:
 
     @pytest.mark.parametrize("k, width", [(1, 4), (2, 6), (3, 4)])
     def test_draws_per_trial(self, profile1, monkeypatch, k, width):
-        # one generator serves all ten radii: 4 normals per trial for a
-        # line, 6 for a 2-plane, 4 for a 3-plane's normal line
+        # one stream serves all ten radii: 4 normals per trial for a line,
+        # 6 for a 2-plane, 4 for a 3-plane's normal line
         generators = []
-        default_rng = np.random.default_rng
 
-        class Counting:
+        class Counting(SplitMix64):
             def __init__(self, seed):
-                self.rng, self.drawn = default_rng(seed), 0
+                super().__init__(seed)
+                self.drawn = 0
                 generators.append(self)
 
-            def standard_normal(self, *args, **kwargs):
-                got = self.rng.standard_normal(*args, **kwargs)
+            def normals(self, out, start=0):
+                got = super().normals(out, start)
                 self.drawn += got.size
                 return got
-        monkeypatch.setattr(np.random, "default_rng", Counting)
+        monkeypatch.setattr(convexity, "SplitMix64", Counting)
         d = hessian_r2_diagonal(profile1.eval(np.linspace(0.5, 19.0, 10)))
         _kplane_min(d, k, trials=20_000, seed=k)
         assert [g.drawn for g in generators] == [width * 20_000]
@@ -452,11 +521,11 @@ class TestPlaneTraces:
             seen.append(draws.shape)
             return polish_draws(draws, d)
 
-        def spy_traces(draws, cols, out):
+        def spy_traces(draws, weights, shifts, out):
             sizes.append(len(draws))
             assert out.shape == (3, len(draws))
             buffers.add((draws.ctypes.data, out.ctypes.data))
-            return traces(draws, cols, out)
+            return traces(draws, weights, shifts, out)
         monkeypatch.setattr(convexity, "_polish", spy_polish)
         monkeypatch.setattr(convexity, "_plane_traces", spy_traces)
         d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
@@ -466,6 +535,30 @@ class TestPlaneTraces:
         assert max(sizes) <= convexity._BLOCK
         assert len(buffers) == 1
 
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_polish_gets_each_columns_8_best_draws(self, profile1,
+                                                   monkeypatch, k):
+        # blocks whose minimum does not beat a column's 8th best are skipped
+        # for that column, and the polish still starts from exactly the 8
+        # best draws of the whole stream per column
+        seen = []
+        polish_draws = convexity._polish
+
+        def spy_polish(draws, d):
+            seen.append(draws.copy())
+            return polish_draws(draws, d)
+        monkeypatch.setattr(convexity, "_polish", spy_polish)
+        d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0, 15.0]))
+        cols = np.hstack([d, -d]) if k == 1 else d
+        brute_force_plane_min(cols, k, trials=50_000, seed=3)
+        draws, _, _ = _draws(3, 50_000, k, cols)
+        traces = _score(draws, cols.T, np.empty((len(cols.T), 50_000)))
+        best = np.argsort(traces, axis=1)[:, :8]
+        got = seen[0].reshape(len(cols.T), 8, -1)
+        for rows, want in zip(got, best):
+            assert (sorted(map(bytes, rows))
+                    == sorted(map(bytes, draws[want])))
 
 def _force_cpus(monkeypatch, n):
     """Let the process see n CPUs."""
@@ -493,8 +586,7 @@ class TestSamplingThreads:
             assert np.array_equal(got[1, polish], got[2, polish])
         # bitwise the traces of one full-length stream, read by every radius
         draws, c, offset = _draws(70 * k, trials, k, d)
-        want = offset + _plane_traces(draws, c.T,
-                                      np.empty((3, trials))).min(axis=1)
+        want = offset + _score(draws, c.T, np.empty((3, trials))).min(axis=1)
         assert np.array_equal(got[1, False], want)
 
 
@@ -533,22 +625,22 @@ class TestOracle:
         sizes, buffers = {}, {}
         traces = convexity._plane_traces
 
-        def spy(draws, cols, out):
+        def spy(draws, weights, shifts, out):
             assert out.size <= 40_960
-            sizes[len(cols)] = sizes.get(len(cols), 0) + len(draws)
-            buffers.setdefault(len(cols), set()).add(
+            sizes[len(out)] = sizes.get(len(out), 0) + len(draws)
+            buffers.setdefault(len(out), set()).add(
                 (draws.ctypes.data, out.ctypes.data))
-            return traces(draws, cols, out)
+            return traces(draws, weights, shifts, out)
         monkeypatch.setattr(convexity, "_plane_traces", spy)
         ctx = verify.VerifyContext(config=RunConfig(seed=7), profile=profile1)
         assert verify.check_kplane_oracle(ctx).passed
         assert sizes == {20: 100_000, 10: 100_000}
         assert {n: len(b) for n, b in buffers.items()} == {20: 1, 10: 1}
 
-    @pytest.mark.parametrize("seed", [10, 425])
+    @pytest.mark.parametrize("seed", [222, 424])
     def test_hard_seeds(self, profile1, seed):
-        # the worst seeds of 0-99 and of 100-499 (7.6e-5 and 2.1e-4), where
-        # the polish must split the near-equal 2nd and 3rd eigenvalues
+        # the two worst seeds of 0-499 (1.4e-4 and 1.5e-4), where the polish
+        # must split the near-equal 2nd and 3rd eigenvalues
         ctx = verify.VerifyContext(config=RunConfig(seed=seed),
                                    profile=profile1)
         result = verify.check_kplane_oracle(ctx)

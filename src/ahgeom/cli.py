@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import json
 import os
@@ -177,11 +178,11 @@ def cmd_verify(config: RunConfig, out, timings: bool = False) -> int:
         print(f"{state} {c.name}: worst={c.worst:.3e} "
               f"({c.direction} {c.budget:g}); {c.note}", file=sys.stderr)
     if timings:
-        if (stats := report.integration) is not None:
-            print(f"integrate: accepted={stats.accepted} "
-                  f"rejected={stats.rejected} rhs_calls={stats.rhs_calls} "
-                  f"h_min={stats.h_min:.3e} h_max={stats.h_max:.3e}",
-                  file=sys.stderr)
+        stats = report.integration
+        print(f"integrate: accepted={stats.accepted} "
+              f"rejected={stats.rejected} rhs_calls={stats.rhs_calls} "
+              f"h_min={stats.h_min:.3e} h_max={stats.h_max:.3e}",
+              file=sys.stderr)
         for name, seconds in report.seconds.items():
             print(f"time {name}: {seconds:.4f} s", file=sys.stderr)
     out.write(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -192,8 +193,13 @@ def cmd_verify(config: RunConfig, out, timings: bool = False) -> int:
     return EXIT_OK
 
 
-def _read_config_file(path: str) -> dict:
-    out = {}
+def _read_config_file(cmd: argparse.ArgumentParser,
+                      path: str) -> argparse.Namespace:
+    """The flags of a key=value file, parsed by the command's own parser:
+    each key is one of its flags without the dashes (r_max or r-max for
+    --r-max), so a key the command does not take is refused and a value is
+    checked as the flag's would be."""
+    values = argparse.Namespace()
     with open(path) as f:
         for raw in f:
             line = raw.split("#", 1)[0].strip()
@@ -201,49 +207,28 @@ def _read_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line (want key=value): {raw!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
+            key, val = (part.strip() for part in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            # a --config key would name a second file, which is never read
+            if (key == "config"
+                    or cmd.parse_known_args([f"{flag}={val}"], values)[1]):
+                raise ValueError(f"config key {key!r} is not a flag of "
+                                 f"{cmd.prog}")
+    return values
 
 
-_FLAG_TYPES = {
-    "m": float,
-    "r_max": float,
-    "tol": float,
-    "grid": int,
-    "seed": int,
-    "format": str,
-    "output": str,
-}
-# flags whose RunConfig field has another name
-_FIELD_NAMES = {"grid": "grid_points", "format": "fmt"}
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
+def build_config(cmd: argparse.ArgumentParser,
+                 args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of command `cmd`'s parsed arguments: a flag given wins
+    over its key in the --config file, and the file over the defaults."""
+    given = vars(args)
     if args.config is not None:
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _FLAG_TYPES:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = _FLAG_TYPES[key](raw)
-    for key in _FLAG_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return RunConfig(**{_FIELD_NAMES.get(key, key): value
-                        for key, value in values.items()})
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--m", type=float, help="zero-section sphere radius (default 1)")
-    p.add_argument("--r-max", dest="r_max", type=float,
-                   help="integration horizon (default 20*m)")
-    p.add_argument("--tol", type=float, help="integrator tolerance (default 1e-10)")
-    p.add_argument("--grid", type=int, help="grid points (default 1000)")
-    p.add_argument("--seed", type=int, help="RNG seed for the k-plane search")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
-    p.add_argument("--output", help="output path (default stdout)")
-    p.add_argument("--config", help="key=value file mirroring the flags")
+        given = {**vars(_read_config_file(cmd, args.config)),
+                 **{key: value for key, value in given.items()
+                    if value is not None}}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    return RunConfig(**{key: value for key, value in given.items()
+                        if key in fields and value is not None})
 
 
 def main(argv=None) -> int:
@@ -252,19 +237,39 @@ def main(argv=None) -> int:
         description="Construct the Atiyah-Hitchin coefficient profile and "
                     "verify the geometry of its minimal sphere.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("solve", "integrate and export the coefficient profile"),
-            ("verify", "run every verification check; JSON report"),
-            ("curvature", "tabulate curvature and hyper-Kaehler residuals")):
-        _add_common(cmd := sub.add_parser(name, help=helptext))
+    for name, helptext, formats in (
+            ("solve", "integrate and export the coefficient profile",
+             ("csv", "json")),
+            ("verify", "run every verification check; JSON report",
+             ("json",)),
+            ("curvature", "tabulate curvature and hyper-Kaehler residuals",
+             ("csv", "json"))):
+        # a command takes exactly the flags it reads, and no abbreviation
+        # of them, on the command line and as --config keys alike
+        cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        cmd.add_argument("--m", type=float,
+                         help="zero-section sphere radius (default 1)")
+        cmd.add_argument("--r-max", dest="r_max", type=float,
+                         help="integration horizon (default 20*m)")
+        cmd.add_argument("--tol", type=float,
+                         help="integrator tolerance (default 1e-10)")
+        cmd.add_argument("--grid", dest="grid_points", metavar="GRID",
+                         type=int, help="grid points (default 1000)")
         if name == "verify":
+            cmd.add_argument("--seed", type=int,
+                             help="RNG seed for the k-plane search")
             cmd.add_argument("--timings", action="store_true",
                              help="also write the integrator's statistics, "
                                   "the integrate time and each check's wall "
                                   "time to stderr")
+        cmd.add_argument("--format", dest="fmt", choices=formats,
+                         help="output format")
+        cmd.add_argument("--output", help="output path (default stdout)")
+        cmd.add_argument("--config",
+                         help="key=value file of this command's flags")
     args = parser.parse_args(argv)
     try:
-        config = build_config(args)
+        config = build_config(sub.choices[args.command], args)
     except (ValueError, OSError) as exc:
         print(f"ahgeom: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +101,9 @@ class SplitMix64:
     g = 0x9E3779B97F4A7C15, so any slice of the stream is drawn without the
     words before it.  The key is the seed, an int >= 0 of any size, put
     through the mixer 64 bits at a time, so nearby seeds (s, s + 1000,
-    s + 2000) give unrelated streams; seed=None keys from os.urandom."""
+    s + 2000) give unrelated streams."""
 
-    def __init__(self, seed: int | None = None):
-        if seed is None:
-            self.key = int.from_bytes(os.urandom(8), "little")
-            return
+    def __init__(self, seed: int):
         seed = operator.index(seed)
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
@@ -134,15 +130,18 @@ class SplitMix64:
         start + out.size - 1 of the stream, and return it.  Normals 2j and
         2j + 1 come by Box-Muller from words 2j and 2j + 1, so normal i
         depends on the seed and i alone, and a draw in blocks is bitwise
-        the one-shot draw.  The radius is sqrt(-2 log u), u in (0, 1], and
-        the angle theta = 2 pi u', u' in [0, 1), enters through t =
-        tan(theta/2): cos theta = (1 - t^2)/(1 + t^2) and sin theta =
-        2t/(1 + t^2), one vectorized tan where np.cos and np.sin are two
-        scalar loops (a 2 048 x 6 block took 0.22 ms against 0.56 ms, numpy
-        2.4 on an x86-64 VM)."""
-        flat = out.reshape(-1)
-        lo, hi = start // 2, -(-(start + flat.size) // 2)
-        w = self.words(2 * lo, 2 * (hi - lo)).reshape(-1, 2) >> 11
+        the one-shot draw.  Draws are whole pairs: start and out.size must
+        be even.  The radius is sqrt(-2 log u), u in (0, 1], and the angle
+        theta = 2 pi u', u' in [0, 1), enters through t = tan(theta/2):
+        cos theta = (1 - t^2)/(1 + t^2) and sin theta = 2t/(1 + t^2), one
+        vectorized tan where np.cos and np.sin are two scalar loops (a
+        2 048 x 6 block took 0.22 ms against 0.56 ms, numpy 2.4 on an
+        x86-64 VM)."""
+        if start % 2 or out.size % 2:
+            raise ValueError("normals come in Box-Muller pairs: start and "
+                             f"size must be even, got {start} and {out.size}")
+        pairs = out.reshape(-1, 2)
+        w = self.words(start, out.size).reshape(-1, 2) >> 11
         rad = np.log((w[:, 0] + 1) * 2.0 ** -53)
         rad *= -2.0
         rad = np.sqrt(rad, out=rad)
@@ -150,11 +149,8 @@ class SplitMix64:
         tt = t * t
         rad /= 1.0 + tt
         t *= 2.0
-        pairs = np.empty((hi - lo, 2))
         np.multiply(rad, 1.0 - tt, out=pairs[:, 0])
         np.multiply(rad, t, out=pairs[:, 1])
-        skip = start - 2 * lo
-        flat[:] = pairs.reshape(-1)[skip:skip + flat.size]
         return out
 
 
@@ -273,11 +269,11 @@ def _polish(draws: np.ndarray, d: np.ndarray) -> np.ndarray:
     return best
 
 
-def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
-                          seed: int | None = None, polish: bool = True):
-    """Minimize tr_L diag(d) over random k-planes L, k = 1 or 2, for d a
-    Hess(r^2) diagonal from `hessian_r2_diagonal` (or its negative): a
-    float for one radius, shape (4,), n minima for n radii, shape (4, n).
+def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000, *,
+                          seed: int, polish: bool = True) -> np.ndarray:
+    """Minimize tr_L diag(d) over random k-planes L, k = 1 or 2, for each
+    column of d, n Hess(r^2) diagonals from `hessian_r2_diagonal` (or their
+    negatives) of shape (4, n): the n minima, shape (n,).
 
     Candidate subspaces are Haar-distributed: a line is spanned by a
     standard-normal 4-vector (4 draws per trial), and a 2-plane is drawn as
@@ -286,28 +282,28 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
     3-plane L with unit normal n has tr(P_L D) = tr d - n^T D n, and the
     normal of a Haar 3-plane is a Haar line, so tr d plus the line minimum
     for -d is the 3-plane minimum.  The call draws `trials` subspaces from
-    the `SplitMix64` normals of `seed` (keyed from os.urandom if None), in
-    blocks of _BLOCK trials, and every column scores that same stream: each
-    radius sees `trials` Haar subspaces, and its minimum is bitwise that of
-    a one-radius call at the same seed.  Each draw is scored in closed form
-    by an elementwise kernel (`_plane_traces`), with no orthonormalization
-    and no eigensolver, and each column keeps its 8 best draws, its minimum
-    among them.  With polish=True `_polish` refines those draws where they
-    were drawn, on S^3 or S^2 x S^2, all columns in one batch.  Every evaluation
-    is the trace over a genuine subspace, so the result can never undercut
-    the true minimum (beyond rounding), and pure sampling (polish=False)
-    converges to it from above as trials grow.  trials is capped at 200 000
-    to bound the time of a call; the buffers hold one block at any trials.
+    the `SplitMix64` normals of `seed`, in blocks of _BLOCK trials, and
+    every column scores that same stream: each radius sees `trials` Haar
+    subspaces, and its minimum is bitwise that of a one-column call at the
+    same seed.  Each draw is scored in closed form by an elementwise kernel
+    (`_plane_traces`), with no orthonormalization and no eigensolver, and
+    each column keeps its 8 best draws, its minimum among them.  With
+    polish=True `_polish` refines those draws where they were drawn, on S^3
+    or S^2 x S^2, all columns in one batch.  Every evaluation is the trace
+    over a genuine subspace, so the result can never undercut the true
+    minimum (beyond rounding), and pure sampling (polish=False) converges
+    to it from above as trials grow.  trials is capped at 200 000 to bound
+    the time of a call; the buffers hold one block at any trials.
     """
     d = np.array(d, dtype=float)
-    if d.ndim not in (1, 2) or d.shape[0] != 4 or not np.all(np.isfinite(d)):
-        raise ValueError("plane minimization needs a finite diagonal of "
-                         "shape (4,) or (4, n), from radii r > 0")
+    if d.ndim != 2 or d.shape[0] != 4 or not np.all(np.isfinite(d)):
+        raise ValueError("plane minimization needs finite diagonals of "
+                         "shape (4, n), from radii r > 0")
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
     if not 1000 <= trials <= 200_000:
         raise ValueError(f"trials must be in 1000..200000, got {trials}")
-    cols = d.reshape(4, -1).T
+    cols = d.T
     weights, shifts = (cols, None) if k == 1 else _plane_weights(cols)
     stream = SplitMix64(seed)
     block = np.empty((min(trials, _BLOCK), _WIDTH[k]))
@@ -343,7 +339,7 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000,
         polished = _polish(cand.reshape(-1, _WIDTH[k]),
                            np.repeat(cols, 8, axis=0))
         best = np.minimum(best, polished.reshape(-1, 8).min(axis=1))
-    return float(best[0]) if d.ndim == 1 else best
+    return best
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,10 @@ from .series import SeriesCoefficients, expand
 
 
 class IntegrationError(RuntimeError):
-    """Integrator failure; carries the radius that was reached."""
+    """Integrator failure; its message ends with the radius reached."""
 
     def __init__(self, message: str, r_reached: float):
         super().__init__(f"{message} (at r = {r_reached:.6g})")
-        self.r_reached = r_reached
 
 
 def rhs(a, b, c):

@@ -363,11 +363,11 @@ class VerificationReport:
     config: dict
     tolerances: dict
     checks: tuple
-    # wall seconds of integrate (when run here) and of each check, by name,
-    # and the stepper's statistics when the profile was built here; never in
-    # to_dict, so report bytes stay reproducible
-    seconds: dict = field(default_factory=dict, compare=False)
-    integration: IntegrationStats | None = field(default=None, compare=False)
+    # wall seconds of integrate and of each check, by name, and the
+    # stepper's statistics; never in to_dict, so report bytes stay
+    # reproducible
+    seconds: dict = field(compare=False)
+    integration: IntegrationStats = field(compare=False)
 
     @property
     def all_pass(self) -> bool:
@@ -386,16 +386,11 @@ class VerificationReport:
         }
 
 
-def run_verification(config: RunConfig,
-                     profile: MetricProfile | None = None) -> VerificationReport:
+def run_verification(config: RunConfig) -> VerificationReport:
     params = config.params()
-    seconds = {}
-    integration = None
-    if profile is None:
-        t0 = time.perf_counter()
-        profile = integrate(params)
-        seconds["integrate"] = time.perf_counter() - t0
-        integration = profile.stats
+    t0 = time.perf_counter()
+    profile = integrate(params)
+    seconds = {"integrate": time.perf_counter() - t0}
     ctx = VerifyContext(config=config, profile=profile)
     checks = []
     for fn in ALL_CHECKS:
@@ -411,4 +406,4 @@ def run_verification(config: RunConfig,
     }
     return VerificationReport(config=echo, tolerances=tolerances(params.tol),
                               checks=tuple(checks), seconds=seconds,
-                              integration=integration)
+                              integration=profile.stats)

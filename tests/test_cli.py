@@ -278,7 +278,7 @@ class TestVerify:
         assert main(VERIFY_ARGS + ["--output", str(again)]) == 0
         assert again.read_bytes() == verify_report[2]
 
-    def test_report_at_any_cpu_count(self, profile1, monkeypatch):
+    def test_report_at_any_cpu_count(self, monkeypatch):
         # no check reads the CPU count: the k-plane oracle draws one stream
         # per k on the calling thread
         config = RunConfig(seed=7)
@@ -286,7 +286,7 @@ class TestVerify:
         for n in (1, 2):
             _force_cpus(monkeypatch, n)
             reports.append(json.dumps(
-                verify.run_verification(config, profile=profile1).to_dict()))
+                verify.run_verification(config).to_dict()))
         assert reports[0] == reports[1]
 
     def test_timings_on_stderr_only(self, verify_report, tmp_path, capsys):
@@ -489,10 +489,63 @@ class TestConfigHandling:
         code, _, err = run(["solve", "--config", "/nonexistent.cfg"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args, config, message", [
+        (["solve", "--seed", "3"], None, "unrecognized arguments: --seed 3"),
+        (["curvature", "--seed", "3"], None,
+         "unrecognized arguments: --seed 3"),
+        (["verify", "--format", "csv"], None,
+         "argument --format: invalid choice: 'csv'"),
+        (["solve", "--out", os.devnull], None,
+         "unrecognized arguments: --out"),
+        (["solve"], "seed = 3",
+         "ahgeom: config key 'seed' is not a flag of ahgeom solve\n"),
+        (["solve"], "r = 6", "config key 'r' is not a flag"),
+        (["verify"], "config = other.cfg", "config key 'config' is not"),
+        (["curvature"], "grid = x", "argument --grid: invalid int value"),
+        (["verify"], "format = csv", "argument --format: invalid choice"),
+    ], ids=["solve-seed", "curvature-seed", "verify-csv", "abbreviated-flag",
+            "file-seed-for-solve", "file-abbreviated-key", "file-config-key",
+            "file-bad-grid", "file-verify-csv"])
+    def test_input_the_command_does_not_read(self, tmp_path, capsys,
+                                             monkeypatch, args, config,
+                                             message):
+        # exit 2 before any work, naming the flag or key: each command
+        # takes exactly the flags it reads, unabbreviated, and its own
+        # parser checks the config file's keys and values
+        monkeypatch.setattr(cli, "integrate", _must_not_run)
+        monkeypatch.setattr(verify, "run_verification", _must_not_run)
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"m = 2\n{config}\n")
+            args = args + ["--config", str(path)]
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert message in captured.err
+
+    def test_each_command_takes_the_flags_it_reads(self, capsys):
+        # --seed and --timings are verify's alone, and verify writes JSON
+        # only; solve and curvature read a format, not a seed
+        common = ["--m", "--r-max", "--tol", "--grid"]
+        tail = ["--output", "--config"]
+        for name, flags in (
+                ("solve", [*common, "--format {csv,json}", *tail]),
+                ("curvature", [*common, "--format {csv,json}", *tail]),
+                ("verify", [*common, "--seed", "--timings",
+                            "--format {json}", *tail])):
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            usage = capsys.readouterr().out.split("\n\n")[0]
+            assert re.findall(r"\[(--[a-z-]+(?: \{[a-z,]+\})?)", usage) == flags
 
 def test_cli_import_leaves_out_logging():
     # concurrent.futures pulls in logging, about 10 ms of every start-up;
-    # the k-plane oracle's threads use plain threading instead
+    # no command starts a thread (the k-plane oracle runs on the calling
+    # thread, the CSV writer forks)
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, ahgeom.cli; "
             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")

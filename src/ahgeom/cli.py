@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import errno
 import json
 import os
@@ -24,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, usable_cpus
+from .config import ModelParams, usable_cpus
 from .curvature import (asd_residual, curvature_components,
                         fiber_gauss_curvature, kappa_at_zero)
 from .ode import IntegrationError, integrate
@@ -33,6 +32,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# Grid cap, 20x the densest grid in use (50 000 rows): solve and curvature
+# hold about a dozen float arrays of this length, so an unbounded grid could
+# ask for more memory than the machine has.
+MAX_GRID_POINTS = 1_000_000
 
 SOLVE_COLUMNS = ("r", "a", "b", "c", "da", "db", "dc", "dda", "ddb", "ddc", "x", "y")
 CURV_COLUMNS = ("r", "k1", "k2", "k3", "asd1", "asd2", "asd3", "Kfiber")
@@ -122,23 +126,22 @@ def _write_csv(out, header, columns):
                                  f"status {failed[0]}")
 
 
-def _solve_grid(config: RunConfig):
-    n = config.grid_points
-    return config.params().r_max * np.arange(n) / (n - 1)
+def _solve_grid(r_max: float, n: int):
+    return r_max * np.arange(n) / (n - 1)
 
 
-def cmd_solve(config: RunConfig, out) -> int:
-    profile = integrate(config.params())
-    s = profile.eval(_solve_grid(config))
+def cmd_solve(params: ModelParams, grid_points: int, fmt: str, out) -> int:
+    profile = integrate(params)
+    s = profile.eval(_solve_grid(params.r_max, grid_points))
     columns = (s.r, s.a, s.b, s.c, s.da, s.db, s.dc,
                s.dda, s.ddb, s.ddc, s.a / s.c, s.b / s.c)
-    if config.fmt == "csv":
+    if fmt == "csv":
         _write_csv(out, SOLVE_COLUMNS, columns)
     else:
         payload = {
             "params": {"m": profile.params.m, "r_max": profile.params.r_max,
                        "tol": profile.params.tol,
-                       "grid_points": config.grid_points},
+                       "grid_points": grid_points},
             "samples": [dict(zip(SOLVE_COLUMNS, row))
                         for row in _rows(columns)],
         }
@@ -146,20 +149,20 @@ def cmd_solve(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_curvature(config: RunConfig, out) -> int:
-    params = config.params()
+def cmd_curvature(params: ModelParams, grid_points: int, fmt: str,
+                  out) -> int:
     profile = integrate(params)
     # the grid starts at r = 0, where kappa is 0/0: that row holds the exact
     # limits (the fiber curvature -a''/a is -k1), and the anti-self-duality
     # residuals extend continuously to 0
     k0 = kappa_at_zero(params.m)
     zero = (0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, -k0.k1)
-    s = profile.eval(_solve_grid(config)[1:])
+    s = profile.eval(_solve_grid(params.r_max, grid_points)[1:])
     k = curvature_components(s)
     columns = [np.concatenate(([z], col)) for z, col in zip(
         zero, (s.r, k.k1, k.k2, k.k3, *asd_residual(s),
                fiber_gauss_curvature(s)))]
-    if config.fmt == "csv":
+    if fmt == "csv":
         _write_csv(out, CURV_COLUMNS, columns)
     else:
         payload = {"columns": list(CURV_COLUMNS),
@@ -168,11 +171,12 @@ def cmd_curvature(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, out, timings: bool = False) -> int:
+def cmd_verify(params: ModelParams, grid_points: int, seed: int | None, out,
+               timings: bool = False) -> int:
     # imported here, so that solve and curvature never load the checks
     from .verify import run_verification
 
-    report = run_verification(config)
+    report = run_verification(params, grid_points, seed)
     for c in report.checks:
         state = "PASS" if c.passed else "FAIL"
         print(f"{state} {c.name}: worst={c.worst:.3e} "
@@ -191,6 +195,28 @@ def cmd_verify(config: RunConfig, out, timings: bool = False) -> int:
         print(f"verification failed: {first.name}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     return EXIT_OK
+
+
+def _int_in(name: str, lo: int, hi: float, bound: str):
+    """An argparse type: an int in [lo, hi], else a usage error naming
+    `name` and its `bound`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"{name} must {bound}, got {value}")
+        return value
+    return parse
+
+
+_grid_points = _int_in("grid_points", 2, MAX_GRID_POINTS,
+                       f"lie in [2, {MAX_GRID_POINTS}]")
+# the k-plane oracle keys SplitMix64 by seed, seed + 1000 and seed + 2000
+_seed = _int_in("seed", 0, float("inf"), "be >= 0")
 
 
 def _read_config_file(cmd: argparse.ArgumentParser,
@@ -217,20 +243,6 @@ def _read_config_file(cmd: argparse.ArgumentParser,
     return values
 
 
-def build_config(cmd: argparse.ArgumentParser,
-                 args: argparse.Namespace) -> RunConfig:
-    """The RunConfig of command `cmd`'s parsed arguments: a flag given wins
-    over its key in the --config file, and the file over the defaults."""
-    given = vars(args)
-    if args.config is not None:
-        given = {**vars(_read_config_file(cmd, args.config)),
-                 **{key: value for key, value in given.items()
-                    if value is not None}}
-    fields = {field.name for field in dataclasses.fields(RunConfig)}
-    return RunConfig(**{key: value for key, value in given.items()
-                        if key in fields and value is not None})
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ahgeom",
@@ -245,50 +257,70 @@ def main(argv=None) -> int:
             ("curvature", "tabulate curvature and hyper-Kaehler residuals",
              ("csv", "json"))):
         # a command takes exactly the flags it reads, and no abbreviation
-        # of them, on the command line and as --config keys alike
+        # of them, on the command line and as --config keys alike; its
+        # parser holds every default and the bounds of --grid and --seed
         cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
-        cmd.add_argument("--m", type=float,
-                         help="zero-section sphere radius (default 1)")
+        cmd.add_argument("--m", type=float, default=1.0,
+                         help="zero-section sphere radius "
+                              "(default %(default)s)")
         cmd.add_argument("--r-max", dest="r_max", type=float,
                          help="integration horizon (default 20*m)")
-        cmd.add_argument("--tol", type=float,
-                         help="integrator tolerance (default 1e-10)")
+        cmd.add_argument("--tol", type=float, default=1e-10,
+                         help="integrator tolerance (default %(default)s)")
         cmd.add_argument("--grid", dest="grid_points", metavar="GRID",
-                         type=int, help="grid points (default 1000)")
+                         type=_grid_points, default=1000,
+                         help="grid points (default %(default)s)")
         if name == "verify":
-            cmd.add_argument("--seed", type=int,
-                             help="RNG seed for the k-plane search")
+            cmd.add_argument("--seed", type=_seed,
+                             help="RNG seed for the k-plane search "
+                                  "(unset: 0, echoed as null)")
             cmd.add_argument("--timings", action="store_true",
                              help="also write the integrator's statistics, "
                                   "the integrate time and each check's wall "
                                   "time to stderr")
         cmd.add_argument("--format", dest="fmt", choices=formats,
-                         help="output format")
+                         default=formats[0],
+                         help="output format (default %(default)s)")
         cmd.add_argument("--output", help="output path (default stdout)")
         cmd.add_argument("--config",
                          help="key=value file of this command's flags")
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser only names the command; the command's own parser
+    # reads its flags, so its defaults never overwrite a --config file's
+    # values and an unknown flag is reported with the command's usage
+    name = parser.parse_args(argv[:1]).command
+    cmd = sub.choices[name]
+    args = cmd.parse_args(argv[1:])
     try:
-        config = build_config(sub.choices[args.command], args)
+        if args.config is not None:
+            # a flag given wins over its key in the file, the file over
+            # the defaults
+            args = cmd.parse_args(argv[1:],
+                                  _read_config_file(cmd, args.config))
+        # horizon 20*m: the verified claims are local or monotone, so a
+        # finite scale-covariant horizon suffices
+        r_max = 20.0 * args.m if args.r_max is None else args.r_max
+        params = ModelParams(m=args.m, r_max=r_max, tol=args.tol)
     except (ValueError, OSError) as exc:
         print(f"ahgeom: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    dest = "<stdout>" if config.output is None else config.output
+    dest = "<stdout>" if args.output is None else args.output
     try:
         # opened (and emptied) before any work, so a bad path fails at once
-        output = (contextlib.nullcontext(sys.stdout) if config.output is None
-                  else open(config.output, "w", newline="\n"))
+        output = (contextlib.nullcontext(sys.stdout) if args.output is None
+                  else open(args.output, "w", newline="\n"))
     except OSError as exc:
         print(f"ahgeom: cannot write {dest}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     try:
         with output as out:
-            if args.command == "solve":
-                code = cmd_solve(config, out)
-            elif args.command == "verify":
-                code = cmd_verify(config, out, args.timings)
+            if name == "verify":
+                code = cmd_verify(params, args.grid_points, args.seed, out,
+                                  args.timings)
+            elif name == "solve":
+                code = cmd_solve(params, args.grid_points, args.fmt, out)
             else:
-                code = cmd_curvature(config, out)
+                code = cmd_curvature(params, args.grid_points, args.fmt, out)
             out.flush()
         return code
     except IntegrationError as exc:
@@ -298,7 +330,7 @@ def main(argv=None) -> int:
         print(f"ahgeom: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError) and config.output is None:
+        if isinstance(exc, BrokenPipeError) and args.output is None:
             # the reader has gone: stdout goes to devnull, so the flush at
             # interpreter exit cannot fail a second time
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

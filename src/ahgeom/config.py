@@ -1,5 +1,5 @@
-"""Dataclass configs for the model and for CLI runs, and the CPU count a
-run may spread its work over."""
+"""The parameters of one model run, the range of m they accept, and the
+CPU count a run may spread its work over."""
 from __future__ import annotations
 
 import math
@@ -25,7 +25,7 @@ class ModelParams:
 
     m: float
     r_max: float
-    tol: float = 1e-10
+    tol: float
 
     def __post_init__(self):
         if not M_MIN <= self.m <= M_MAX:
@@ -48,41 +48,3 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-# Grid cap, 20x the densest grid in use (50 000 rows): solve and curvature
-# hold about a dozen float arrays of this length, so an unbounded grid could
-# ask for more memory than the machine has.
-MAX_GRID_POINTS = 1_000_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: model parameters plus output options."""
-
-    m: float = 1.0
-    r_max: float | None = None  # None -> 20*m
-    tol: float = 1e-10
-    grid_points: int = 1000
-    seed: int | None = None
-    fmt: str = "csv"
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
-            raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}], "
-                             f"got {self.grid_points}")
-        # the CLI takes seeds >= 0 (exit 2 otherwise); the oracle keys
-        # SplitMix64 by seed, seed + 1000 and seed + 2000.
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # delegate positivity checks (m, r_max, tol) to ModelParams
-        self.params()
-
-    def params(self) -> ModelParams:
-        # horizon 20*m: the verified claims are local or monotone, so a
-        # finite scale-covariant horizon suffices
-        r_max = 20.0 * self.m if self.r_max is None else self.r_max
-        return ModelParams(m=self.m, r_max=r_max, tol=self.tol)

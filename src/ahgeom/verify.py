@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import M_MAX, ModelParams, RunConfig
+from .config import M_MAX, ModelParams
 from .convexity import (SplitMix64, brute_force_plane_min, chain_margins,
                         hessian_r2, hessian_r2_diagonal,
                         min_trace_over_kplanes, second_derivative_signs)
@@ -71,12 +71,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyContext:
-    config: RunConfig
+    """What the checks read: the profile, its grid of radii (from
+    profile.grid) and the k-plane oracle's seed."""
     profile: MetricProfile
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.profile.grid(self.config.grid_points)
+    grid: np.ndarray
+    seed: int
 
     @property
     def tol(self) -> float:
@@ -243,10 +242,9 @@ def check_two_convexity(ctx: VerifyContext) -> CheckResult:
 
 def check_kplane_oracle(ctx: VerifyContext) -> CheckResult:
     tols = tolerances(ctx.tol)
-    seed = 0 if ctx.config.seed is None else ctx.config.seed
     r_max = ctx.profile.r_max
     lo = r_max / 100.0
-    radii = lo + (r_max - lo) * SplitMix64(seed).uniform(10)
+    radii = lo + (r_max - lo) * SplitMix64(ctx.seed).uniform(10)
     s = ctx.profile.eval(radii)
     diagonal = hessian_r2_diagonal(s)
     spectrum = hessian_r2(s)
@@ -255,9 +253,9 @@ def check_kplane_oracle(ctx: VerifyContext) -> CheckResult:
     # tr d - n^T D n, so the lines scored with -d give k = 3
     trials = tols["kplane_trials"]
     lines = brute_force_plane_min(np.hstack([diagonal, -diagonal]), 1,
-                                  trials=trials, seed=seed + 1000)
+                                  trials=trials, seed=ctx.seed + 1000)
     planes = brute_force_plane_min(diagonal, 2, trials=trials,
-                                   seed=seed + 2000)
+                                   seed=ctx.seed + 2000)
     on_d, on_minus_d = np.split(lines, 2)
     minima = (on_d, planes, np.sum(diagonal, axis=0) + on_minus_d)
     errs = np.array([m - min_trace_over_kplanes(spectrum, k)
@@ -386,12 +384,16 @@ class VerificationReport:
         }
 
 
-def run_verification(config: RunConfig) -> VerificationReport:
-    params = config.params()
+def run_verification(params: ModelParams, grid_points: int,
+                     seed: int | None = None) -> VerificationReport:
+    """Integrate the profile of `params` and run every check on it, on a
+    grid of `grid_points` radii; an unset seed keys the k-plane oracle
+    by 0 and is echoed as null."""
     t0 = time.perf_counter()
     profile = integrate(params)
     seconds = {"integrate": time.perf_counter() - t0}
-    ctx = VerifyContext(config=config, profile=profile)
+    ctx = VerifyContext(profile, profile.grid(grid_points),
+                        0 if seed is None else seed)
     checks = []
     for fn in ALL_CHECKS:
         t0 = time.perf_counter()
@@ -401,8 +403,8 @@ def run_verification(config: RunConfig) -> VerificationReport:
         "m": params.m,
         "r_max": params.r_max,
         "tol": params.tol,
-        "grid_points": config.grid_points,
-        "seed": config.seed,
+        "grid_points": grid_points,
+        "seed": seed,
     }
     return VerificationReport(config=echo, tolerances=tolerances(params.tol),
                               checks=tuple(checks), seconds=seconds,

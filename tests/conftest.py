@@ -1,13 +1,13 @@
 import pytest
 
-from ahgeom.config import ModelParams, RunConfig
+from ahgeom.config import ModelParams
 from ahgeom.ode import integrate
 
 
 @pytest.fixture(scope="session")
 def profile1():
     """Default-scale profile: m = 1, r_max = 20, tol = 1e-10."""
-    return integrate(RunConfig().params())
+    return integrate(ModelParams(m=1.0, r_max=20.0, tol=1e-10))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 each printing its pass/fail line.  Run with -s to see the lines live."""
 import pytest
 
-from ahgeom.config import RunConfig
+from ahgeom.config import ModelParams
 from ahgeom.verify import run_verification
 
 CRITERIA = [
@@ -22,10 +22,16 @@ CRITERIA = [
 ]
 
 
+def _verify(m=1.0, r_max=None, tol=1e-10, grid_points=1000):
+    """The report of `ahgeom verify` at these inputs; each default is the
+    CLI's."""
+    return run_verification(
+        ModelParams(m, 20.0 * m if r_max is None else r_max, tol), grid_points)
+
+
 @pytest.fixture(scope="module")
 def report():
-    config = RunConfig()  # defaults: m=1, r_max=20, tol=1e-10, grid 1000
-    return run_verification(config)
+    return _verify()
 
 
 @pytest.mark.parametrize("index,name", CRITERIA)
@@ -66,7 +72,7 @@ def test_all_pass(report):
 def test_verify_at_input_corners(values, failing):
     # accepted inputs at the corners of the input box, with every other
     # value at its default; only the named checks fail
-    report = run_verification(RunConfig(**values))
+    report = _verify(**values)
     assert [c.name for c in report.checks if not c.passed] == failing
     if failing:
         assert report.first_failure.note.endswith("(0 bracketed)")

@@ -1,6 +1,8 @@
 """CLI contracts: table formats, exit codes, determinism, config precedence."""
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -11,10 +13,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ahgeom import cli, ode, verify
 from ahgeom.cli import main
-from ahgeom.config import M_MAX, MAX_GRID_POINTS, ModelParams, RunConfig
+from ahgeom.config import M_MAX, M_MIN, ModelParams
 from ahgeom.curvature import (asd_residual, curvature_components,
                               fiber_gauss_curvature, kappa_at_zero)
 
@@ -22,7 +26,11 @@ FAST = ["--r-max", "6", "--grid", "60"]
 
 
 def run(args, capsys):
-    code = main(args)
+    # argparse refuses a flag by SystemExit(2), the commands by returning 2
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -92,7 +100,9 @@ class TestCurvature:
 
 
 WRITER_ARGS = ["--r-max", "6", "--tol", "1e-6"]
-FLOOR = cli._FORK_FLOOR
+FLOOR, BLOCK = cli._FORK_FLOOR, cli._BLOCK_ROWS
+# the writer cases run at 1/SHRINK of FLOOR and BLOCK
+SHRINK = 32
 
 
 def _force_cpus(monkeypatch, n):
@@ -103,9 +113,8 @@ def _force_cpus(monkeypatch, n):
 @functools.lru_cache(maxsize=None)
 def _reference_csv(command, grid):
     """The CSV text of a WRITER_ARGS run, one "%.17g" line per row."""
-    config = RunConfig(r_max=6.0, tol=1e-6, grid_points=grid)
-    r = cli._solve_grid(config)
-    profile = ode.integrate(config.params())
+    r = cli._solve_grid(6.0, grid)
+    profile = ode.integrate(ModelParams(m=1.0, r_max=6.0, tol=1e-6))
     if command == "solve":
         s = profile.eval(r)
         header = cli.SOLVE_COLUMNS
@@ -131,12 +140,24 @@ def _no_child_left():
 
 class TestCsvWriter:
     # blocks of rows, shares split over forked processes: the bytes are those
-    # of one "%.17g" per row at any CPU count; a share is never under FLOOR
-    # rows, so two CPUs fork from 2 * FLOOR rows on
-    @pytest.mark.parametrize("grid", [2, 255, 257, 2 * FLOOR - 1, 2 * FLOOR,
-                                      2 * FLOOR + 1, 50_000])
+    # of one "%.17g" per row at any CPU count; a share is never under the
+    # floor's rows, so two CPUs fork from twice the floor on.  Each id is a
+    # row count at the real BLOCK (256) and FLOOR (4 096); the case runs at
+    # 1/SHRINK of both, which crosses the same boundaries in a few hundred
+    # rows, except 8192, which runs at the real sizes
+    @pytest.mark.parametrize("grid, scale", [
+        pytest.param(2, SHRINK, id="2"),
+        pytest.param(BLOCK // SHRINK - 1, SHRINK, id="255"),
+        pytest.param(BLOCK // SHRINK + 1, SHRINK, id="257"),
+        pytest.param(2 * FLOOR // SHRINK - 1, SHRINK, id="8191"),
+        pytest.param(2 * FLOOR, 1, id="8192"),
+        pytest.param(2 * FLOOR // SHRINK + 1, SHRINK, id="8193"),
+        pytest.param(50_000 // SHRINK, SHRINK, id="50000")])
     @pytest.mark.parametrize("command", ["solve", "curvature"])
-    def test_bytes_at_any_cpu_count(self, capsys, monkeypatch, command, grid):
+    def test_bytes_at_any_cpu_count(self, capsys, monkeypatch, command, grid,
+                                    scale):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", BLOCK // scale)
+        monkeypatch.setattr(cli, "_FORK_FLOOR", FLOOR // scale)
         fork, forks = os.fork, []
 
         def counted_fork():
@@ -151,7 +172,7 @@ class TestCsvWriter:
                                  capsys)
             assert (code, err) == (0, "")
             assert out == want
-            assert len(forks) == min(cpus, max(1, grid // FLOOR)) - 1
+            assert len(forks) == min(cpus, max(1, grid // cli._FORK_FLOOR)) - 1
             _no_child_left()
 
     @pytest.mark.parametrize("output", ["stdout", "file"])
@@ -281,12 +302,12 @@ class TestVerify:
     def test_report_at_any_cpu_count(self, monkeypatch):
         # no check reads the CPU count: the k-plane oracle draws one stream
         # per k on the calling thread
-        config = RunConfig(seed=7)
+        params = ModelParams(m=1.0, r_max=20.0, tol=1e-10)
         reports = []
         for n in (1, 2):
             _force_cpus(monkeypatch, n)
             reports.append(json.dumps(
-                verify.run_verification(config).to_dict()))
+                verify.run_verification(params, 1000, 7).to_dict()))
         assert reports[0] == reports[1]
 
     def test_timings_on_stderr_only(self, verify_report, tmp_path, capsys):
@@ -312,9 +333,8 @@ class TestVerify:
 
 
 def _verify_context(m):
-    config = RunConfig(m=m)
-    return verify.VerifyContext(config=config,
-                                profile=ode.integrate(config.params()))
+    profile = ode.integrate(ModelParams(m=m, r_max=20.0 * m, tol=1e-10))
+    return verify.VerifyContext(profile, profile.grid(1000), 0)
 
 
 class TestScaleFreeResiduals:
@@ -323,8 +343,8 @@ class TestScaleFreeResiduals:
     @pytest.mark.parametrize("m", [2.0 ** -10, 2.0 ** 10, 2.0 ** 12])
     @pytest.mark.parametrize("check", [verify.check_ode_residuals,
                                        verify.check_hyperkahler_certificate])
-    def test_worst_equals_unit_scale(self, profile1, check, m):
-        unit = check(verify.VerifyContext(config=RunConfig(), profile=profile1))
+    def test_worst_equals_unit_scale(self, profile1, grid1, check, m):
+        unit = check(verify.VerifyContext(profile1, grid1, 0))
         scaled = check(_verify_context(m))
         assert scaled.worst == unit.worst
         assert scaled.note == unit.note  # each term of the ratio, too
@@ -336,9 +356,9 @@ class TestScaleFreeResiduals:
         assert result.passed, result.note
 
     @pytest.mark.parametrize("m", [2.0 ** -10, 2.0 ** 10])
-    def test_zero_section_limits_unit_scale(self, profile1, m):
+    def test_zero_section_limits_unit_scale(self, profile1, grid1, m):
         unit = verify.check_zero_section_limits(
-            verify.VerifyContext(config=RunConfig(), profile=profile1))
+            verify.VerifyContext(profile1, grid1, 0))
         scaled = verify.check_zero_section_limits(_verify_context(m))
         assert scaled.passed, scaled.note
         assert scaled.worst == unit.worst
@@ -374,12 +394,18 @@ class TestConfigHandling:
         assert "ahgeom: m must be positive and finite" in err
 
     @pytest.mark.parametrize("field", ["m", "r_max"])
-    def test_non_finite_params_rejected(self, field):
+    def test_non_finite_params_rejected(self, capsys, monkeypatch, field):
         # an infinite horizon would keep the integrator stepping forever
         with pytest.raises(ValueError, match=f"^{field} must"):
-            ModelParams(**{"m": 1.0, "r_max": 20.0, field: math.inf})
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            RunConfig(**{field: math.inf})
+            ModelParams(**{"m": 1.0, "r_max": 20.0, "tol": 1e-10,
+                           field: math.inf})
+        monkeypatch.setattr(cli, "integrate", _must_not_run)
+        monkeypatch.setattr(verify, "run_verification", _must_not_run)
+        flag = "--" + field.replace("_", "-")
+        for command in ("solve", "curvature", "verify"):
+            code, out, err = run([command, flag, "inf"], capsys)
+            assert (code, out) == (2, "")
+            assert f"ahgeom: {field} must be positive and finite" in err
 
     def test_usage_error_bad_tol(self, capsys):
         code, _, err = run(["verify", "--tol", "1e-2"], capsys)
@@ -399,17 +425,17 @@ class TestConfigHandling:
         # rejected before the profile and the checks run, naming the seed;
         # cmd_verify looks run_verification up in verify when it is called
         monkeypatch.setattr(verify, "run_verification", _must_not_run)
-        assert RunConfig(seed=0).seed == 0
+        assert cli._seed("0") == 0
         code, out, err = run(["verify", "--seed", "-5"], capsys)
         assert code == 2
         assert out == ""
-        assert "ahgeom: seed must be >= 0, got -5" in err
+        assert "argument --seed: seed must be >= 0, got -5" in err
 
     def test_grid_cap(self, tmp_path, capsys, monkeypatch):
         # a grid past the cap is refused before anything is allocated, from
         # a flag and from a config file alike
         monkeypatch.setattr(cli, "integrate", _must_not_run)
-        assert RunConfig(grid_points=MAX_GRID_POINTS).grid_points == 10 ** 6
+        assert cli._grid_points(str(cli.MAX_GRID_POINTS)) == 10 ** 6
         cfg = tmp_path / "run.cfg"
         cfg.write_text("grid = 1000000001\n")
         for args in (["solve", "--grid", "1000000001"],
@@ -417,7 +443,7 @@ class TestConfigHandling:
             code, out, err = run(args, capsys)
             assert code == 2
             assert out == ""
-            assert ("ahgeom: grid_points must lie in [2, 1000000], "
+            assert ("argument --grid: grid_points must lie in [2, 1000000], "
                     "got 1000000001") in err
 
     @pytest.mark.parametrize("m", ["1e60", "1e-60", "1e-120", "1e160"])
@@ -470,13 +496,19 @@ class TestConfigHandling:
 
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("m = 2\ngrid = 40\n# trailing comment\n")
+        cfg.write_text("m = 2\ngrid = 40\ntol = 5e-9\n# trailing comment\n")
         code, out, _ = run(["solve", "--config", str(cfg), "--m", "1",
                             "--r-max", "6"], capsys)
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 1 + 40               # file grid respected
         assert lines[1].split(",")[2] == "-1"     # flag m=1 beats file m=2
+        # the file's values survive the command's defaults
+        code, out, _ = run(["solve", "--config", str(cfg), "--format",
+                            "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["params"] == {
+            "m": 2.0, "r_max": 40.0, "tol": 5e-9, "grid_points": 40}
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -514,17 +546,17 @@ class TestConfigHandling:
         # parser checks the config file's keys and values
         monkeypatch.setattr(cli, "integrate", _must_not_run)
         monkeypatch.setattr(verify, "run_verification", _must_not_run)
-        if config is not None:
+        if config is None:
+            # the command's usage, not the top-level one
+            code, out, err = run(args, capsys)
+            assert err.startswith(f"usage: ahgeom {args[0]} ")
+            assert "usage: ahgeom [-h]" not in err
+        else:
             path = tmp_path / "run.cfg"
             path.write_text(f"m = 2\n{config}\n")
-            args = args + ["--config", str(path)]
-        try:
-            code = main(args)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert message in captured.err
+            code, out, err = run(args + ["--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_each_command_takes_the_flags_it_reads(self, capsys):
         # --seed and --timings are verify's alone, and verify writes JSON
@@ -541,6 +573,88 @@ class TestConfigHandling:
             assert exc.value.code == 0
             usage = capsys.readouterr().out.split("\n\n")[0]
             assert re.findall(r"\[(--[a-z-]+(?: \{[a-z,]+\})?)", usage) == flags
+
+    def test_commands_take_only_the_inputs_they_read(self, monkeypatch):
+        # solve and curvature read no seed, and verify no format
+        monkeypatch.setattr(cli, "integrate", _must_not_run)
+        monkeypatch.setattr(verify, "integrate", _must_not_run)
+        params = ModelParams(m=1.0, r_max=6.0, tol=1e-6)
+        for command in (cli.cmd_solve, cli.cmd_curvature):
+            with pytest.raises(TypeError, match="seed"):
+                command(params, 60, "csv", io.StringIO(), seed=3)
+        with pytest.raises(TypeError, match="fmt"):
+            verify.run_verification(params, 60, fmt="json")
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("verify", "seed", "-1", "argument --seed: seed must be >= 0, got -1"),
+        ("solve", "grid", "1", "argument --grid: grid_points must lie in "
+                               "[2, 1000000], got 1\n"),
+        ("curvature", "grid", "1000001", "argument --grid: grid_points must "
+                                         "lie in [2, 1000000], got 1000001"),
+        ("verify", "m", "1e31", "ahgeom: m must be positive and finite, in "
+                                "[1e-30, 1e30], got 1e+31"),
+        ("solve", "tol", "1e-2", "ahgeom: tol must lie in [1e-14, 1e-2), "
+                                 "got 0.01"),
+        ("curvature", "tol", "9.9e-15", "ahgeom: tol must lie in "
+                                        "[1e-14, 1e-2), got 9.9e-15"),
+    ], ids=["seed--1", "grid-1", "grid-1000001", "m-1e31", "tol-1e-2",
+            "tol-9.9e-15"])
+    def test_flag_and_config_key_fail_alike(self, tmp_path, capsys,
+                                            monkeypatch, command, key, value,
+                                            message):
+        # the same bound, from the command's own parser or ModelParams,
+        # refuses the value before any work, whichever way it comes in
+        monkeypatch.setattr(cli, "integrate", _must_not_run)
+        monkeypatch.setattr(verify, "run_verification", _must_not_run)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        errs = []
+        for args in ([command, f"--{key}", value],
+                     [command, "--config", str(path)]):
+            code, out, err = run(args, capsys)
+            assert (code, out) == (2, "")
+            assert message in err
+            errs.append(err)
+        assert errs[0] == errs[1]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=st.one_of(st.sampled_from([M_MIN, M_MAX,
+                                        math.nextafter(M_MIN, 0.0),
+                                        math.nextafter(M_MAX, math.inf),
+                                        0.0, -1.0, math.inf, math.nan]),
+                       st.floats(-32.0, 32.0).map(lambda e: 10.0 ** e)),
+           tol=st.one_of(st.sampled_from([1e-14, 9.9e-15, 1e-2,
+                                          math.nextafter(1e-2, 0.0)]),
+                         st.floats(-16.0, 0.0).map(lambda e: 10.0 ** e)),
+           grid=st.one_of(st.sampled_from([1, 2, 10 ** 6, 10 ** 6 + 1]),
+                          st.integers(-10, 2 * 10 ** 6)),
+           seed=st.one_of(st.sampled_from([-1, 0]),
+                          st.integers(-(1 << 64), 1 << 64)))
+    def test_accepts_exactly_the_input_box(self, monkeypatch, m, tol, grid,
+                                           seed):
+        # verify reads every input; it starts work exactly when
+        # m in [1e-30, 1e30], tol in [1e-14, 1e-2), grid in [2, 10^6] and
+        # seed >= 0, and exits 2 otherwise
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+        monkeypatch.setattr(verify, "integrate", started)
+        inside = (M_MIN <= m <= M_MAX and 1e-14 <= tol < 1e-2
+                  and 2 <= grid <= 10 ** 6 and seed >= 0)
+        args = ["verify", "--m", repr(m), "--tol", repr(tol),
+                "--grid", str(grid), f"--seed={seed}", "--output", os.devnull]
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+            except Started:
+                code = None
+        assert code == (None if inside else 2)
+
 
 def test_cli_import_leaves_out_logging():
     # concurrent.futures pulls in logging, about 10 ms of every start-up;

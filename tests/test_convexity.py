@@ -11,7 +11,7 @@ import pytest
 
 import ahgeom
 from ahgeom import convexity, verify
-from ahgeom.config import ModelParams, RunConfig
+from ahgeom.config import ModelParams
 from ahgeom.convexity import (SplitMix64, _plane_traces, _plane_weights,
                               brute_force_plane_min, chain_margins, hessian_r2,
                               hessian_r2_diagonal, min_trace_over_kplanes,
@@ -228,7 +228,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("polish", [True, False])
-    def test_k3_is_tr_d_plus_line_minimum_of_minus_d(self, profile1,
+    def test_k3_is_tr_d_plus_line_minimum_of_minus_d(self, profile1, grid1,
                                                      monkeypatch, polish,
                                                      cpus):
         # the k-plane oracle makes two calls, whatever the CPU count: one
@@ -249,7 +249,7 @@ class TestBruteForce:
             # the exact line minima of d, then the sampled ones of -d
             return np.r_[np.min(d[:, :10], axis=0), got[10:]]
         monkeypatch.setattr(verify, "brute_force_plane_min", spy)
-        ctx = verify.VerifyContext(config=RunConfig(seed=7), profile=profile1)
+        ctx = verify.VerifyContext(profile1, grid1, 7)
         result = verify.check_kplane_oracle(ctx)
         assert calls == [((4, 20), 1, 1007), ((4, 10), 2, 2007)]
         radii = 0.2 + (20.0 - 0.2) * SplitMix64(7).uniform(10)
@@ -321,7 +321,7 @@ class TestBruteForce:
             with pytest.raises(ValueError, match=r"shape \(4, n\)"):
                 brute_force_plane_min(bad, 2, seed=0)
 
-    def test_oracle_calls_once_per_k(self, profile1, monkeypatch):
+    def test_oracle_calls_once_per_k(self, profile1, grid1, monkeypatch):
         # the k-plane oracle hands all ten radii to one call per sampled k:
         # the lines of d and -d (k = 1, and k = 3 through its normal line)
         # share one stream from seed + 1000, the 2-planes draw theirs from
@@ -333,7 +333,7 @@ class TestBruteForce:
             return brute_force_plane_min(d, k, trials=1000, seed=seed)
         monkeypatch.setattr(verify, "brute_force_plane_min", spy)
         monkeypatch.setattr(convexity, "brute_force_plane_min", spy)
-        ctx = verify.VerifyContext(config=RunConfig(seed=7), profile=profile1)
+        ctx = verify.VerifyContext(profile1, grid1, 7)
         verify.check_kplane_oracle(ctx)
         assert calls == [((4, 20), 1, 1007), ((4, 10), 2, 2007)]
 
@@ -617,7 +617,7 @@ class TestPolish:
 
 
 class TestOracle:
-    def test_trace_buffers_stay_small(self, profile1, monkeypatch):
+    def test_trace_buffers_stay_small(self, profile1, grid1, monkeypatch):
         # each minimizer call of the oracle scores its 100 000 trials in
         # blocks whose (columns, block) trace array holds at most 40 960
         # cells (320 KB), and reuses one draw buffer and one trace array
@@ -631,17 +631,16 @@ class TestOracle:
                 (draws.ctypes.data, out.ctypes.data))
             return traces(draws, weights, shifts, out)
         monkeypatch.setattr(convexity, "_plane_traces", spy)
-        ctx = verify.VerifyContext(config=RunConfig(seed=7), profile=profile1)
+        ctx = verify.VerifyContext(profile1, grid1, 7)
         assert verify.check_kplane_oracle(ctx).passed
         assert sizes == {20: 100_000, 10: 100_000}
         assert {n: len(b) for n, b in buffers.items()} == {20: 1, 10: 1}
 
     @pytest.mark.parametrize("seed", [222, 424])
-    def test_hard_seeds(self, profile1, seed):
+    def test_hard_seeds(self, profile1, grid1, seed):
         # the two worst seeds of 0-499 (1.4e-4 and 1.5e-4), where the polish
         # must split the near-equal 2nd and 3rd eigenvalues
-        ctx = verify.VerifyContext(config=RunConfig(seed=seed),
-                                   profile=profile1)
+        ctx = verify.VerifyContext(profile1, grid1, seed)
         result = verify.check_kplane_oracle(ctx)
         assert result.passed
         assert result.worst <= 2.5e-4
@@ -694,9 +693,8 @@ class TestSignReport:
     def test_crossing_below_first_grid_radius(self, r_max):
         # at 1000 points the grid starts at r_max/1000 > 1.7176 m, past the
         # crossing: c'' is bracketed from r = 0, where it is 3/(4m) > 0
-        config = RunConfig(r_max=r_max)
-        ctx = verify.VerifyContext(config=config,
-                                   profile=integrate(config.params()))
+        profile = integrate(ModelParams(m=1.0, r_max=r_max, tol=1e-10))
+        ctx = verify.VerifyContext(profile, profile.grid(1000), 0)
         assert ctx.grid[0] > C_CROSSING_M1
         rep = second_derivative_signs(ctx.profile, ctx.grid)
         assert rep.max_dda < 0 and rep.max_ddb < 0

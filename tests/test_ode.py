@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahgeom import ode
-from ahgeom.config import ModelParams, RunConfig
+from ahgeom.config import ModelParams
 from ahgeom.ode import (IntegrationError, MetricProfile, integrate,
                         product_identity_residual, region_margins, rhs,
                         sample_from_series)
@@ -220,7 +220,7 @@ class TestIntegrate:
         # runs out (the default run stores 195 nodes)
         monkeypatch.setattr(ode, "_MAX_NODES", 100)
         with pytest.raises(IntegrationError, match="node budget of 100"):
-            integrate(RunConfig().params())
+            integrate(ModelParams(m=1.0, r_max=20.0, tol=1e-10))
 
     def test_node_budget_up_front(self):
         # (r_max - r0)/m alone exceeds the budget: fail before the first
@@ -234,7 +234,7 @@ class TestIntegrate:
         # a budget just above (r_max - r0)/m passes the up-front test; the
         # default run stores 195 nodes, and the guard inside the loop
         # stops it
-        params = RunConfig().params()
+        params = ModelParams(m=1.0, r_max=20.0, tol=1e-10)
         r0 = expand(params.m, 10).truncation_radius(params.tol)
         budget = math.floor((params.r_max - r0) / params.m) + 1
         monkeypatch.setattr(ode, "_MAX_NODES", budget)

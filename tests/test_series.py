@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahgeom import series, verify
-from ahgeom.config import RunConfig
 from ahgeom.series import SeriesCoefficients, expand, formal_residual_ok
 
 # Low-order coefficients derived independently by hand, matching the cleared
@@ -106,7 +105,7 @@ def test_formal_residual_negative_control():
     assert not formal_residual_ok(bad)
 
 
-def test_series_check_certifies_full_formal_residual(profile1):
+def test_series_check_certifies_full_formal_residual(profile1, grid1):
     # a wrong r^9 term keeps the printed orders and the parity, so only the
     # formal residual through r^(order-1) can fail the check
     ser = profile1.bootstrap
@@ -115,8 +114,7 @@ def test_series_check_certifies_full_formal_residual(profile1):
     bad = dataclasses.replace(ser, unit_a=tuple(bad_a))
     for series, ok in ((ser, True), (bad, False)):
         ctx = verify.VerifyContext(
-            config=RunConfig(),
-            profile=dataclasses.replace(profile1, bootstrap=series))
+            dataclasses.replace(profile1, bootstrap=series), grid1, 0)
         assert verify.check_series_expansion(ctx).passed is ok
 
 

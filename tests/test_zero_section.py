@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ahgeom import verify
-from ahgeom.config import RunConfig
 from ahgeom.ode import sample_from_series
 from ahgeom.series import expand
 from ahgeom.zero_section import (calibration_check, second_fundamental_form,
@@ -57,7 +56,7 @@ class TestStabilityOperator:
         ([[1.0, 0.0], [0.0, -1e-3]], False),
         ([[-1.0, 0.0], [0.0, -1.0]], False),  # positive determinant
     ], ids=["definite", "indefinite", "one-negative", "negative"])
-    def test_check_needs_positive_definite(self, monkeypatch, profile1,
+    def test_check_needs_positive_definite(self, monkeypatch, profile1, grid1,
                                            operator, passed):
         # with the closeness budget out of the way, the check's verdict is
         # positive definiteness alone, and agrees with the eigenvalues
@@ -67,8 +66,8 @@ class TestStabilityOperator:
                             lambda tol: {**tols, "stability_rel": 10.0})
         monkeypatch.setattr(verify, "stability_operator",
                             lambda m: np.array(operator) / m ** 2)
-        result = verify.check_strong_stability(verify.VerifyContext(
-            config=RunConfig(), profile=profile1))
+        result = verify.check_strong_stability(
+            verify.VerifyContext(profile1, grid1, 0))
         assert result.passed == passed
 
     def test_assembly_arithmetic(self):
@@ -100,13 +99,13 @@ class TestCalibration:
         cal = calibration_check(bad, grid1[100::200], SLACK)
         assert not cal.bound_holds
 
-    def test_pinned_slack_is_honoured(self, profile1, monkeypatch):
+    def test_pinned_slack_is_honoured(self, profile1, grid1, monkeypatch):
         # a negative slack demands bc <= -m^2 (1 + 1e-3), which fails near
         # r = 0; the check must read the slack from the tolerance table
         pinned = verify.tolerances
         monkeypatch.setattr(verify, "tolerances", lambda tol: {
             **pinned(tol), "calibration_slack": -1e-3})
-        ctx = verify.VerifyContext(config=RunConfig(), profile=profile1)
+        ctx = verify.VerifyContext(profile1, grid1, 0)
         assert not verify.check_calibration_bound(ctx).passed
 
     def test_small_r_expansion_coefficient(self):

@@ -8,22 +8,23 @@ Flags may also come from a key=value config file (--config); command-line
 flags win over the file, the file wins over defaults.  Exit codes: 0 ok,
 1 verification failure, 2 usage error or an output that cannot be written,
 3 numerical failure.  CSV numbers are "%.17g": always 17 significant
-digits, so every double round-trips.  Large CSV tables are formatted by one
-forked process per usable CPU.  Output for a fixed config and seed is
-byte-identical across runs and at any CPU count.
+digits, so every double round-trips.  solve and curvature evaluate, derive
+and write their rows in blocks, so their memory does not grow with the
+grid; the blocks of a large CSV table are dealt in turn to one process per
+usable CPU, which evaluates and formats its own.  Output for a fixed
+config and seed is byte-identical across runs and at any CPU count.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import json
 import os
 import sys
 
 import numpy as np
 
-from .config import ModelParams, usable_cpus
+from .config import ModelParams
 from .curvature import (asd_residual, curvature_components,
                         fiber_gauss_curvature, kappa_at_zero)
 from .ode import IntegrationError, integrate
@@ -33,141 +34,72 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# Grid cap, 20x the densest grid in use (50 000 rows): solve and curvature
-# hold about a dozen float arrays of this length, so an unbounded grid could
-# ask for more memory than the machine has.
+# Grid cap, 20x the densest grid in use (50 000 rows).  solve and curvature
+# hold no array of the grid's length, as they write it in blocks, but verify
+# holds about a dozen, so an unbounded grid could ask it for more memory
+# than the machine has.
 MAX_GRID_POINTS = 1_000_000
 
 SOLVE_COLUMNS = ("r", "a", "b", "c", "da", "db", "dc", "dda", "ddb", "ddc", "x", "y")
 CURV_COLUMNS = ("r", "k1", "k2", "k3", "asd1", "asd2", "asd3", "Kfiber")
 
 
-def _rows(columns):
-    """Rows of Python floats, one at a time, from a list of column arrays."""
-    return zip(*(col.tolist() for col in columns))
-
-
-# Rows per "%": one format over a block of rows is about 20 % faster than
-# one "%" per row, with the same bytes.
-_BLOCK_ROWS = 256
-# The fewest rows a share may have before the rows are split over forked
-# processes: 4 096 rows of 12 columns take about 35 ms to format, a fork and
-# reap about 2.4 ms (2-vCPU VM), and smaller tables such as the 1 000-row
-# default stay in one process.
-_FORK_FLOOR = 4096
-_PIPE_READ = 1 << 16
-
-
-def _format_blocks(line, table):
-    """The text of `table`'s rows, one string per block of rows."""
-    for lo in range(0, len(table), _BLOCK_ROWS):
-        block = table[lo:lo + _BLOCK_ROWS]
-        yield (line * len(block)) % tuple(block.ravel().tolist())
-
-
-def _fork_formatter(line, table, children):
-    """Fork a process that formats `table` into a new pipe; return its pid
-    and the pipe's read end.  The process closes the read ends of the
-    earlier `children`, so the parent is the only reader of every pipe, and
-    it leaves through os._exit on every path."""
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            for fd in (*(fd for _, fd in children), r):
-                os.close(fd)
-            # all of the share before the first write, so a full pipe does
-            # not hold the formatting to the parent's pace
-            chunks = [text.encode() for text in _format_blocks(line, table)]
-            for chunk in chunks:
-                view = memoryview(chunk)
-                while view:
-                    view = view[os.write(w, view):]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
-
-
-def _write_csv(out, header, columns):
-    """Write the column arrays as CSV rows under `header`.
-
-    "%.17g" always writes 17 significant digits, so every double
-    round-trips.  The rows are split into contiguous shares, one per usable
-    CPU and none under _FORK_FLOOR rows.  A forked process formats each
-    share after the first and sends it down a pipe; the parent writes the
-    first share and then copies each pipe in order, so the bytes are the
-    same at any CPU count.
-    """
-    table = np.column_stack(columns)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    out.write(",".join(header) + "\n")
-    shares = max(1, min(usable_cpus(), len(table) // _FORK_FLOOR))
-    cuts = [len(table) * i // shares for i in range(shares + 1)]
-    children = []
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork_formatter(line, table[lo:hi], children))
-        out.writelines(_format_blocks(line, table[:cuts[1]]))
-        for _, r in children:
-            while chunk := os.read(r, _PIPE_READ):
-                out.write(chunk.decode())
-    finally:
-        # after a failure here, a child still writing sees a closed pipe
-        for _, r in children:
-            os.close(r)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid, _ in children]
-    failed = [code for code in codes if code]
-    if failed:
-        raise OSError(errno.EIO, "a CSV formatting process exited with "
-                                 f"status {failed[0]}")
-
-
-def _solve_grid(r_max: float, n: int):
-    return r_max * np.arange(n) / (n - 1)
+def _solve_grid(r_max: float, n: int, lo: int, hi: int):
+    """Rows lo..hi of the n-point grid on [0, r_max]; each value is the
+    same whichever rows are asked for."""
+    return r_max * np.arange(lo, hi) / (n - 1)
 
 
 def cmd_solve(params: ModelParams, grid_points: int, fmt: str, out) -> int:
+    # imported here, so that verify never compiles the writers
+    from .export import write_csv, write_json
+
     profile = integrate(params)
-    s = profile.eval(_solve_grid(params.r_max, grid_points))
-    columns = (s.r, s.a, s.b, s.c, s.da, s.db, s.dc,
-               s.dda, s.ddb, s.ddc, s.a / s.c, s.b / s.c)
+
+    def rows_of(lo, hi):
+        s = profile.eval(_solve_grid(params.r_max, grid_points, lo, hi))
+        return (s.r, s.a, s.b, s.c, s.da, s.db, s.dc,
+                s.dda, s.ddb, s.ddc, s.a / s.c, s.b / s.c)
+
     if fmt == "csv":
-        _write_csv(out, SOLVE_COLUMNS, columns)
+        write_csv(out, SOLVE_COLUMNS, rows_of, grid_points)
     else:
-        payload = {
-            "params": {"m": profile.params.m, "r_max": profile.params.r_max,
-                       "tol": profile.params.tol,
-                       "grid_points": grid_points},
-            "samples": [dict(zip(SOLVE_COLUMNS, row))
-                        for row in _rows(columns)],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        head = {"params": {"m": profile.params.m,
+                           "r_max": profile.params.r_max,
+                           "tol": profile.params.tol,
+                           "grid_points": grid_points}}
+        write_json(out, head, "samples", rows_of, grid_points,
+                   SOLVE_COLUMNS)
     return EXIT_OK
 
 
 def cmd_curvature(params: ModelParams, grid_points: int, fmt: str,
                   out) -> int:
+    from .export import write_csv, write_json
+
     profile = integrate(params)
     # the grid starts at r = 0, where kappa is 0/0: that row holds the exact
     # limits (the fiber curvature -a''/a is -k1), and the anti-self-duality
     # residuals extend continuously to 0
     k0 = kappa_at_zero(params.m)
     zero = (0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, -k0.k1)
-    s = profile.eval(_solve_grid(params.r_max, grid_points)[1:])
-    k = curvature_components(s)
-    columns = [np.concatenate(([z], col)) for z, col in zip(
-        zero, (s.r, k.k1, k.k2, k.k3, *asd_residual(s),
-               fiber_gauss_curvature(s)))]
+
+    def rows_of(lo, hi):
+        s = profile.eval(_solve_grid(params.r_max, grid_points,
+                                     max(lo, 1), hi))
+        k = curvature_components(s)
+        columns = (s.r, k.k1, k.k2, k.k3, *asd_residual(s),
+                   fiber_gauss_curvature(s))
+        if lo > 0:
+            return columns
+        # the block at row 0 starts with the exact r = 0 row
+        return [np.concatenate(([z], col)) for z, col in zip(zero, columns)]
+
     if fmt == "csv":
-        _write_csv(out, CURV_COLUMNS, columns)
+        write_csv(out, CURV_COLUMNS, rows_of, grid_points)
     else:
-        payload = {"columns": list(CURV_COLUMNS),
-                   "rows": [list(row) for row in _rows(columns)]}
-        out.write(json.dumps(payload, indent=2) + "\n")
+        write_json(out, {"columns": list(CURV_COLUMNS)}, "rows", rows_of,
+                   grid_points)
     return EXIT_OK
 
 
@@ -224,7 +156,8 @@ def _read_config_file(cmd: argparse.ArgumentParser,
     """The flags of a key=value file, parsed by the command's own parser:
     each key is one of its flags without the dashes (r_max or r-max for
     --r-max), so a key the command does not take is refused and a value is
-    checked as the flag's would be."""
+    checked as the flag's would be.  A switch (timings for --timings) takes
+    true or false."""
     values = argparse.Namespace()
     with open(path) as f:
         for raw in f:
@@ -235,11 +168,19 @@ def _read_config_file(cmd: argparse.ArgumentParser,
                 raise ValueError(f"bad config line (want key=value): {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             flag = "--" + key.replace("_", "-")
-            # a --config key would name a second file, which is never read
-            if (key == "config"
-                    or cmd.parse_known_args([f"{flag}={val}"], values)[1]):
+            action = cmd._option_string_actions.get(flag)
+            # a config key would name a second file, which is never read,
+            # and help is not an input
+            if action is None or action.dest in ("config", "help"):
                 raise ValueError(f"config key {key!r} is not a flag of "
                                  f"{cmd.prog}")
+            if action.nargs != 0:
+                cmd.parse_args([f"{flag}={val}"], values)
+            elif val in ("true", "false"):
+                setattr(values, action.dest, val == "true")
+            else:
+                raise ValueError(f"config key {key!r} takes true or false, "
+                                 f"got {val!r}")
     return values
 
 

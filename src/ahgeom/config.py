@@ -42,7 +42,7 @@ class ModelParams:
 
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set, or os.cpu_count()
-    where affinity is unknown.  Only the CSV writer (`cli._write_csv`)
+    where affinity is unknown.  Only the CSV writer (`export.write_csv`)
     reads it, to split large tables over forked processes."""
     try:
         return len(os.sched_getaffinity(0))

@@ -10,13 +10,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ahgeom import cli, ode, verify
+from ahgeom import cli, export, ode, verify
 from ahgeom.cli import main
 from ahgeom.config import M_MAX, M_MIN, ModelParams
 from ahgeom.curvature import (asd_residual, curvature_components,
@@ -100,8 +101,8 @@ class TestCurvature:
 
 
 WRITER_ARGS = ["--r-max", "6", "--tol", "1e-6"]
-FLOOR, BLOCK = cli._FORK_FLOOR, cli._BLOCK_ROWS
-# the writer cases run at 1/SHRINK of FLOOR and BLOCK
+FLOOR, BLOCK, EVAL = export._FORK_FLOOR, export._BLOCK_ROWS, export._EVAL_ROWS
+# the writer cases run at 1/SHRINK of FLOOR, BLOCK and EVAL
 SHRINK = 32
 
 
@@ -110,27 +111,43 @@ def _force_cpus(monkeypatch, n):
                         raising=False)
 
 
-@functools.lru_cache(maxsize=None)
-def _reference_csv(command, grid):
-    """The CSV text of a WRITER_ARGS run, one "%.17g" line per row."""
-    r = cli._solve_grid(6.0, grid)
+def _reference_rows(command, grid):
+    """The header and rows of a WRITER_ARGS run, from columns of the whole
+    grid."""
+    r = cli._solve_grid(6.0, grid, 0, grid)
     profile = ode.integrate(ModelParams(m=1.0, r_max=6.0, tol=1e-6))
     if command == "solve":
         s = profile.eval(r)
-        header = cli.SOLVE_COLUMNS
         columns = (s.r, s.a, s.b, s.c, s.da, s.db, s.dc, s.dda, s.ddb, s.ddc,
                    s.a / s.c, s.b / s.c)
-        rows = list(zip(*(col.tolist() for col in columns)))
-    else:
-        s = profile.eval(r[1:])
-        k, k0 = curvature_components(s), kappa_at_zero(1.0)
-        header = cli.CURV_COLUMNS
-        columns = (s.r, k.k1, k.k2, k.k3, *asd_residual(s),
-                   fiber_gauss_curvature(s))
-        rows = [(0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, -k0.k1),
-                *zip(*(col.tolist() for col in columns))]
+        return cli.SOLVE_COLUMNS, list(zip(*(col.tolist() for col in columns)))
+    s = profile.eval(r[1:])
+    k, k0 = curvature_components(s), kappa_at_zero(1.0)
+    columns = (s.r, k.k1, k.k2, k.k3, *asd_residual(s),
+               fiber_gauss_curvature(s))
+    zero = (0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, -k0.k1)
+    return cli.CURV_COLUMNS, [zero, *zip(*(col.tolist() for col in columns))]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_csv(command, grid):
+    """The CSV text of a WRITER_ARGS run, one "%.17g" line per row."""
+    header, rows = _reference_rows(command, grid)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     return ",".join(header) + "\n" + "".join(line % row for row in rows)
+
+
+def _reference_json(command, grid):
+    """The JSON text of a WRITER_ARGS run, as one json.dumps of all rows."""
+    header, rows = _reference_rows(command, grid)
+    if command == "solve":
+        payload = {"params": {"m": 1.0, "r_max": 6.0, "tol": 1e-6,
+                              "grid_points": grid},
+                   "samples": [dict(zip(header, row)) for row in rows]}
+    else:
+        payload = {"columns": list(header),
+                   "rows": [list(row) for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _no_child_left():
@@ -139,12 +156,14 @@ def _no_child_left():
 
 
 class TestCsvWriter:
-    # blocks of rows, shares split over forked processes: the bytes are those
-    # of one "%.17g" per row at any CPU count; a share is never under the
-    # floor's rows, so two CPUs fork from twice the floor on.  Each id is a
-    # row count at the real BLOCK (256) and FLOOR (4 096); the case runs at
-    # 1/SHRINK of both, which crosses the same boundaries in a few hundred
-    # rows, except 8192, which runs at the real sizes
+    # rows evaluated in blocks, formatted in smaller blocks, the blocks
+    # dealt in turn over forked processes: the bytes are those of one
+    # "%.17g" per row of the whole grid at any CPU count; no process gets
+    # under the floor's rows, so two CPUs fork from twice the floor on.
+    # Each id is a row count at the real BLOCK (256), EVAL (4 096) and
+    # FLOOR (4 096); the case runs at 1/SHRINK of all three, which crosses
+    # the same boundaries in a few hundred rows, except 8192, which runs at
+    # the real sizes
     @pytest.mark.parametrize("grid, scale", [
         pytest.param(2, SHRINK, id="2"),
         pytest.param(BLOCK // SHRINK - 1, SHRINK, id="255"),
@@ -156,8 +175,9 @@ class TestCsvWriter:
     @pytest.mark.parametrize("command", ["solve", "curvature"])
     def test_bytes_at_any_cpu_count(self, capsys, monkeypatch, command, grid,
                                     scale):
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", BLOCK // scale)
-        monkeypatch.setattr(cli, "_FORK_FLOOR", FLOOR // scale)
+        monkeypatch.setattr(export, "_BLOCK_ROWS", BLOCK // scale)
+        monkeypatch.setattr(export, "_EVAL_ROWS", EVAL // scale)
+        monkeypatch.setattr(export, "_FORK_FLOOR", FLOOR // scale)
         fork, forks = os.fork, []
 
         def counted_fork():
@@ -172,20 +192,21 @@ class TestCsvWriter:
                                  capsys)
             assert (code, err) == (0, "")
             assert out == want
-            assert len(forks) == min(cpus, max(1, grid // cli._FORK_FLOOR)) - 1
+            procs = min(cpus, max(1, grid // export._FORK_FLOOR))
+            assert len(forks) == procs - 1
             _no_child_left()
 
     @pytest.mark.parametrize("output", ["stdout", "file"])
     def test_child_failure_exits_2(self, tmp_path, capsys, monkeypatch,
                                    output):
-        # a share lost in a child is an error, never a shorter file
-        parent, format_blocks = os.getpid(), cli._format_blocks
+        # a block lost in a child is an error, never a shorter file
+        parent, format_blocks = os.getpid(), export._format_blocks
 
-        def fail_in_child(line, table):
+        def fail_in_child(line, rows_of, lo, hi):
             if os.getpid() != parent:
                 raise MemoryError("in a formatting process")
-            return format_blocks(line, table)
-        monkeypatch.setattr(cli, "_format_blocks", fail_in_child)
+            return format_blocks(line, rows_of, lo, hi)
+        monkeypatch.setattr(export, "_format_blocks", fail_in_child)
         _force_cpus(monkeypatch, 2)
         path = tmp_path / "out.csv"
         dest = "<stdout>" if output == "stdout" else str(path)
@@ -196,6 +217,42 @@ class TestCsvWriter:
         assert err == (f"ahgeom: cannot write {dest}: a CSV formatting "
                        "process exited with status 1\n")
         _no_child_left()
+
+
+    @pytest.mark.parametrize("grid", [2, 7, EVAL + 1])
+    @pytest.mark.parametrize("command", ["solve", "curvature"])
+    def test_json_is_one_dump(self, capsys, command, grid):
+        # dumped one evaluation block at a time, the same bytes as one
+        # json.dumps of every row
+        code, out, err = run([command, "--grid", str(grid), *WRITER_ARGS,
+                              "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert out == _reference_json(command, grid)
+
+    @pytest.mark.parametrize("command", [cli.cmd_solve, cli.cmd_curvature])
+    def test_memory_does_not_grow_with_the_grid(self, monkeypatch, command):
+        # rows are evaluated and formatted a block at a time, so no array or
+        # text of the whole grid is held: the traced peak of the export at
+        # 50 000 rows is that at 8 192, in one process.  The case runs at
+        # 1/8 of the rows and of EVAL and BLOCK, and integrate is left out
+        # of the trace, so its own peak cannot hide the export's
+        scale = 8
+        monkeypatch.setattr(export, "_BLOCK_ROWS", BLOCK // scale)
+        monkeypatch.setattr(export, "_EVAL_ROWS", EVAL // scale)
+        monkeypatch.setattr(export, "usable_cpus", lambda: 1)
+        params = ModelParams(m=1.0, r_max=6.0, tol=1e-6)
+        profile = ode.integrate(params)
+        monkeypatch.setattr(cli, "integrate", lambda _: profile)
+        peaks = []
+        for grid in (2 * FLOOR // scale, 50_000 // scale):
+            with open(os.devnull, "w") as out:
+                tracemalloc.start()
+                try:
+                    assert command(params, grid, "csv", out) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestWriteFailures:
@@ -331,6 +388,19 @@ class TestVerify:
         assert all(re.fullmatch(r"time \w+: \d+\.\d{4} s", line)
                    for line in lines[13:])
 
+
+    def test_timings_from_config_file(self, tmp_path, capsys):
+        # a switch is set from the file by true: the same report and, the
+        # seconds masked, the same stderr as the flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timings = true\n")
+        runs = []
+        for extra in (["--timings"], ["--config", str(cfg)]):
+            code, out, err = run(VERIFY_ARGS + extra, capsys)
+            runs.append((code, out, re.sub(r"\d+\.\d{4} s$", "<t> s", err,
+                                           flags=re.M)))
+        assert runs[0] == runs[1]
+        assert "time integrate: <t> s" in runs[0][2]
 
 def _verify_context(m):
     profile = ode.integrate(ModelParams(m=m, r_max=20.0 * m, tol=1e-10))
@@ -535,9 +605,14 @@ class TestConfigHandling:
         (["verify"], "config = other.cfg", "config key 'config' is not"),
         (["curvature"], "grid = x", "argument --grid: invalid int value"),
         (["verify"], "format = csv", "argument --format: invalid choice"),
+        (["verify"], "timings = yes",
+         "ahgeom: config key 'timings' takes true or false, got 'yes'\n"),
+        (["solve"], "timings = true",
+         "config key 'timings' is not a flag of ahgeom solve"),
     ], ids=["solve-seed", "curvature-seed", "verify-csv", "abbreviated-flag",
             "file-seed-for-solve", "file-abbreviated-key", "file-config-key",
-            "file-bad-grid", "file-verify-csv"])
+            "file-bad-grid", "file-verify-csv", "file-timings-yes",
+            "file-timings-for-solve"])
     def test_input_the_command_does_not_read(self, tmp_path, capsys,
                                              monkeypatch, args, config,
                                              message):
@@ -672,11 +747,12 @@ def test_cli_import_leaves_out_logging():
 @pytest.mark.parametrize("args", [["solve", "--tol", "1e-6"], ["verify"]],
                          ids=["solve", "verify"])
 def test_only_verify_loads_the_checks(tmp_path, args):
-    # solve pays the start-up of config, series, ode and curvature only; the
-    # package re-exports nothing and cli imports verify inside cmd_verify.
-    # No command loads numpy.random, whose import pulls in secrets, hmac
-    # and OpenSSL through _hashlib: the k-plane oracle draws from the
-    # package's own SplitMix64 stream
+    # solve pays the start-up of config, series, ode, curvature and export
+    # only; the package re-exports nothing, cli imports verify inside
+    # cmd_verify, and export, the table writers, inside cmd_solve and
+    # cmd_curvature.  No command loads numpy.random, whose import pulls in
+    # secrets, hmac and OpenSSL through _hashlib: the k-plane oracle draws
+    # from the package's own SplitMix64 stream
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     checks = ["ahgeom.convexity", "ahgeom.verify", "ahgeom.zero_section"]
     never = ["_hashlib", "numpy.random", "secrets"]
@@ -684,9 +760,11 @@ def test_only_verify_loads_the_checks(tmp_path, args):
     code = ("import sys, ahgeom.cli; "
             f"assert ahgeom.cli.main({argv!r}) == 0; "
             f"print(sorted(set({checks!r}) & set(sys.modules))); "
-            f"print(sorted(set({never!r}) & set(sys.modules)))")
+            f"print(sorted(set({never!r}) & set(sys.modules))); "
+            "print('ahgeom.export' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
-    assert done.stdout.split("\n")[:2] == [
-        str(checks if args[0] == "verify" else []), "[]"]
+    assert done.stdout.split("\n")[:3] == [
+        str(checks if args[0] == "verify" else []), "[]",
+        str(args[0] != "verify")]

@@ -361,6 +361,21 @@ class TestEval:
             stacked = np.array([getattr(s, f.name) for s in scalars])
             assert stacked.tobytes() == getattr(batch, f.name).tobytes(), f.name
 
+    @given(n=st.integers(min_value=2, max_value=3000), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cuts_match_whole_grid(self, profile1, n, data):
+        # eval is elementwise, so a grid evaluated in contiguous pieces, as
+        # solve and curvature write it, is the whole grid's eval bit for bit;
+        # squared spacing puts radii below the bootstrap radius too
+        r = profile1.r_max * (np.arange(n) / (n - 1)) ** 2
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=8)))
+        whole = profile1.eval(r)
+        pieces = [profile1.eval(r[lo:hi])
+                  for lo, hi in zip([0, *cuts], [*cuts, n])]
+        for f in fields(whole):
+            joined = np.concatenate([getattr(p, f.name) for p in pieces])
+            assert joined.tobytes() == getattr(whole, f.name).tobytes(), f.name
+
     def test_quintic_exact_on_degree_five(self):
         # nodes holding degree-5 polynomials in a, b and l = log(gap / m)
         # with exact first and second derivatives: the quintic Hermite

@@ -3,8 +3,10 @@
 A table is given as rows_of(lo, hi), which returns the columns of rows
 lo..hi, and its row count n: no column of the whole table is ever built.
 CSV numbers are "%.17g", 17 significant digits, so every double
-round-trips; the JSON bytes are those of one json.dumps(..., indent=2).
-Only solve and curvature import this module, so verify never compiles it.
+round-trips; csvnum writes them in numpy, a block of rows at a time, with
+the bytes of Python's "%.17g".  The JSON bytes are those of one
+json.dumps(..., indent=2).  Only solve and curvature import this module,
+so verify never compiles it.
 """
 from __future__ import annotations
 
@@ -15,10 +17,13 @@ import os
 import numpy as np
 
 from .config import usable_cpus
+from .csvnum import csv_bytes
 
-# Rows per "%": one format over a block of rows is about 20 % faster than
-# one "%" per row, with the same bytes.
-_BLOCK_ROWS = 256
+# Rows per call of the number formatter (csvnum), whose arrays peak at
+# about 190 bytes per number, 0.28 MB at 128 rows of 12 columns.  At 256
+# rows, the 1 000-row solve at tol 1e-12, which holds its profile while it
+# formats, peaked 0.4 MB higher (wait4, 2-vCPU VM).
+_BLOCK_ROWS = 128
 # Rows per evaluation: a table is evaluated, derived and stacked this many
 # rows at a time, so no column of the whole table is built.  One block
 # peaks at about 1.1 MB of arrays; 256-row blocks made the 50 000-row
@@ -26,7 +31,7 @@ _BLOCK_ROWS = 256
 _EVAL_ROWS = 4096
 # The fewest rows per process before the rows are split over forked
 # processes, each of which evaluates and formats its own blocks: 4 096 rows
-# of 12 columns take about 35 ms to format, a fork and reap about 2.4 ms
+# of 12 columns take about 15 ms to format, a fork and reap about 2.4 ms
 # (2-vCPU VM), and smaller tables such as the 1 000-row default stay in
 # one process.
 _FORK_FLOOR = 4096
@@ -40,15 +45,14 @@ def _tables(rows_of, lo, hi):
         yield np.column_stack(rows_of(start, min(start + _EVAL_ROWS, hi)))
 
 
-def _format_blocks(line, rows_of, lo, hi):
-    """The text of rows lo..hi, one string per block of rows."""
+def _format_blocks(rows_of, lo, hi):
+    """The CSV text of rows lo..hi, one bytes object per block of rows."""
     for table in _tables(rows_of, lo, hi):
         for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
-            yield (line * len(block)) % tuple(block.ravel().tolist())
+            yield csv_bytes(table[start:start + _BLOCK_ROWS])
 
 
-def _fork_formatter(line, rows_of, blocks, children):
+def _fork_formatter(rows_of, blocks, children):
     """Fork a process that evaluates and formats the row ranges `blocks`, in
     order, into a new pipe; return its pid and the pipe's read end, as a
     binary file.  Each block goes as its length in 8 bytes, then its text.
@@ -66,8 +70,8 @@ def _fork_formatter(line, rows_of, blocks, children):
                 # all of a block before its first write, so a full pipe
                 # does not hold the formatting to the parent's pace
                 data = bytearray(8)
-                for text in _format_blocks(line, rows_of, lo, hi):
-                    data += text.encode()
+                for text in _format_blocks(rows_of, lo, hi):
+                    data += text
                 data[:8] = (len(data) - 8).to_bytes(8, "little")
                 _write_all(w, data)
             status = 0
@@ -107,18 +111,18 @@ def write_csv(out, header, rows_of, n):
     bytes are the same at any CPU count, and no process holds more than
     about a block.
     """
-    line = ",".join(["%.17g"] * len(header)) + "\n"
     out.write(",".join(header) + "\n")
     procs = max(1, min(usable_cpus(), n // _FORK_FLOOR))
     blocks = [(lo, min(lo + _EVAL_ROWS, n)) for lo in range(0, n, _EVAL_ROWS)]
     children = []
     try:
         for k in range(1, procs):
-            children.append(_fork_formatter(line, rows_of, blocks[k::procs],
+            children.append(_fork_formatter(rows_of, blocks[k::procs],
                                             children))
         for i, (lo, hi) in enumerate(blocks):
             if i % procs == 0:
-                out.writelines(_format_blocks(line, rows_of, lo, hi))
+                for text in _format_blocks(rows_of, lo, hi):
+                    out.write(text.decode())
             elif not _copy_block(children[i % procs - 1][1], out):
                 break  # the process failed: its exit status is raised below
     finally:
@@ -139,14 +143,21 @@ def write_json(out, head, key, rows_of, n, names=None):
     of them.  The list is dumped one evaluation block at a time, each
     indented one level deeper, as it sits in the whole dump."""
     out.write(json.dumps({**head, key: []}, indent=2)[:-len("]\n}")])
+    # a block is dumped without indent, by json's C encoder; the row
+    # separators, the item separators and the brackets of each row then
+    # take the line breaks and indents of the whole dump.  Floats and the
+    # column names hold no ", ", bracket or brace.
+    start, end = "{}" if names is not None else "[]"
+    item = ",\n      "
     sep = "\n"
     for table in _tables(rows_of, 0, n):
         rows = table.tolist()
         if names is not None:
             rows = [dict(zip(names, row)) for row in rows]
-        # a list dumped alone is "[\n" + items + "\n]", its items 2 spaces
-        # shallower than as the value of `key`
-        out.write(sep + "  " + json.dumps(rows, indent=2)[2:-2]
-                  .replace("\n", "\n  "))
+        out.write(sep + "    " + json.dumps(rows)[1:-1]
+                  .replace(", ", item)
+                  .replace(end + item + start, end + ",\n    " + start)
+                  .replace(start, start + item[1:])
+                  .replace(end, "\n    " + end))
         sep = ",\n"
     out.write("\n  ]\n}\n")

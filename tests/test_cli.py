@@ -160,14 +160,14 @@ class TestCsvWriter:
     # dealt in turn over forked processes: the bytes are those of one
     # "%.17g" per row of the whole grid at any CPU count; no process gets
     # under the floor's rows, so two CPUs fork from twice the floor on.
-    # Each id is a row count at the real BLOCK (256), EVAL (4 096) and
-    # FLOOR (4 096); the case runs at 1/SHRINK of all three, which crosses
-    # the same boundaries in a few hundred rows, except 8192, which runs at
-    # the real sizes
+    # Each id is a row count at the real sizes, two BLOCKs (256 rows), EVAL
+    # (4 096) and FLOOR (4 096); the case runs at 1/SHRINK of all three,
+    # which crosses the same boundaries in a few hundred rows, except 8192,
+    # which runs at the real sizes
     @pytest.mark.parametrize("grid, scale", [
         pytest.param(2, SHRINK, id="2"),
-        pytest.param(BLOCK // SHRINK - 1, SHRINK, id="255"),
-        pytest.param(BLOCK // SHRINK + 1, SHRINK, id="257"),
+        pytest.param(2 * BLOCK // SHRINK - 1, SHRINK, id="255"),
+        pytest.param(2 * BLOCK // SHRINK + 1, SHRINK, id="257"),
         pytest.param(2 * FLOOR // SHRINK - 1, SHRINK, id="8191"),
         pytest.param(2 * FLOOR, 1, id="8192"),
         pytest.param(2 * FLOOR // SHRINK + 1, SHRINK, id="8193"),
@@ -202,10 +202,10 @@ class TestCsvWriter:
         # a block lost in a child is an error, never a shorter file
         parent, format_blocks = os.getpid(), export._format_blocks
 
-        def fail_in_child(line, rows_of, lo, hi):
+        def fail_in_child(rows_of, lo, hi):
             if os.getpid() != parent:
                 raise MemoryError("in a formatting process")
-            return format_blocks(line, rows_of, lo, hi)
+            return format_blocks(rows_of, lo, hi)
         monkeypatch.setattr(export, "_format_blocks", fail_in_child)
         _force_cpus(monkeypatch, 2)
         path = tmp_path / "out.csv"

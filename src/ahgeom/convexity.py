@@ -121,44 +121,48 @@ class SplitMix64:
         z += self.key
         return _mix64(z)
 
-    def uniform(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1) from words 0 .. n-1: (word >> 11) 2^-53."""
-        return (self.words(0, n) >> 11) * 2.0 ** -53
+    def uniform(self, n: int, start: int = 0) -> np.ndarray:
+        """n doubles (word >> 11) 2^-53 in [0, 1), from words start on."""
+        return (self.words(start, n) >> 11) * 2.0 ** -53
 
-    def normals(self, out: np.ndarray, start: int = 0) -> np.ndarray:
-        """Fill the C-contiguous array `out` with standard normals start ..
-        start + out.size - 1 of the stream, and return it.  Normals 2j and
-        2j + 1 come by Box-Muller from words 2j and 2j + 1, so normal i
-        depends on the seed and i alone, and a draw in blocks is bitwise
-        the one-shot draw.  Draws are whole pairs: start and out.size must
-        be even.  The radius is sqrt(-2 log u), u in (0, 1], and the angle
-        theta = 2 pi u', u' in [0, 1), enters through t = tan(theta/2):
-        cos theta = (1 - t^2)/(1 + t^2) and sin theta = 2t/(1 + t^2), one
-        vectorized tan where np.cos and np.sin are two scalar loops (a
-        2 048 x 6 block took 0.22 ms against 0.56 ms, numpy 2.4 on an
-        x86-64 VM)."""
-        if start % 2 or out.size % 2:
-            raise ValueError("normals come in Box-Muller pairs: start and "
-                             f"size must be even, got {start} and {out.size}")
-        pairs = out.reshape(-1, 2)
-        w = self.words(start, out.size).reshape(-1, 2) >> 11
-        rad = np.log((w[:, 0] + 1) * 2.0 ** -53)
-        rad *= -2.0
-        rad = np.sqrt(rad, out=rad)
-        t = np.tan(w[:, 1] * (2.0 ** -53 * math.pi))
+    def unit_points(self, out: np.ndarray, start: int = 0) -> np.ndarray:
+        """Fill the C-contiguous (n, 4) array `out` with uniform points of
+        S^3, or an (n, 6) one with points (u, v) of S^2 x S^2, for trials
+        start .. start + n - 1, and return it.  Trial i reads the uniforms
+        3i .. 3i + 2, or 4i .. 4i + 3, so a draw in blocks is bitwise the
+        one-shot draw.  S^3 takes Shoemake's Hopf coordinates
+        (sqrt(1 - w) e^{i theta}, sqrt(w) e^{i theta'}) ("Uniform random
+        rotations", Graphics Gems III, 1992), each S^2 Archimedes'
+        z = 2w - 1 with (sqrt(1 - z^2) e^{i theta}, z) (Marsaglia, Ann.
+        Math. Stat. 43, 1972).  An angle theta = 2 pi w enters through
+        t = tan(theta/2), cos theta = (1 - t^2)/(1 + t^2) and sin theta =
+        2t/(1 + t^2): one vectorized tan, where np.cos and np.sin are two
+        scalar loops.  The points are unit to rounding."""
+        n, width = out.shape
+        per = 3 if width == 4 else 4
+        w = self.uniform(per * n, per * start).reshape(n, per)
+        if width == 4:
+            pts, angle = out.reshape(n, 2, 2), w[:, 1:]
+            rad = np.sqrt(np.stack([1.0 - w[:, 0], w[:, 0]], axis=1))
+        else:
+            pts, angle = out.reshape(n, 2, 3), w[:, 1::2]
+            pts[:, :, 2] = 2.0 * w[:, ::2] - 1.0
+            # sqrt(1 - z^2) = 2 sqrt(w (1 - w))
+            rad = 2.0 * np.sqrt(w[:, ::2] * (1.0 - w[:, ::2]))
+        t = np.tan(angle * math.pi)
         tt = t * t
         rad /= 1.0 + tt
         t *= 2.0
-        np.multiply(rad, 1.0 - tt, out=pairs[:, 0])
-        np.multiply(rad, t, out=pairs[:, 1])
+        np.multiply(rad, 1.0 - tt, out=pts[:, :, 0])
+        np.multiply(rad, t, out=pts[:, :, 1])
         return out
 
 
-# draws per trial: a line takes 4 normals, a 2-plane 6 (two 3-vectors)
+# coordinates per trial: a line is a point of S^3, a 2-plane two of S^2
 _WIDTH = {1: 4, 2: 6}
 # trials per block: the oracle's 20-column line call keeps a (20, block)
-# trace array, 320 KB; at 4 096 trials (640 KB) a `verify` run's peak RSS
-# read 38.9 MB against 37.9 MB.  No minimum depends on the block size
+# trace array, 320 KB; at 4 096 (640 KB) `verify`'s peak RSS read 33.1 MB
+# against 32.2 MB (numpy 2.4, x86-64).  No minimum depends on the block size
 _BLOCK = 2048
 # heavy-ball weight of the polish: the previous step, carried along, lets
 # planes split nearly equal eigenvalues (gaps of 0.003-0.01 at r ~ 3 m)
@@ -179,79 +183,59 @@ def _plane_weights(cols: np.ndarray):
 def _plane_traces(draws: np.ndarray, weights: np.ndarray, shifts,
                   out: np.ndarray) -> np.ndarray:
     """Write tr(P_L diag(c)) into out[j, t] for each diagonal c = cols[j]
-    of an (n, 4) stack and the subspace L that row t of a (t, 4) or (t, 6)
-    stack of draws stands for, and return `out`, shape (n, t).  Lines take
+    of an (n, 4) stack and the subspace L of row t of a (t, 4) or (t, 6)
+    stack of unit points, and return `out`, shape (n, t).  Lines take
     weights = cols and shifts = None, 2-planes the weights h and shifts s/2
     of `_plane_weights(cols)`.
 
-    A (t, 4) row x is a line, with tr = sum_i c_i x_i^2 / |x|^2.  A (t, 6)
-    row (u, v) of two 3-vectors is the 2-plane whose Pluecker vector is
-    (u+ + v-)/sqrt(2) for unit u and v: u on the self-dual basis
-    (e01+e23, e02-e13, e03+e12)/sqrt(2) and v on the anti-self-dual one
-    (e01-e23, e02+e13, e03-e12)/sqrt(2).  Its trace, summed from the
-    Pluecker coordinates by Cauchy-Binet, is
+    A row x of S^3 is a line, with tr = sum_i c_i x_i^2.  A row (u, v) of
+    S^2 x S^2 is the 2-plane whose Pluecker vector is (u+ + v-)/sqrt(2): u
+    on the self-dual basis (e01+e23, e02-e13, e03+e12)/sqrt(2) and v on the
+    anti-self-dual one (e01-e23, e02+e13, e03-e12)/sqrt(2).  Its trace,
+    summed from the Pluecker coordinates by Cauchy-Binet, is
 
-        tr = s/2 + (1/2) sum_i delta_i u_i v_i / sqrt(|u|^2 |v|^2),
+        tr = s/2 + (1/2) sum_i delta_i u_i v_i,
 
     with s = tr c and delta = (c0+c1-c2-c3, c0+c2-c1-c3, c0+c3-c1-c2).
-    The oriented Gr(2, 4) is S^2 x S^2 this way and its Haar measure the
-    product of the uniform measures, so two Gaussian 3-vectors draw a Haar
-    2-plane from 6 normals (a Gaussian 4x2 frame needs 8).  Both kernels
-    are elementwise, with no orthonormalization.  What does not depend on
-    c (x_i^2 and |x|^2, or u_i v_i and |u||v|) is formed once per draw, as
-    a C-ordered (terms, t) array; one einsum then weighs the terms for all
-    diagonals at once, and each diagonal's sums take the same terms in the
-    same order, so its traces are bitwise those of a call with that
-    diagonal alone.  Every trace is that of a genuine subspace, so none
-    undercuts the Ky Fan sum beyond rounding.
+    The oriented Gr(2, 4) is S^2 x S^2 this way, and its Haar measure the
+    product of the uniform measures.  The terms x_i^2, or u_i v_i, are
+    formed once per draw, as a C-ordered (terms, t) array, and one einsum
+    weighs them for all diagonals at once; each diagonal's sums take the
+    same terms in the same order, so its traces are bitwise those of a call
+    with that diagonal alone.  Every trace is that of a genuine subspace,
+    so none undercuts the Ky Fan sum beyond rounding.
     """
     rows = draws.T
-    if len(rows) == 4:
-        terms = np.multiply(rows, rows, order="C")
-        den = terms[0] + terms[1]
-        den += terms[2]
-        den += terms[3]
-    else:
-        terms = np.multiply(rows[:3], rows[3:], order="C")
-        u0, u1, u2, v0, v1, v2 = rows
-        uu, vv = u0 * u0, v0 * v0
-        uu += u1 * u1
-        uu += u2 * u2
-        vv += v1 * v1
-        vv += v2 * v2
-        uu *= vv
-        den = np.sqrt(uu, out=uu)
-    np.einsum("ji,it->jt", weights, terms, out=out)
-    out /= den
+    # x_i x_i on a line, u_i v_i on a plane
+    half = 4 if len(rows) == 4 else 3
+    np.einsum("ji,it->jt", weights,
+              np.multiply(rows[:half], rows[-half:], order="C"), out=out)
     if shifts is not None:
         out += shifts[:, None]
     return out
 
 
 def _polish(draws: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Smallest trace met by each draw p of a (p, 4) or (p, 6) stack, for
-    the diagonal d[p] of a (p, 4) stack, over 200 steps of projected
-    gradient descent with heavy-ball momentum in the sampler's own
-    coordinates.
+    """Smallest trace met by each unit-point draw p of a (p, 4) or (p, 6)
+    stack, for the diagonal d[p] of a (p, 4) stack, over 200 steps of
+    projected gradient descent with heavy-ball momentum on the draws' own
+    spheres.
 
-    A line is a point x of S^3 with tr = sum_i d_i x_i^2, and descends
-    along d x, half the Euclidean gradient (a Rayleigh-quotient descent).
-    A 2-plane is a point (u, v) of S^2 x S^2 with tr = s/2 + sum_i h_i u_i
-    v_i (`_plane_weights`), whose Euclidean gradient is (h v, h u).  On
-    each sphere the gradient and the previous displacement, carried
-    _MOMENTUM times, are projected onto the tangent space, and the
-    retraction normalizes the point.  The step is 0.5 / (d_max - d_min) per
-    draw: the product metric of S^2 x S^2 is twice that of Gr(2, 4), so
-    this step moves a plane as far as the same step along half the
-    Riemannian gradient moves an orthonormal frame.  Every iterate is a
-    genuine subspace."""
+    A line x of S^3 has tr = sum_i d_i x_i^2, and descends along d x, half
+    the Euclidean gradient (a Rayleigh-quotient descent).  A 2-plane (u, v)
+    of S^2 x S^2 has tr = s/2 + sum_i h_i u_i v_i (`_plane_weights`), whose
+    Euclidean gradient is (h v, h u).  On each sphere the gradient and the
+    previous displacement, carried _MOMENTUM times, are projected onto the
+    tangent space, and the retraction normalizes the point.  The step is
+    0.5 / (d_max - d_min) per draw: the product metric of S^2 x S^2 is
+    twice that of Gr(2, 4), so this step moves a plane as far as the same
+    step along half the Riemannian gradient moves an orthonormal frame.
+    Every iterate is a genuine subspace."""
     p = len(draws)
     if draws.shape[1] == 4:
         x, weights, shift = draws.reshape(p, 1, 4), d, 0.0
     else:
-        x = draws.reshape(p, 2, 3)
-        weights, shift = _plane_weights(d)
-    x = x / np.sqrt(np.einsum("pmi,pmi->pm", x, x))[..., None]
+        x, (weights, shift) = draws.reshape(p, 2, 3), _plane_weights(d)
     w = weights[:, None]
     step = 0.5 / np.maximum(np.ptp(d, axis=1), 1e-300)[:, None, None]
     move = np.zeros_like(x)
@@ -275,25 +259,21 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000, *,
     column of d, n Hess(r^2) diagonals from `hessian_r2_diagonal` (or their
     negatives) of shape (4, n): the n minima, shape (n,).
 
-    Candidate subspaces are Haar-distributed: a line is spanned by a
-    standard-normal 4-vector (4 draws per trial), and a 2-plane is drawn as
-    a pair of standard-normal 3-vectors, a uniform point of S^2 x S^2 =
-    the oriented Gr(2, 4) (6 draws per trial; see `_plane_traces`).  A
-    3-plane L with unit normal n has tr(P_L D) = tr d - n^T D n, and the
-    normal of a Haar 3-plane is a Haar line, so tr d plus the line minimum
-    for -d is the 3-plane minimum.  The call draws `trials` subspaces from
-    the `SplitMix64` normals of `seed`, in blocks of _BLOCK trials, and
-    every column scores that same stream: each radius sees `trials` Haar
-    subspaces, and its minimum is bitwise that of a one-column call at the
-    same seed.  Each draw is scored in closed form by an elementwise kernel
-    (`_plane_traces`), with no orthonormalization and no eigensolver, and
-    each column keeps its 8 best draws, its minimum among them.  With
-    polish=True `_polish` refines those draws where they were drawn, on S^3
-    or S^2 x S^2, all columns in one batch.  Every evaluation is the trace
-    over a genuine subspace, so the result can never undercut the true
-    minimum (beyond rounding), and pure sampling (polish=False) converges
-    to it from above as trials grow.  trials is capped at 200 000 to bound
-    the time of a call; the buffers hold one block at any trials.
+    The call draws `trials` Haar subspaces from `SplitMix64(seed)`, in
+    blocks of _BLOCK trials: a line is a uniform point of S^3 (3 words per
+    trial), a 2-plane one of S^2 x S^2, the oriented Gr(2, 4) (4 words; see
+    `_plane_traces`).  A 3-plane with unit normal n has tr(P_L D) =
+    tr d - n^T D n, and the normal of a Haar 3-plane is a Haar line, so
+    tr d plus the line minimum for -d is the 3-plane minimum.  Every column
+    scores the same stream in closed form, with no orthonormalization and
+    no eigensolver, so its minimum is bitwise that of a one-column call at
+    the same seed.  Each column keeps its 8 best draws, and with
+    polish=True `_polish` refines them where they were drawn, all columns
+    in one batch.  Every value is the trace of a genuine subspace, so the
+    result never undercuts the true minimum (beyond rounding), and pure
+    sampling (polish=False) converges to it from above as trials grow.
+    trials is capped at 200 000 to bound the time of a call; the buffers
+    hold one block at any trials.
     """
     d = np.array(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != 4 or not np.all(np.isfinite(d)):
@@ -313,7 +293,7 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000, *,
     cand_tr = np.full((len(cols), 8), np.inf)
     for lo in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - lo)
-        stream.normals(block[:n], lo * _WIDTH[k])
+        stream.unit_points(block[:n], lo)
         _plane_traces(block[:n], weights, shifts, tr[:, :n])
         # only a column whose block minimum beats its 8th best takes in new
         # candidates: the 8 best of its old 8 and the block's 8 best

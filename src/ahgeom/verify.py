@@ -204,7 +204,8 @@ def check_strong_stability(ctx: VerifyContext) -> CheckResult:
 def check_calibration_bound(ctx: VerifyContext) -> CheckResult:
     cal = calibration_check(ctx.profile, np.r_[0.0, ctx.grid],
                             tolerances(ctx.tol)["calibration_slack"])
-    ok = cal.bound_holds and cal.monotone and cal.strict_after_zero
+    ok = (cal.bound_holds and cal.monotone and cal.strict_after_zero
+          and cal.equal_at_zero)
     return CheckResult(
         name="calibration_bound",
         anchor="b c <= -m^2 with equality only at r = 0; b c strictly decreasing",
@@ -290,7 +291,7 @@ def check_scale_covariance(ctx: VerifyContext) -> CheckResult:
     tols = tolerances(ctx.tol)
     p1 = ctx.profile.params
     # compare against 2m, or against m/2 where 2m leaves the accepted range;
-    # either factor is a power of two, so the rescaling itself is exact
+    # `integrate` rescales by either power of two bit for bit: worst is 0.0
     f = 2.0 if 2.0 * p1.m <= M_MAX else 0.5
     p2 = ModelParams(m=f * p1.m, r_max=f * p1.r_max, tol=p1.tol)
     prof2 = integrate(p2)
@@ -309,7 +310,8 @@ def check_scale_covariance(ctx: VerifyContext) -> CheckResult:
                "a(r) -> 2 a(r/2) of the parameter-m profile",
         passed=worst <= tols["scale_covariance_rel"], worst=worst,
         budget=tols["scale_covariance_rel"], direction="<=", grid=100,
-        note="values, first and second derivatives compared" + (
+        note="values, first and second derivatives compared; 0.0 by "
+             "construction at a power-of-two factor" + (
             "" if f == 2.0 else "; at parameter m/2, as 2m is out of range"))
 
 

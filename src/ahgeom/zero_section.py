@@ -55,8 +55,9 @@ class CalibrationResult:
     min_abs_bc: float
     monotone: bool
     bound_holds: bool
-    worst_excess: float  # max over the grid of bc + m^2 (<= 0 required)
+    worst_excess: float  # max of bc + m^2 over the grid's r > 0
     strict_after_zero: bool
+    equal_at_zero: bool
 
 
 def calibration_check(profile: MetricProfile, grid,
@@ -65,7 +66,8 @@ def calibration_check(profile: MetricProfile, grid,
     decreasing.  The product bc starts at -m^2 and (bc)' < 0 for r > 0; that
     is exactly the comass-one condition of the calibrating form, whose
     comass at radius r is m^2/|bc|.  The bound is checked up to the relative
-    slack, bc <= -m^2 (1 - slack), since bc = -m^2 - r^2/2 + O(r^4)."""
+    slack, bc <= -m^2 (1 - slack), since bc = -m^2 - r^2/2 + O(r^4); the
+    worst excess is over r > 0, and at r = 0 bc = -m^2 must hold exactly."""
     m2 = profile.params.m ** 2
     r = np.asarray(grid, dtype=float)
     s = profile.eval(r)
@@ -78,6 +80,7 @@ def calibration_check(profile: MetricProfile, grid,
         min_abs_bc=float(np.min(np.abs(bc), initial=math.inf)),
         monotone=monotone,
         bound_holds=not np.any(bc > -m2 * (1.0 - slack)),
-        worst_excess=float(np.max(bc + m2, initial=-math.inf)),
-        strict_after_zero=not np.any(bc[after_zero] >= -m2))
+        worst_excess=float(np.max(bc[after_zero] + m2, initial=-math.inf)),
+        strict_after_zero=not np.any(bc[after_zero] >= -m2),
+        equal_at_zero=bool(np.all(bc[~after_zero] == -m2)))
 

@@ -161,26 +161,45 @@ class TestSplitMix64:
 
     def test_blockwise_draw_is_one_shot(self):
         stream = SplitMix64(3)
-        whole = stream.normals(np.empty(10_002))
-        cuts = [0, 2, 4, 8, 2048, 2050, 6000, 10_002]
-        parts = [stream.normals(np.empty(b - a), a)
-                 for a, b in zip(cuts, cuts[1:])]
-        assert np.concatenate(parts).tobytes() == whole.tobytes()
-        # normals come in Box-Muller pairs: an odd start or size is refused
-        for start, size in ((1, 4), (2, 3), (7, 1)):
-            with pytest.raises(ValueError, match="even"):
-                stream.normals(np.empty(size), start)
-        # as the minimizer draws: into one (block, 6) buffer, tail included
-        block = np.empty((2048, 6))
-        rows = [stream.normals(block[:n], 6 * lo).copy()
-                for lo, n in ((0, 2048), (2048, 2048), (4096, 3))]
-        assert (np.vstack(rows).tobytes()
-                == stream.normals(np.empty((4099, 6))).tobytes())
+        for width in (4, 6):
+            whole = stream.unit_points(np.empty((10_001, width)))
+            cuts = [0, 1, 3, 2048, 2051, 6000, 10_001]
+            parts = [stream.unit_points(np.empty((b - a, width)), a)
+                     for a, b in zip(cuts, cuts[1:])]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+            # as the minimizer draws: into one (block, width) buffer, tail
+            # included
+            block = np.empty((2048, width))
+            rows = [stream.unit_points(block[:n], lo).copy()
+                    for lo, n in ((0, 2048), (2048, 2048), (4096, 3))]
+            assert np.vstack(rows).tobytes() == whole[:4099].tobytes()
         assert (stream.uniform(5).tolist()
                 == ((stream.words(0, 5) >> 11) * 2.0 ** -53).tolist())
 
+    def test_points_from_their_words(self):
+        # trial i of a line is Shoemake's point of S^3 from words 3i .. 3i+2,
+        # of a 2-plane two of Archimedes' points of S^2 from words 4i .. 4i+3
+        stream = SplitMix64(5)
+        for i in (0, 1, 777):
+            w0, w1, w2 = (stream.words(3 * i, 3) >> 11) * 2.0 ** -53
+            want = [math.sqrt(1 - w0) * math.cos(2 * math.pi * w1),
+                    math.sqrt(1 - w0) * math.sin(2 * math.pi * w1),
+                    math.sqrt(w0) * math.cos(2 * math.pi * w2),
+                    math.sqrt(w0) * math.sin(2 * math.pi * w2)]
+            got = stream.unit_points(np.empty((1, 4)), i)[0]
+            assert np.abs(got - want).max() <= 1e-15
+            want = []
+            for z, phi in ((stream.words(4 * i, 4) >> 11) * 2.0 ** -53
+                           ).reshape(2, 2):
+                z, phi = 2 * z - 1, 2 * math.pi * phi
+                want += [math.sqrt(1 - z * z) * math.cos(phi),
+                         math.sqrt(1 - z * z) * math.sin(phi), z]
+            got = stream.unit_points(np.empty((1, 6)), i)[0]
+            assert np.abs(got - want).max() <= 1e-15
+
     def test_seeds_give_unrelated_streams(self):
-        one, two = (SplitMix64(7).normals(np.empty(1000)) for _ in range(2))
+        one, two = (SplitMix64(7).unit_points(np.empty((1000, 6)))
+                    for _ in range(2))
         assert one.tobytes() == two.tobytes()
         # the oracle's seeds s, s + 1000 and s + 2000 share no word, so no
         # stream is a shifted copy of another
@@ -199,11 +218,21 @@ class TestSplitMix64:
         with pytest.raises(ValueError, match=">= 0"):
             SplitMix64(-1)
 
-    def test_draws_are_standard(self):
+    def test_draws_are_uniform(self):
+        # on S^2, z is uniform on [-1, 1] (Archimedes); on S^3, x0^2 + x1^2
+        # is uniform on [0, 1]; and on both each circle's angle is uniform
         stats = pytest.importorskip("scipy.stats")
-        normals = SplitMix64(1).normals(np.empty(100_000))
-        assert stats.kstest(normals, "norm").pvalue > 1e-3
-        assert stats.kstest(SplitMix64(2).uniform(100_000),
+        planes = SplitMix64(1).unit_points(np.empty((10_000, 6)))
+        lines = SplitMix64(3).unit_points(np.empty((20_000, 4)))
+        assert stats.kstest(planes[:, 2::3].ravel(), "uniform",
+                            args=(-1, 2)).pvalue > 1e-3
+        assert stats.kstest(lines[:, 0] ** 2 + lines[:, 1] ** 2,
+                            "uniform").pvalue > 1e-3
+        for x, y in (planes[:, :2].T, planes[:, 3:5].T, lines[:, :2].T,
+                     lines[:, 2:].T):
+            assert stats.kstest(np.arctan2(y, x), "uniform",
+                                args=(-math.pi, 2 * math.pi)).pvalue > 1e-3
+        assert stats.kstest(SplitMix64(2).uniform(20_000),
                             "uniform").pvalue > 1e-3
 
 
@@ -379,13 +408,14 @@ def _exact_trace(frame, d):
 def _draws(seed, trials, k, d):
     """The draws that `_kplane_min` makes from `seed`, with the (4, n)
     diagonals that score them and the offset added to their traces: lines
-    take 4 normals per trial, 2-planes 6 (two 3-vectors), and at k = 3 the
-    normal lines are scored with -d and offset by tr d."""
+    are points of S^3 (3 words per trial), 2-planes points of S^2 x S^2 (4
+    words per trial), and at k = 3 the normal lines are scored with -d and
+    offset by tr d."""
     offset = 0.0
     if k == 3:
         offset, d, k = np.sum(d, axis=0), -d, 1
     width = 6 if k == 2 else 4
-    draws = SplitMix64(seed).normals(np.empty((trials, width)))
+    draws = SplitMix64(seed).unit_points(np.empty((trials, width)))
     return draws, d, offset
 
 
@@ -442,11 +472,11 @@ class TestPlaneTraces:
         assert np.array_equal(draws, before)
 
     def test_plane_draws_are_haar(self, profile1):
-        # two Gaussian 3-vectors of the package's stream give the trace law
+        # points of S^2 x S^2 from the package's stream give the trace law
         # of Gaussian 4x2 frames drawn by numpy
         stats = pytest.importorskip("scipy.stats")
         d = hessian_r2_diagonal(profile1.at(1.0))
-        draws = SplitMix64(11).normals(np.empty((20_000, 6)))
+        draws = SplitMix64(11).unit_points(np.empty((20_000, 6)))
         frames = np.random.default_rng(12).standard_normal((20_000, 4, 2))
         got = _traces(draws, d)
         assert stats.ks_2samp(got, _qr_traces(frames, d)).pvalue > 1e-3
@@ -454,15 +484,16 @@ class TestPlaneTraces:
     def test_plane_traces_exact(self, profile1):
         # against exact rational traces of the frames' spans built from W
         d = hessian_r2_diagonal(profile1.at(1.0))
-        draws = np.random.default_rng(13).standard_normal((64, 6))
+        draws = SplitMix64(13).unit_points(np.empty((64, 6)))
         exact = [float(_exact_trace(g, d)) for g in _frames(draws)]
         got = _traces(draws, d)
         assert np.abs(got - exact).max() <= 1e-14
 
     @pytest.mark.parametrize("k, width", [(1, 4), (2, 6), (3, 4)])
     def test_draws_per_trial(self, profile1, monkeypatch, k, width):
-        # one stream serves all ten radii: 4 normals per trial for a line,
-        # 6 for a 2-plane, 4 for a 3-plane's normal line
+        # one stream serves all ten radii, read once and in order: a line
+        # (width 4, a point of S^3) takes 3 words per trial, a 2-plane
+        # (width 6, a point of S^2 x S^2) 4, a 3-plane's normal line 3
         generators = []
 
         class Counting(SplitMix64):
@@ -471,14 +502,15 @@ class TestPlaneTraces:
                 self.drawn = 0
                 generators.append(self)
 
-            def normals(self, out, start=0):
-                got = super().normals(out, start)
-                self.drawn += got.size
-                return got
+            def words(self, start, n):
+                assert start == self.drawn
+                self.drawn += n
+                return super().words(start, n)
         monkeypatch.setattr(convexity, "SplitMix64", Counting)
         d = hessian_r2_diagonal(profile1.eval(np.linspace(0.5, 19.0, 10)))
         _kplane_min(d, k, trials=20_000, seed=k)
-        assert [g.drawn for g in generators] == [width * 20_000]
+        words = 3 if width == 4 else 4
+        assert [g.drawn for g in generators] == [words * 20_000]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_unpolished_minima_match_gram_schmidt(self, profile1, k):
@@ -508,7 +540,7 @@ class TestPlaneTraces:
     def test_only_polish_frames_orthonormalized(self, profile1, monkeypatch,
                                                 polish):
         # nothing is orthonormalized, and only the 8 best draws per radius
-        # are refined: `_polish` sees them once, as raw (24, 4) normal-line
+        # are refined: `_polish` sees them once, as (24, 4) unit normal-line
         # draws, and never without the polish; each trace call scores one
         # draw block for every radius, so no scoring temporary exceeds the
         # block, and every block reuses one draw buffer and one trace array
@@ -608,9 +640,9 @@ class TestPolish:
     def test_never_undercuts_ky_fan(self, k):
         # from random starts on random spectra, every polished trace is that
         # of a genuine subspace: none undercuts the Ky Fan sum
-        rng = np.random.default_rng(40 + k)
-        d = rng.standard_normal((2_000, 4))
-        draws = rng.standard_normal((2_000, convexity._WIDTH[k]))
+        d = np.random.default_rng(40 + k).standard_normal((2_000, 4))
+        draws = SplitMix64(40 + k).unit_points(
+            np.empty((2_000, convexity._WIDTH[k])))
         got = convexity._polish(draws, d)
         exact = min_trace_over_kplanes(np.sort(d, axis=1).T, k)
         assert np.min(got - exact) >= -1e-12
@@ -636,14 +668,27 @@ class TestOracle:
         assert sizes == {20: 100_000, 10: 100_000}
         assert {n: len(b) for n, b in buffers.items()} == {20: 1, 10: 1}
 
-    @pytest.mark.parametrize("seed", [222, 424])
+    @pytest.mark.parametrize("seed", [246, 336])
     def test_hard_seeds(self, profile1, grid1, seed):
-        # the two worst seeds of 0-499 (1.4e-4 and 1.5e-4), where the polish
-        # must split the near-equal 2nd and 3rd eigenvalues
+        # the two worst seeds of 0-499 (1.77e-4 and 1.36e-4), where the
+        # polish must split the near-equal 2nd and 3rd eigenvalues
         ctx = verify.VerifyContext(profile1, grid1, seed)
         result = verify.check_kplane_oracle(ctx)
         assert result.passed
         assert result.worst <= 2.5e-4
+
+    @pytest.mark.slow
+    def test_every_seed(self, profile1, grid1):
+        # the sweep the hard seeds come from: every seed 0-499 passes within
+        # 2.5e-4, a quarter of the 1e-3 budget
+        worst = {}
+        for seed in range(500):
+            result = verify.check_kplane_oracle(
+                verify.VerifyContext(profile1, grid1, seed))
+            assert result.passed, seed
+            worst[seed] = result.worst
+        assert max(worst.values()) <= 2.5e-4
+        assert sorted(worst, key=worst.get)[-2:] == [336, 246]
 
 
 def test_no_lapack_qr_in_package():

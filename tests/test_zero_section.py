@@ -86,8 +86,30 @@ class TestCalibration:
         assert cal.bound_holds
         assert cal.monotone
         assert cal.strict_after_zero
+        assert cal.equal_at_zero
         assert cal.min_abs_bc == pytest.approx(1.0, abs=1e-12)
         assert cal.worst_excess <= 0.0
+
+    def test_worst_is_measured_over_r_positive(self, profile1, grid1):
+        # the report's worst is bc + m^2 at the grid's r > 0, -r1^2/2 at its
+        # first radius r1 = 0.02, not the 0.0 of the equality at r = 0
+        result = verify.check_calibration_bound(
+            verify.VerifyContext(profile1, grid1, 0))
+        assert result.passed
+        assert result.worst < 0.0
+        assert result.worst == pytest.approx(-0.5 * grid1[0] ** 2, rel=1e-3)
+
+    def test_equality_at_zero_is_required(self, profile1, grid1):
+        # bc(0) = -m^2 exactly: against m one ulp above 1, the r = 0 value
+        # fails the check though every r > 0 still passes
+        from dataclasses import replace
+        params = replace(profile1.params, m=1.0 + 2.0 ** -52)
+        bad = replace(profile1, params=params)
+        cal = calibration_check(bad, np.r_[0.0, grid1], SLACK)
+        assert cal.bound_holds and cal.monotone and cal.strict_after_zero
+        assert not cal.equal_at_zero
+        ctx = verify.VerifyContext(bad, grid1, 0)
+        assert not verify.check_calibration_bound(ctx).passed
 
     def test_negative_control_flipped_sign(self, profile1, grid1):
         from dataclasses import replace

@@ -43,8 +43,9 @@ def main(argv=None) -> int:
     for m, p in zip(args.m, params):
         profile = integrate(p)
         delta = tube_modulus(profile)
-        rep = second_derivative_signs(profile, profile.grid(1000))
-        cross = rep.c_crossing if rep.c_crossing is not None else float("nan")
+        *_, cross = second_derivative_signs(profile, profile.grid(1000))
+        if cross is None:
+            cross = float("nan")
         print(f"{m:6.2f} {delta:28.6f} {2.0 / m ** 2:10.4f} "
               f"{cross:14.9f} {cross / m:12.9f}")
     return 0

@@ -81,14 +81,13 @@ def cmd_curvature(params: ModelParams, grid_points: int, fmt: str,
     # the grid starts at r = 0, where kappa is 0/0: that row holds the exact
     # limits (the fiber curvature -a''/a is -k1), and the anti-self-duality
     # residuals extend continuously to 0
-    k0 = kappa_at_zero(params.m)
-    zero = (0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, -k0.k1)
+    k1, k2, k3 = kappa_at_zero(params.m)
+    zero = (0.0, k1, k2, k3, 0.0, 0.0, 0.0, -k1)
 
     def rows_of(lo, hi):
         s = profile.eval(_solve_grid(params.r_max, grid_points,
                                      max(lo, 1), hi))
-        k = curvature_components(s)
-        columns = (s.r, k.k1, k.k2, k.k3, *asd_residual(s),
+        columns = (s.r, *curvature_components(s), *asd_residual(s),
                    fiber_gauss_curvature(s))
         if lo > 0:
             return columns

@@ -1,9 +1,7 @@
-"""The parameters of one model run, the range of m they accept, and the
-CPU count a run may spread its work over."""
+"""The parameters of one model run and the range of m they accept."""
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 # The accepted m, [M_MIN, M_MAX]: curvature divides by (abc)^2 ~ m^6, so it
@@ -39,12 +37,3 @@ class ModelParams:
         if not 1e-14 <= self.tol < 1e-2:
             raise ValueError(f"tol must lie in [1e-14, 1e-2), got {self.tol}")
 
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, or os.cpu_count()
-    where affinity is unknown.  Only the CSV writer (`export.write_csv`)
-    reads it, to split large tables over forked processes."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1

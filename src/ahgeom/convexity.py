@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -322,21 +321,11 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000, *,
     return best
 
 
-@dataclass(frozen=True)
-class SignReport:
-    """Signs of the coefficient second derivatives along the profile:
-    a'' < 0 and b'' < 0 on the grid exactly when both maxima are negative."""
-
-    max_dda: float
-    max_ddb: float
-    c_sign_changes: int      # bracketed sign changes of c''
-    c_crossing: float | None  # refined crossing radius, if bracketed
-
-
-def second_derivative_signs(profile: MetricProfile, grid) -> SignReport:
-    """Largest a'' and b'' on the grid of radii r > 0, and the sign change
-    of c'' (positive near the zero section, negative far out) located to
-    1e-10 relative in r: each round evaluates 65 evenly spaced radii of the
+def second_derivative_signs(profile: MetricProfile, grid):
+    """Largest a'' and b'' on the grid of radii r > 0, the number of
+    bracketed sign changes of c'' (positive near the zero section, negative
+    far out), and the first one's radius, or None, located to 1e-10
+    relative in r: each round evaluates 65 evenly spaced radii of the
     bracket in one batch and keeps the first subinterval where c'' changes
     sign.  c'' is bracketed on the grid with r = 0 prepended, where
     c''(0) = 3/(4m) > 0, so a crossing below the grid's first radius (a
@@ -355,8 +344,5 @@ def second_derivative_signs(profile: MetricProfile, grid) -> SignReport:
             j = np.flatnonzero(up[:-1] != up[1:])[0]
             lo, hi = float(r[j]), float(r[j + 1])
         crossing = 0.5 * (lo + hi)
-    return SignReport(
-        max_dda=float(np.max(s.dda[1:])),
-        max_ddb=float(np.max(s.ddb[1:])),
-        c_sign_changes=len(brackets),
-        c_crossing=crossing)
+    return (float(np.max(s.dda[1:])), float(np.max(s.ddb[1:])),
+            len(brackets), crossing)

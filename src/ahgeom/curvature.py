@@ -14,8 +14,6 @@ makes sense, including samples whose fields are arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ode import CoefficientSample
@@ -47,33 +45,21 @@ def kappa_term_scale(a, b, c):
     return t ** 4 / (2.0 * (a * b * c) ** 2)
 
 
-@dataclass(frozen=True)
-class CurvatureComponents:
-    """The three independent sectional values at one radius (arrays for a
-    sample of arrays)."""
-
-    k1: float  # kappa(a, b, c) = a''/a
-    k2: float  # kappa(b, c, a) = b''/b
-    k3: float  # kappa(c, a, b) = c''/c
-
-    @property
-    def cyclic_sum(self) -> float:
-        return self.k1 + self.k2 + self.k3
-
-
-def kappa_at_zero(m: float) -> CurvatureComponents:
+def kappa_at_zero(m: float):
     """Curvature at the zero section, where kappa itself is 0/0: the limits
-    are k1 = -3/(2 m^2) and k2 = k3 = 3/(4 m^2)."""
+    (k1, k2, k3) = (-3/(2 m^2), 3/(4 m^2), 3/(4 m^2))."""
     if not m > 0:
         raise ValueError(f"m must be positive, got {m}")
-    return CurvatureComponents(k1=-1.5 / m ** 2, k2=0.75 / m ** 2, k3=0.75 / m ** 2)
+    return -1.5 / m ** 2, 0.75 / m ** 2, 0.75 / m ** 2
 
 
-def curvature_components(sample: CoefficientSample) -> CurvatureComponents:
+def curvature_components(sample: CoefficientSample):
+    """The sectional values (k1, k2, k3) = (a''/a, b''/b, c''/c) at r > 0,
+    arrays for a sample of arrays."""
     if np.any(sample.r <= 0.0):
         raise ValueError("curvature_components needs r > 0; use kappa_at_zero")
     a, b, c = sample.a, sample.b, sample.c
-    return CurvatureComponents(k1=kappa(a, b, c), k2=kappa(b, c, a), k3=kappa(c, a, b))
+    return kappa(a, b, c), kappa(b, c, a), kappa(c, a, b)
 
 
 def asd_residual(sample: CoefficientSample):

@@ -16,7 +16,6 @@ import os
 
 import numpy as np
 
-from .config import usable_cpus
 from .csvnum import csv_bytes
 
 # Rows per call of the number formatter (csvnum), whose arrays peak at
@@ -27,15 +26,21 @@ _BLOCK_ROWS = 128
 # Rows per evaluation: a table is evaluated, derived and stacked this many
 # rows at a time, so no column of the whole table is built.  One block
 # peaks at about 1.1 MB of arrays; 256-row blocks made the 50 000-row
-# solve 5 % and curvature 14 % slower (2-vCPU VM).
+# solve 5 % and curvature 14 % slower (2-vCPU VM).  A table goes to no
+# more processes than it has full blocks: 4 096 rows of 12 columns take
+# about 15 ms to format, a fork and reap about 2.4 ms, and smaller tables
+# such as the 1 000-row default stay in one process.
 _EVAL_ROWS = 4096
-# The fewest rows per process before the rows are split over forked
-# processes, each of which evaluates and formats its own blocks: 4 096 rows
-# of 12 columns take about 15 ms to format, a fork and reap about 2.4 ms
-# (2-vCPU VM), and smaller tables such as the 1 000-row default stay in
-# one process.
-_FORK_FLOOR = 4096
 _PIPE_READ = 1 << 16
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or os.cpu_count()
+    where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _tables(rows_of, lo, hi):
@@ -104,15 +109,15 @@ def write_csv(out, header, rows_of, n):
 
     "%.17g" always writes 17 significant digits, so every double
     round-trips.  The rows are cut into _EVAL_ROWS-row blocks and dealt in
-    turn to one process per usable CPU, but to no more processes than give
-    each _FORK_FLOOR rows.  Each forked process evaluates and formats its
+    turn to one process per usable CPU, but to no more processes than there
+    are full blocks.  Each forked process evaluates and formats its
     blocks and sends them down a pipe, one block ahead at most; the parent
     formats its own blocks and copies the others' in row order.  So the
     bytes are the same at any CPU count, and no process holds more than
     about a block.
     """
     out.write(",".join(header) + "\n")
-    procs = max(1, min(usable_cpus(), n // _FORK_FLOOR))
+    procs = max(1, min(usable_cpus(), n // _EVAL_ROWS))
     blocks = [(lo, min(lo + _EVAL_ROWS, n)) for lo in range(0, n, _EVAL_ROWS)]
     children = []
     try:

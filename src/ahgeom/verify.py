@@ -156,14 +156,14 @@ def check_hyperkahler_certificate(ctx: VerifyContext) -> CheckResult:
     asd_stored = float(np.max(np.abs(asd_residual(ctx.profile.samples))))
     s = ctx.profile.eval(ctx.grid)
     asd_interp = float(np.max(np.abs(asd_residual(s))))
-    k = curvature_components(s)
-    cyc = float(np.max(np.abs(k.cyclic_sum) / kappa_term_scale(s.a, s.b, s.c)))
+    k1, k2, k3 = curvature_components(s)
+    cyc = float(np.max(np.abs(k1 + k2 + k3) / kappa_term_scale(s.a, s.b, s.c)))
     # relative to |kappa|, floored at the curvature scale 1/m^2
     cert = max(
         float(np.max(np.abs(du / u - ki)
                      / np.maximum(1.0 / ctx.m ** 2, np.abs(ki))))
-        for du, u, ki in ((s.dda, s.a, k.k1), (s.ddb, s.b, k.k2),
-                          (s.ddc, s.c, k.k3)))
+        for du, u, ki in ((s.dda, s.a, k1), (s.ddb, s.b, k2),
+                          (s.ddc, s.c, k3)))
     ratio = max(asd_stored / tols["asd_stored_abs"],
                 asd_interp / tols["asd_interp_abs"],
                 cyc / tols["kappa_cyclic_rel"],
@@ -202,17 +202,25 @@ def check_strong_stability(ctx: VerifyContext) -> CheckResult:
 
 
 def check_calibration_bound(ctx: VerifyContext) -> CheckResult:
-    cal = calibration_check(ctx.profile, np.r_[0.0, ctx.grid],
-                            tolerances(ctx.tol)["calibration_slack"])
-    ok = (cal.bound_holds and cal.monotone and cal.strict_after_zero
-          and cal.equal_at_zero)
+    slack = tolerances(ctx.tol)["calibration_slack"]
+    m2 = ctx.m ** 2
+    # bc at r = 0, then at the grid's r > 0
+    bc, dbc = calibration_check(ctx.profile, np.r_[0.0, ctx.grid])
+    monotone = not (np.any(dbc[1:] >= 0.0) or np.any(bc[1:] >= bc[:-1]))
+    # the bound up to the relative slack, bc <= -m^2 (1 - slack); strict
+    # for r > 0, and at r = 0 bc = -m^2 exactly
+    bound_holds = not np.any(bc > -m2 * (1.0 - slack))
+    strict = not np.any(bc[1:] >= -m2)
+    equal_at_zero = bool(bc[0] == -m2)
+    # the excess over r > 0, relative to m^2, so scale-free
+    worst = float(np.max((bc[1:] + m2) / m2))
     return CheckResult(
         name="calibration_bound",
         anchor="b c <= -m^2 with equality only at r = 0; b c strictly decreasing",
-        passed=ok, worst=cal.worst_excess, budget=0.0, direction="<=",
-        grid=len(ctx.grid) + 1,
-        note=f"min |bc| = {cal.min_abs_bc:.15g}, monotone={cal.monotone}, "
-             f"strict for r>0: {cal.strict_after_zero}")
+        passed=bound_holds and monotone and strict and equal_at_zero,
+        worst=worst, budget=0.0, direction="<=", grid=len(bc),
+        note=f"min |bc| = {float(np.min(np.abs(bc))):.15g}, "
+             f"monotone={monotone}, strict for r>0: {strict}")
 
 
 def check_derivative_chain(ctx: VerifyContext) -> CheckResult:
@@ -275,16 +283,16 @@ def check_kplane_oracle(ctx: VerifyContext) -> CheckResult:
 
 
 def check_second_derivative_signs(ctx: VerifyContext) -> CheckResult:
-    rep = second_derivative_signs(ctx.profile, ctx.grid)
-    ok = (rep.max_dda < 0.0 and rep.max_ddb < 0.0
-          and rep.c_sign_changes == 1 and rep.c_crossing is not None)
+    max_dda, max_ddb, changes, crossing = second_derivative_signs(
+        ctx.profile, ctx.grid)
+    ok = (max_dda < 0.0 and max_ddb < 0.0
+          and changes == 1 and crossing is not None)
     return CheckResult(
         name="second_derivative_signs",
         anchor="a'' < 0 and b'' < 0 for r > 0; c'' positive near 0, one sign change",
-        passed=ok, worst=max(rep.max_dda, rep.max_ddb), budget=0.0,
+        passed=ok, worst=max(max_dda, max_ddb), budget=0.0,
         direction="<", grid=len(ctx.grid),
-        note=f"c'' crossing at r = {rep.c_crossing!r} "
-             f"({rep.c_sign_changes} bracketed)")
+        note=f"c'' crossing at r = {crossing!r} ({changes} bracketed)")
 
 
 def check_scale_covariance(ctx: VerifyContext) -> CheckResult:

@@ -101,8 +101,8 @@ class TestCurvature:
 
 
 WRITER_ARGS = ["--r-max", "6", "--tol", "1e-6"]
-FLOOR, BLOCK, EVAL = export._FORK_FLOOR, export._BLOCK_ROWS, export._EVAL_ROWS
-# the writer cases run at 1/SHRINK of FLOOR, BLOCK and EVAL
+BLOCK, EVAL = export._BLOCK_ROWS, export._EVAL_ROWS
+# the writer cases run at 1/SHRINK of BLOCK and EVAL
 SHRINK = 32
 
 
@@ -122,10 +122,10 @@ def _reference_rows(command, grid):
                    s.a / s.c, s.b / s.c)
         return cli.SOLVE_COLUMNS, list(zip(*(col.tolist() for col in columns)))
     s = profile.eval(r[1:])
-    k, k0 = curvature_components(s), kappa_at_zero(1.0)
-    columns = (s.r, k.k1, k.k2, k.k3, *asd_residual(s),
+    k1, k2, k3 = kappa_at_zero(1.0)
+    columns = (s.r, *curvature_components(s), *asd_residual(s),
                fiber_gauss_curvature(s))
-    zero = (0.0, k0.k1, k0.k2, k0.k3, 0.0, 0.0, 0.0, -k0.k1)
+    zero = (0.0, k1, k2, k3, 0.0, 0.0, 0.0, -k1)
     return cli.CURV_COLUMNS, [zero, *zip(*(col.tolist() for col in columns))]
 
 
@@ -159,25 +159,24 @@ class TestCsvWriter:
     # rows evaluated in blocks, formatted in smaller blocks, the blocks
     # dealt in turn over forked processes: the bytes are those of one
     # "%.17g" per row of the whole grid at any CPU count; no process gets
-    # under the floor's rows, so two CPUs fork from twice the floor on.
-    # Each id is a row count at the real sizes, two BLOCKs (256 rows), EVAL
-    # (4 096) and FLOOR (4 096); the case runs at 1/SHRINK of all three,
-    # which crosses the same boundaries in a few hundred rows, except 8192,
-    # which runs at the real sizes
+    # less than a full EVAL block, so two CPUs fork from two full blocks on.
+    # Each id is a row count at the real sizes, two BLOCKs (256 rows) and
+    # EVAL (4 096); the case runs at 1/SHRINK of both, which crosses the
+    # same boundaries in a few hundred rows, except 8192, which runs at
+    # the real sizes
     @pytest.mark.parametrize("grid, scale", [
         pytest.param(2, SHRINK, id="2"),
         pytest.param(2 * BLOCK // SHRINK - 1, SHRINK, id="255"),
         pytest.param(2 * BLOCK // SHRINK + 1, SHRINK, id="257"),
-        pytest.param(2 * FLOOR // SHRINK - 1, SHRINK, id="8191"),
-        pytest.param(2 * FLOOR, 1, id="8192"),
-        pytest.param(2 * FLOOR // SHRINK + 1, SHRINK, id="8193"),
+        pytest.param(2 * EVAL // SHRINK - 1, SHRINK, id="8191"),
+        pytest.param(2 * EVAL, 1, id="8192"),
+        pytest.param(2 * EVAL // SHRINK + 1, SHRINK, id="8193"),
         pytest.param(50_000 // SHRINK, SHRINK, id="50000")])
     @pytest.mark.parametrize("command", ["solve", "curvature"])
     def test_bytes_at_any_cpu_count(self, capsys, monkeypatch, command, grid,
                                     scale):
         monkeypatch.setattr(export, "_BLOCK_ROWS", BLOCK // scale)
         monkeypatch.setattr(export, "_EVAL_ROWS", EVAL // scale)
-        monkeypatch.setattr(export, "_FORK_FLOOR", FLOOR // scale)
         fork, forks = os.fork, []
 
         def counted_fork():
@@ -192,7 +191,7 @@ class TestCsvWriter:
                                  capsys)
             assert (code, err) == (0, "")
             assert out == want
-            procs = min(cpus, max(1, grid // export._FORK_FLOOR))
+            procs = min(cpus, max(1, grid // export._EVAL_ROWS))
             assert len(forks) == procs - 1
             _no_child_left()
 
@@ -211,7 +210,7 @@ class TestCsvWriter:
         path = tmp_path / "out.csv"
         dest = "<stdout>" if output == "stdout" else str(path)
         extra = [] if output == "stdout" else ["--output", dest]
-        code, _, err = run(["curvature", "--grid", str(2 * FLOOR),
+        code, _, err = run(["curvature", "--grid", str(2 * EVAL),
                             *WRITER_ARGS, *extra], capsys)
         assert code == 2
         assert err == (f"ahgeom: cannot write {dest}: a CSV formatting "
@@ -244,7 +243,7 @@ class TestCsvWriter:
         profile = ode.integrate(params)
         monkeypatch.setattr(cli, "integrate", lambda _: profile)
         peaks = []
-        for grid in (2 * FLOOR // scale, 50_000 // scale):
+        for grid in (2 * EVAL // scale, 50_000 // scale):
             with open(os.devnull, "w") as out:
                 tracemalloc.start()
                 try:
@@ -262,7 +261,7 @@ class TestWriteFailures:
     @pytest.mark.parametrize("command", ["solve", "curvature", "verify"])
     def test_device_full(self, capsys, monkeypatch, command):
         _force_cpus(monkeypatch, 2)
-        grid = "60" if command == "verify" else str(4 * FLOOR)
+        grid = "60" if command == "verify" else str(4 * EVAL)
         code, _, err = run([command, "--grid", grid, *WRITER_ARGS,
                             "--output", "/dev/full"], capsys)
         assert code == 2
@@ -430,6 +429,16 @@ class TestScaleFreeResiduals:
         unit = verify.check_zero_section_limits(
             verify.VerifyContext(profile1, grid1, 0))
         scaled = verify.check_zero_section_limits(_verify_context(m))
+        assert scaled.passed, scaled.note
+        assert scaled.worst == unit.worst
+
+    @pytest.mark.parametrize("m", [2.0 ** -10, 2.0 ** 10])
+    def test_calibration_bound_unit_scale(self, profile1, grid1, m):
+        # worst is the excess (bc + m^2)/m^2; the note is not compared, as
+        # its min |bc| is m^2
+        unit = verify.check_calibration_bound(
+            verify.VerifyContext(profile1, grid1, 0))
+        scaled = verify.check_calibration_bound(_verify_context(m))
         assert scaled.passed, scaled.note
         assert scaled.worst == unit.worst
 

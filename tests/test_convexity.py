@@ -712,11 +712,12 @@ def test_no_scalar_profile_reads_in_package_or_scripts():
 
 class TestSignReport:
     def test_signs_and_crossing(self, profile1, grid1):
-        rep = second_derivative_signs(profile1, grid1)
-        assert rep.max_dda < 0
-        assert rep.max_ddb < 0
-        assert rep.c_sign_changes == 1
-        assert rep.c_crossing == pytest.approx(C_CROSSING_M1, abs=1e-7)
+        max_dda, max_ddb, changes, crossing = second_derivative_signs(
+            profile1, grid1)
+        assert max_dda < 0
+        assert max_ddb < 0
+        assert changes == 1
+        assert crossing == pytest.approx(C_CROSSING_M1, abs=1e-7)
 
     def test_c_positive_near_zero(self, profile1):
         # c''(0) = 3/(4m) > 0
@@ -724,15 +725,17 @@ class TestSignReport:
         assert profile1.at(1e-3).ddc > 0
 
     def test_crossing_scales_with_m(self, profile2):
-        rep = second_derivative_signs(profile2, profile2.grid(1000))
-        assert rep.c_sign_changes == 1
-        assert rep.c_crossing == pytest.approx(2 * C_CROSSING_M1, rel=1e-9)
+        _, _, changes, crossing = second_derivative_signs(
+            profile2, profile2.grid(1000))
+        assert changes == 1
+        assert crossing == pytest.approx(2 * C_CROSSING_M1, rel=1e-9)
 
     def test_no_bracket_reported(self, profile1):
         # a grid that stays below the crossing has no bracketed sign change
-        rep = second_derivative_signs(profile1, [0.5, 1.0, 1.5])
-        assert rep.c_sign_changes == 0
-        assert rep.c_crossing is None
+        _, _, changes, crossing = second_derivative_signs(
+            profile1, [0.5, 1.0, 1.5])
+        assert changes == 0
+        assert crossing is None
 
     @pytest.mark.parametrize("r_max", [1800.0, 1e4])
     def test_crossing_below_first_grid_radius(self, r_max):
@@ -741,9 +744,10 @@ class TestSignReport:
         profile = integrate(ModelParams(m=1.0, r_max=r_max, tol=1e-10))
         ctx = verify.VerifyContext(profile, profile.grid(1000), 0)
         assert ctx.grid[0] > C_CROSSING_M1
-        rep = second_derivative_signs(ctx.profile, ctx.grid)
-        assert rep.max_dda < 0 and rep.max_ddb < 0
-        assert rep.c_sign_changes == 1
-        assert rep.c_crossing == pytest.approx(C_CROSSING_M1, abs=1e-7)
+        max_dda, max_ddb, changes, crossing = second_derivative_signs(
+            ctx.profile, ctx.grid)
+        assert max_dda < 0 and max_ddb < 0
+        assert changes == 1
+        assert crossing == pytest.approx(C_CROSSING_M1, abs=1e-7)
         result = verify.check_second_derivative_signs(ctx)
         assert result.passed, result.note

@@ -48,19 +48,17 @@ class TestKappa:
 
 class TestKappaAtZero:
     def test_m_one(self):
-        k = kappa_at_zero(1.0)
-        assert (k.k1, k.k2, k.k3) == (-1.5, 0.75, 0.75)
+        assert kappa_at_zero(1.0) == (-1.5, 0.75, 0.75)
 
     def test_inverse_square_scaling(self):
-        k = kappa_at_zero(2.0)
-        assert (k.k1, k.k2, k.k3) == (-3 / 8, 3 / 16, 3 / 16)
+        assert kappa_at_zero(2.0) == (-3 / 8, 3 / 16, 3 / 16)
 
     def test_series_limit_consistency(self):
         s = sample_from_series(expand(1.0, 10), 1e-4)
-        k = curvature_components(s)
-        assert k.k1 == pytest.approx(-1.5, abs=1e-3)
-        assert k.k2 == pytest.approx(0.75, abs=1e-3)
-        assert k.k3 == pytest.approx(0.75, abs=1e-3)
+        k1, k2, k3 = curvature_components(s)
+        assert k1 == pytest.approx(-1.5, abs=1e-3)
+        assert k2 == pytest.approx(0.75, abs=1e-3)
+        assert k3 == pytest.approx(0.75, abs=1e-3)
 
 
 class TestAsdResidual:
@@ -86,17 +84,17 @@ class TestCurvatureComponents:
         worst = 0.0
         for r in grid1[:: 5]:
             s = profile1.at(r)
-            k = curvature_components(s)
-            for du, u, ki in ((s.dda, s.a, k.k1), (s.ddb, s.b, k.k2),
-                              (s.ddc, s.c, k.k3)):
+            k1, k2, k3 = curvature_components(s)
+            for du, u, ki in ((s.dda, s.a, k1), (s.ddb, s.b, k2),
+                              (s.ddc, s.c, k3)):
                 worst = max(worst, abs(du / u - ki) / max(1.0, abs(ki)))
         assert worst <= 1e-6
 
     def test_ricci_flat_along_profile(self, profile1, grid1):
         for r in grid1[:: 25]:
             s = profile1.at(r)
-            k = curvature_components(s)
-            assert abs(k.cyclic_sum) <= 1e-12 * kappa_term_scale(s.a, s.b, s.c)
+            k1, k2, k3 = curvature_components(s)
+            assert abs(k1 + k2 + k3) <= 1e-12 * kappa_term_scale(s.a, s.b, s.c)
 
     def test_stored_second_derivatives_match_kappa(self, profile1):
         s = profile1.samples
@@ -106,10 +104,10 @@ class TestCurvatureComponents:
     def test_regression_at_half(self, profile1):
         # frozen from this construction; cross-checked against an
         # independent DOP853 integration of the same system
-        k = curvature_components(profile1.at(0.5))
-        assert k.k1 == pytest.approx(-0.9012366790567108, rel=1e-8)
-        assert k.k2 == pytest.approx(0.4615829914102433, rel=1e-8)
-        assert k.k3 == pytest.approx(0.4396536876464677, rel=1e-8)
+        k1, k2, k3 = curvature_components(profile1.at(0.5))
+        assert k1 == pytest.approx(-0.9012366790567108, rel=1e-8)
+        assert k2 == pytest.approx(0.4615829914102433, rel=1e-8)
+        assert k3 == pytest.approx(0.4396536876464677, rel=1e-8)
 
     def test_domain_error_at_zero(self, profile1):
         with pytest.raises(ValueError):

@@ -85,3 +85,11 @@ def test_traced_runner_with_verify(tmp_path):
     flags = ["verify", "--grid", "100", "--seed", "7", "--output"]
     spans = _traced_matches_plain(tmp_path, flags)
     assert spans["convexity.kplane"]["calls"] == 2
+    # each geometry helper a check calls keeps its layer: one call each,
+    # and curvature.eval's 4 are the certificate's asd_residual (twice) and
+    # curvature_components and the zero-section limits' fiber curvature
+    calls = {name: spans[name]["calls"] for name in (
+        "zero_section.calibration", "convexity.signs", "convexity.chain",
+        "curvature.eval")}
+    assert calls == {"zero_section.calibration": 1, "convexity.signs": 1,
+                     "convexity.chain": 1, "curvature.eval": 4}

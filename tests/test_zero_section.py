@@ -82,13 +82,19 @@ class TestCalibration:
         assert s.b * s.c == -1.0
 
     def test_bound_and_monotonicity(self, profile1, grid1):
-        cal = calibration_check(profile1, np.r_[0.0, grid1], SLACK)
-        assert cal.bound_holds
-        assert cal.monotone
-        assert cal.strict_after_zero
-        assert cal.equal_at_zero
-        assert cal.min_abs_bc == pytest.approx(1.0, abs=1e-12)
-        assert cal.worst_excess <= 0.0
+        # bc and (bc)' at r = 0 and the grid, for m = 1
+        bc, dbc = calibration_check(profile1, np.r_[0.0, grid1])
+        assert np.all(bc <= -(1.0 - SLACK))
+        assert np.all(dbc[1:] < 0.0) and np.all(bc[1:] < bc[:-1])
+        assert np.all(bc[1:] < -1.0)
+        assert bc[0] == -1.0
+        assert np.min(np.abs(bc)) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(bc[1:] + 1.0) <= 0.0
+        result = verify.check_calibration_bound(
+            verify.VerifyContext(profile1, grid1, 0))
+        assert result.passed
+        assert result.note == ("min |bc| = 1, monotone=True, "
+                               "strict for r>0: True")
 
     def test_worst_is_measured_over_r_positive(self, profile1, grid1):
         # the report's worst is bc + m^2 at the grid's r > 0, -r1^2/2 at its
@@ -105,11 +111,16 @@ class TestCalibration:
         from dataclasses import replace
         params = replace(profile1.params, m=1.0 + 2.0 ** -52)
         bad = replace(profile1, params=params)
-        cal = calibration_check(bad, np.r_[0.0, grid1], SLACK)
-        assert cal.bound_holds and cal.monotone and cal.strict_after_zero
-        assert not cal.equal_at_zero
+        m2 = params.m ** 2
+        bc, dbc = calibration_check(bad, np.r_[0.0, grid1])
+        assert np.all(bc <= -m2 * (1.0 - SLACK))
+        assert np.all(dbc[1:] < 0.0) and np.all(bc[1:] < bc[:-1])
+        assert np.all(bc[1:] < -m2)
+        assert bc[0] != -m2
         ctx = verify.VerifyContext(bad, grid1, 0)
-        assert not verify.check_calibration_bound(ctx).passed
+        result = verify.check_calibration_bound(ctx)
+        assert not result.passed
+        assert result.note.endswith("monotone=True, strict for r>0: True")
 
     def test_negative_control_flipped_sign(self, profile1, grid1):
         from dataclasses import replace
@@ -118,8 +129,10 @@ class TestCalibration:
         flipped = replace(nodes, b=-nodes.b)
         bad = MetricProfile(params=profile1.params, bootstrap=profile1.bootstrap,
                             samples=flipped)
-        cal = calibration_check(bad, grid1[100::200], SLACK)
-        assert not cal.bound_holds
+        bc, _ = calibration_check(bad, grid1[100::200])
+        assert np.any(bc > -(1.0 - SLACK))
+        ctx = verify.VerifyContext(bad, grid1[100::200], 0)
+        assert not verify.check_calibration_bound(ctx).passed
 
     def test_pinned_slack_is_honoured(self, profile1, grid1, monkeypatch):
         # a negative slack demands bc <= -m^2 (1 + 1e-3), which fails near

@@ -219,8 +219,8 @@ def check_calibration_bound(ctx: VerifyContext) -> CheckResult:
         anchor="b c <= -m^2 with equality only at r = 0; b c strictly decreasing",
         passed=bound_holds and monotone and strict and equal_at_zero,
         worst=worst, budget=0.0, direction="<=", grid=len(bc),
-        note=f"min |bc| = {float(np.min(np.abs(bc))):.15g}, "
-             f"monotone={monotone}, strict for r>0: {strict}")
+        note=f"bc(0) = -m^2: {equal_at_zero}, monotone={monotone}, "
+             f"strict for r>0: {strict}")
 
 
 def check_derivative_chain(ctx: VerifyContext) -> CheckResult:

@@ -434,13 +434,14 @@ class TestScaleFreeResiduals:
 
     @pytest.mark.parametrize("m", [2.0 ** -10, 2.0 ** 10])
     def test_calibration_bound_unit_scale(self, profile1, grid1, m):
-        # worst is the excess (bc + m^2)/m^2; the note is not compared, as
-        # its min |bc| is m^2
+        # worst is the excess (bc + m^2)/m^2 and the note names only the
+        # verdict's conditions, so both read as at m = 1
         unit = verify.check_calibration_bound(
             verify.VerifyContext(profile1, grid1, 0))
         scaled = verify.check_calibration_bound(_verify_context(m))
         assert scaled.passed, scaled.note
         assert scaled.worst == unit.worst
+        assert scaled.note == unit.note
 
     def test_zero_section_limits_catch_second_derivative_at_large_m(
             self, monkeypatch):

@@ -93,7 +93,7 @@ class TestCalibration:
         result = verify.check_calibration_bound(
             verify.VerifyContext(profile1, grid1, 0))
         assert result.passed
-        assert result.note == ("min |bc| = 1, monotone=True, "
+        assert result.note == ("bc(0) = -m^2: True, monotone=True, "
                                "strict for r>0: True")
 
     def test_worst_is_measured_over_r_positive(self, profile1, grid1):
@@ -120,7 +120,8 @@ class TestCalibration:
         ctx = verify.VerifyContext(bad, grid1, 0)
         result = verify.check_calibration_bound(ctx)
         assert not result.passed
-        assert result.note.endswith("monotone=True, strict for r>0: True")
+        assert result.note == ("bc(0) = -m^2: False, monotone=True, "
+                               "strict for r>0: True")
 
     def test_negative_control_flipped_sign(self, profile1, grid1):
         from dataclasses import replace

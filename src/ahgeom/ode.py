@@ -157,16 +157,8 @@ _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -
 
 # Stored-node budget, also the largest (r_max - r0)/m: steps grow with r
 # until rounding binds, so at tol 1e-14 a run to 1e6 m stores about 36 000
-# nodes (2.5 s) and one to 1e7 m would store about 327 000 (23 s).
+# nodes (0.6 s) and one to 1e7 m would store about 327 000 (5.7 s).
 _MAX_NODES = 1_000_000
-
-
-def _flow(y, m):
-    # flow of the integrated state (a, b, l = log((c - a)/m))
-    a, b, l = y
-    c = a + m * math.exp(l)
-    da, db, _ = rhs(a, b, c)
-    return (da, db, gap_rate(a, b, c))
 
 
 @dataclass(frozen=True)
@@ -179,16 +171,6 @@ class IntegrationStats:
     rhs_calls: int  # evaluations of the flow, one per RK stage
     h_min: float
     h_max: float
-
-
-def _stage_sums(ks, coefs):
-    # sum_j coefs[j] k_j, componentwise, each correctly rounded: one fsum
-    # per component over its column (k_1[i], ..., k_s[i]) of stage values
-    return [math.fsum(map(mul, coefs, column)) for column in zip(*ks)]
-
-
-def _combine(y, h, ks, coefs):
-    return tuple(yi + h * s for yi, s in zip(y, _stage_sums(ks, coefs)))
 
 
 def integrate(params: ModelParams) -> "MetricProfile":
@@ -226,10 +208,15 @@ def integrate(params: ModelParams) -> "MetricProfile":
             "lower r_max", r0)
 
     start = sample_from_series(series, r0)
-    y = (start.a, start.b, float(start.log_gap))
-    k1 = _flow(y, m)
+    a, b, l = start.a, start.b, float(start.log_gap)
+    # stage values k_j of the flow of (a, b, l = log((c - a)/m)), one list
+    # per component; a stage state is y + h sum_j coefs[j] k_j, each sum
+    # correctly rounded by one fsum
+    c = a + m * math.exp(l)
+    ka, kb, _ = rhs(a, b, c)
+    ka, kb, kl = [ka], [kb], [gap_rate(a, b, c)]
     # one row (r, a, b, l) per accepted state
-    rows = array("d", (r0, *y))
+    rows = array("d", (r0, a, b, l))
 
     r = h = r0
     accepted = rejected = 0
@@ -239,22 +226,27 @@ def integrate(params: ModelParams) -> "MetricProfile":
         last = r + h >= params.r_max
         if last:
             h = params.r_max - r
-        ks = [k1]
         try:
-            for s in range(1, 7):
-                ys = _combine(y, h, ks, _DP_A[s])
-                ks.append(_flow(ys, m))
+            for coefs in _DP_A[1:]:
+                sa = a + h * math.fsum(map(mul, coefs, ka))
+                sb = b + h * math.fsum(map(mul, coefs, kb))
+                sl = l + h * math.fsum(map(mul, coefs, kl))
+                sc = sa + m * math.exp(sl)
+                da, db, _ = rhs(sa, sb, sc)
+                ka.append(da)
+                kb.append(db)
+                kl.append(gap_rate(sa, sb, sc))
         except (ValueError, OverflowError):
             raise IntegrationError(
                 "stage state hit a coordinate zero or overflowed", r)
-        rhs_calls += len(ks) - 1
-        y_new = ys  # stage 7 state: the fifth-order solution
-        err = [abs(h * s) for s in _stage_sums(ks, _DP_ERR)]
-        norm = max(err[0] / (m + abs(y[0])), err[1] / (m + abs(y[1])),
-                   err[2]) / (0.1 * tol)
+        rhs_calls += 6
+        # the stage 7 state (sa, sb, sl) is the fifth-order solution
+        norm = max(abs(h * math.fsum(map(mul, _DP_ERR, ka))) / (m + abs(a)),
+                   abs(h * math.fsum(map(mul, _DP_ERR, kb))) / (m + abs(b)),
+                   abs(h * math.fsum(map(mul, _DP_ERR, kl)))) / (0.1 * tol)
         if norm <= 1.0:
             r_new = params.r_max if last else r + h
-            if not y_new[0] > 0.0 > y_new[1]:
+            if not sa > 0.0 > sb:
                 raise IntegrationError(
                     "state left the physical region a > 0 > b; "
                     "integrator failure", r_new)
@@ -264,13 +256,13 @@ def integrate(params: ModelParams) -> "MetricProfile":
                     "raise tol or lower r_max", r)
             accepted += 1
             h_lo, h_hi = min(h_lo, h), max(h_hi, h)
-            r, y = r_new, y_new
-            k1 = ks[6]  # FSAL
-            rows.append(r)
-            rows.extend(y)
+            r, a, b, l = r_new, sa, sb, sl
+            rows.extend((r, a, b, l))
+            del ka[:6], kb[:6], kl[:6]  # FSAL: stage 7 is the next stage 1
             h *= 5.0 if norm == 0.0 else min(5.0, 0.9 * norm ** -0.2)
         else:
             rejected += 1
+            del ka[1:], kb[1:], kl[1:]
             h *= max(0.2, 0.9 * norm ** -0.2)
         if h < h_min and r < params.r_max:
             raise IntegrationError("step size underflow", r)

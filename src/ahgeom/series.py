@@ -14,7 +14,12 @@ with a = 2r + O(r^3), p = r + O(r^3), q = 2m + O(r^2).  Matching coefficients
 order by order gives a triangular linear step per order: the r^(2j) component
 of the second identity determines q_{2j}, then the r^(2j) component of the
 first determines a_{2j+1}, then the r^(2j+1) component of the third
-determines p_{2j+1}.
+determines p_{2j+1}.  Each unknown enters that r^k coefficient linearly, so
+it is evaluated, alone, with the unknown at 0 and at 1 and solved.  The
+products p^2 - q^2, a (p^2 - q^2), p^2 - a^2 and q^2 - a^2 are coefficient
+lists filled one degree at a time: an evaluation at degree k finds the lower
+degrees final and takes one convolution per product at degree k, so the
+series through degree n costs O(n^2) exact products, not O(n^3).
 
 All arithmetic in this module is exact rational.  Floating point enters only
 when a finished series is evaluated at a numerical radius.  The k-th
@@ -85,60 +90,60 @@ def _at(u, v, k):
     return out
 
 
-def _identity_at(A, P, Q, which, k):
-    """Coefficient of r^k in the `which`-th cleared identity (see
-    `_cleared_residuals`), from single-degree convolutions of A, P and Q,
-    which reach degree k."""
-    p2q2 = [_at(P, P, n) - _at(Q, Q, n) for n in range(k + 1)]
-    if which == 0:
-        return (_at(_diff(A) + [_F0], p2q2, k)
-                - 2 * (_at(A, A, k) - _at(Q, Q, k)))
-    a_p2q2 = [_at(A, p2q2, n) for n in range(k + 1)]
-    if which == 1:
-        p2a2 = [_at(P, P, n) - _at(A, A, n) for n in range(k + 1)]
-        return _at(_diff(Q) + [_F0], a_p2q2, k) - 2 * _at(Q, p2a2, k)
-    dp_minus_2 = _diff(P) + [_F0]
-    dp_minus_2[0] -= 2
-    q2a2 = [_at(Q, Q, n) - _at(A, A, n) for n in range(k + 1)]
-    return _at(dp_minus_2, a_p2q2, k) - 2 * _at(P, q2a2, k)
-
-
-def _match(A, P, Q, which, order_k, target, index):
-    """Solve the `which`-th cleared identity at r^order_k for one coefficient.
-
-    The unknown enters linearly: evaluate the identity's r^order_k
-    coefficient, and no other, at candidate values 0 and 1 and solve.  A
-    zero linear coefficient would mean the recurrence is degenerate, which
-    the leading terms rule out.
-    """
-    target[index] = _F0
-    r0 = _identity_at(A, P, Q, which, order_k)
-    target[index] = Fraction(1)
-    lam = _identity_at(A, P, Q, which, order_k) - r0
-    if lam == 0:
-        raise ArithmeticError(
-            f"degenerate recurrence at order {order_k} (identity {which})")
-    val = -r0 / lam
-    target[index] = val
-    return val
+def _at_diff(u, v, k):
+    """Coefficient of r^k in u' v, with u reaching degree k + 1."""
+    out = _F0
+    for i in range(k + 1):
+        if u[i + 1] and v[k - i]:
+            out += (i + 1) * u[i + 1] * v[k - i]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _unit_coefficients(order: int):
-    """m = 1 series coefficients of (a, p, q) through degree `order`."""
-    A = [_F0] * (order + 1)
-    P = [_F0] * (order + 1)
-    Q = [_F0] * (order + 1)
+    """m = 1 series coefficients of (a, p, q) through degree `order`, with
+    s = p^2 - q^2, t = a s, u = p^2 - a^2 and v = q^2 - a^2 filled degree by
+    degree.  A zero linear coefficient would mean the recurrence is
+    degenerate, which the leading terms rule out."""
+    # one spare slot: the derivative's r^k coefficient reads degree k + 1
+    A, P, Q, s, t, u, v = ([_F0] * (order + 2) for _ in range(7))
     A[1], P[1], Q[0] = Fraction(2), Fraction(1), Fraction(2)
-    for j in range(1, order // 2 + 1):
-        kq = 2 * j
-        if kq <= order:
-            _match(A, P, Q, 1, kq, Q, kq)
-        ka = 2 * j + 1
-        if ka <= order:
-            _match(A, P, Q, 0, ka - 1, A, ka)
-            _match(A, P, Q, 2, ka, P, ka)
-    return tuple(A), tuple(P), tuple(Q)
+
+    def products_at(k):
+        pp, qq, aa = _at(P, P, k), _at(Q, Q, k), _at(A, A, k)
+        s[k], u[k], v[k] = pp - qq, pp - aa, qq - aa
+        t[k] = _at(A, s, k)
+        return aa, qq
+
+    def identity_at(which, k):
+        # r^k coefficient of the `which`-th identity (`_cleared_residuals`)
+        aa, qq = products_at(k)
+        if which == 0:
+            return _at_diff(A, s, k) - 2 * (aa - qq)
+        if which == 1:
+            return _at_diff(Q, t, k) - 2 * _at(Q, u, k)
+        return _at_diff(P, t, k) - 2 * t[k] - 2 * _at(P, v, k)
+
+    def solve(which, k, target, index):
+        target[index] = _F0
+        r0 = identity_at(which, k)
+        target[index] = Fraction(1)
+        lam = identity_at(which, k) - r0
+        if lam == 0:
+            raise ArithmeticError(
+                f"degenerate recurrence at order {k} (identity {which})")
+        target[index] = -r0 / lam
+
+    products_at(0)
+    for k in range(1, order + 1):
+        if k % 2 == 0:
+            solve(1, k, Q, k)
+            if k < order:
+                solve(0, k, A, k + 1)
+        elif k > 1:
+            solve(2, k, P, k)
+        products_at(k)  # finished: the unknowns at degree k are set
+    return tuple(A[:-1]), tuple(P[:-1]), tuple(Q[:-1])
 
 
 @lru_cache(maxsize=None)

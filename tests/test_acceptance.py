@@ -67,8 +67,15 @@ def test_all_pass(report):
         strict=True, reason="ROADMAP item 3: the interp residual of "
         "ode_residuals reads 5.07e-6 against 1e-6, rounding in the "
         "identity's terms, which grow like r^2")),
+    # about 3 s and 280 MB, so left out of the default run
+    pytest.param({"r_max": 2, "grid_points": 1_000_000}, [], marks=[
+        pytest.mark.slow, pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="ROADMAP item 3: "
+            "hyperkahler_certificate alone fails, its certificate term "
+            "3.20e-5 against 1e-6 at the first radius 2e-6 m, rounding in "
+            "kappa's numerators, which cancel to O(r^2)")]),
 ], ids=["grid-2", "m-1e-30-grid-2", "m-1e30-tol-1e-14", "m-1e30-tol-3e-7",
-        "r_max-1e4-tol-1e-14", "r_max-0.5", "r_max-1e5"])
+        "r_max-1e4-tol-1e-14", "r_max-0.5", "r_max-1e5", "r_max-2-grid-1e6"])
 def test_verify_at_input_corners(values, failing):
     # accepted inputs at the corners of the input box, with every other
     # value at its default; only the named checks fail

@@ -1,5 +1,8 @@
 """ODE core: right-hand sides, bootstrap, integration, interpolation."""
+import collections
+import itertools
 import math
+import re
 import time
 from dataclasses import fields, replace
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahgeom import ode
+from ahgeom import cli, ode
 from ahgeom.config import ModelParams
 from ahgeom.ode import (IntegrationError, MetricProfile, integrate,
                         product_identity_residual, region_margins, rhs,
@@ -302,36 +305,131 @@ def _sums_by_stage(ks, coefs):
     return [math.fsum(cf * k[i] for cf, k in zip(coefs, ks)) for i in range(3)]
 
 
-def _bits(values):
-    return [float(v).hex() for v in values]
+def _reference_stepper(params):
+    """The DP5(4) stepper in its per-stage tuple form: each stage state
+    y + h sum_j coefs[j] k_j from `_sums_by_stage`, the flow of
+    (a, b, l = log((c - a)/m)) through `rhs` and `gap_rate`.  Returns the
+    accepted rows (r, a, b, l) and (accepted, rejected, rhs_calls, h_min,
+    h_max)."""
+    m, tol, r_max = params.m, params.tol, params.r_max
+    series = expand(m, 10)
+    r0 = series.truncation_radius(tol)
+
+    def flow(y):
+        a, b, l = y
+        c = a + m * math.exp(l)
+        da, db, _ = rhs(a, b, c)
+        return (da, db, ode.gap_rate(a, b, c))
+
+    start = sample_from_series(series, r0)
+    y = (start.a, start.b, float(start.log_gap))
+    k1 = flow(y)
+    rows = [(r0, *y)]
+    r = h = r0
+    accepted = rejected = 0
+    rhs_calls, h_lo, h_hi = 1, math.inf, 0.0
+    while r < r_max:
+        last = r + h >= r_max
+        if last:
+            h = r_max - r
+        ks = [k1]
+        for coefs in ode._DP_A[1:]:
+            ys = tuple(yi + h * v
+                       for yi, v in zip(y, _sums_by_stage(ks, coefs)))
+            ks.append(flow(ys))
+        rhs_calls += 6
+        err = [abs(h * v) for v in _sums_by_stage(ks, ode._DP_ERR)]
+        norm = max(err[0] / (m + abs(y[0])), err[1] / (m + abs(y[1])),
+                   err[2]) / (0.1 * tol)
+        if norm <= 1.0:
+            accepted += 1
+            h_lo, h_hi = min(h_lo, h), max(h_hi, h)
+            r, y, k1 = r_max if last else r + h, ys, ks[6]
+            rows.append((r, *y))
+            h *= 5.0 if norm == 0.0 else min(5.0, 0.9 * norm ** -0.2)
+        else:
+            rejected += 1
+            h *= max(0.2, 0.9 * norm ** -0.2)
+    return rows, (accepted, rejected, rhs_calls, h_lo, h_hi)
 
 
-class TestStageSums:
-    @staticmethod
-    def _stacks(seed, n=200):
-        # 7 stages of 3 components over sixteen decades, both signs
-        rng = np.random.default_rng(seed)
-        for _ in range(n):
-            ks = rng.standard_normal((7, 3)) * 10.0 ** rng.uniform(-8, 8, (7, 3))
-            yield (tuple(rng.standard_normal(3).tolist()),
-                   float(rng.uniform(1e-4, 1.0)), [tuple(k) for k in ks.tolist()])
+STAGE_FAILURES = ["rhs-zero", "exp-overflow"]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_combine_bitwise(self, seed):
-        # every stage's coefficient row, the 0.0 of _DP_A[6] among them
-        for y, h, ks in self._stacks(seed):
-            for s in range(1, 7):
-                coefs = ode._DP_A[s]
-                want = [yi + h * v
-                        for yi, v in zip(y, _sums_by_stage(ks[:s], coefs))]
-                assert _bits(ode._combine(y, h, ks[:s], coefs)) == _bits(want)
 
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_error_weights_bitwise(self, seed):
-        # the embedded error estimate's sums, with the 0.0 of _DP_ERR
-        for _, _, ks in self._stacks(seed):
-            assert (_bits(ode._stage_sums(ks, ode._DP_ERR))
-                    == _bits(_sums_by_stage(ks, ode._DP_ERR)))
+def patch_stage_failure(monkeypatch, kind, after=300):
+    """From the `after`-th call on, well past the first stage (six per
+    step), rhs sees a = 0 and refuses it with ValueError ("rhs-zero"), or
+    math.exp overflows ("exp-overflow")."""
+    owner, name = (ode, "rhs") if kind == "rhs-zero" else (math, "exp")
+    real = getattr(owner, name)
+    calls = itertools.count()
+
+    def failing(*args):
+        if next(calls) >= after:
+            args = (0.0, *args[1:]) if kind == "rhs-zero" else (1e6,)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+class TestStepper:
+    @pytest.mark.parametrize("m", [1.0, 0.731245, 2.0 ** 10, 2.0 ** -10,
+                                   1e30, 1e-30])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
+    def test_matches_reference_stepper(self, tol, m):
+        # the inlined stage loop does the reference's float operations in
+        # its order: the same nodes and stats, bit for bit
+        params = ModelParams(m=m, r_max=20.0 * m, tol=tol)
+        profile = integrate(params)
+        rows, stats = _reference_stepper(params)
+        nodes = profile.samples
+        got = np.stack([nodes.r, nodes.a, nodes.b, nodes.log_gap], axis=1)
+        assert got.tobytes() == np.array(rows).tobytes()
+        got_stats = profile.stats
+        assert (got_stats.accepted, got_stats.rejected, got_stats.rhs_calls,
+                got_stats.h_min, got_stats.h_max) == stats
+
+    @pytest.mark.parametrize("kind", STAGE_FAILURES)
+    def test_stage_failure(self, monkeypatch, kind):
+        # a ValueError or OverflowError inside a step's stages ends the
+        # run as IntegrationError at the radius the step started from
+        patch_stage_failure(monkeypatch, kind)
+        params = ModelParams(m=1.0, r_max=20.0, tol=1e-10)
+        with pytest.raises(IntegrationError) as info:
+            integrate(params)
+        found = re.fullmatch(
+            r"stage state hit a coordinate zero or overflowed "
+            r"\(at r = (\S+)\)", str(info.value))
+        assert found
+        r0 = expand(1.0, 10).truncation_radius(params.tol)
+        assert r0 < float(found[1]) < params.r_max
+
+    @pytest.mark.parametrize("kind", STAGE_FAILURES)
+    def test_stage_failure_exits_3(self, monkeypatch, capsys, kind):
+        patch_stage_failure(monkeypatch, kind)
+        assert cli.main(["solve", "--grid", "10"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("ahgeom: numerical failure: stage state hit a "
+                              "coordinate zero or overflowed (at r = ")
+
+    def test_every_rhs_call_and_one_expand_seen_through_the_module(
+            self, monkeypatch):
+        # perfbench's tracer wraps ode.rhs and ode.expand in the module's
+        # namespace: integrate looks both up there, one rhs call per stage
+        # plus the array call for the nodes' derivatives
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ode, "rhs", counting("rhs", ode.rhs))
+        monkeypatch.setattr(ode, "expand", counting("expand", ode.expand))
+        profile = integrate(ModelParams(m=1.0, r_max=20.0, tol=1e-12))
+        assert calls == {"rhs": profile.stats.rhs_calls + 1, "expand": 1}
 
 
 class TestEval:

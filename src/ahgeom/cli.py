@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -104,26 +103,28 @@ def cmd_curvature(params: ModelParams, grid_points: int, fmt: str,
 
 def cmd_verify(params: ModelParams, grid_points: int, seed: int | None, out,
                timings: bool = False) -> int:
-    # imported here, so that solve and curvature never load the checks
+    # imported here, so that solve and curvature never load the checks, and
+    # json is loaded only where JSON is written
+    import json
+
     from .verify import run_verification
 
-    report = run_verification(params, grid_points, seed)
-    for c in report.checks:
-        state = "PASS" if c.passed else "FAIL"
-        print(f"{state} {c.name}: worst={c.worst:.3e} "
-              f"({c.direction} {c.budget:g}); {c.note}", file=sys.stderr)
+    report, seconds, stats = run_verification(params, grid_points, seed)
+    for c in report["checks"]:
+        print(f"{c['status'].upper()} {c['check']}: worst={c['worst']:.3e} "
+              f"({c['direction']} {c['budget']:g}); {c['note']}",
+              file=sys.stderr)
     if timings:
-        stats = report.integration
         print(f"integrate: accepted={stats.accepted} "
               f"rejected={stats.rejected} rhs_calls={stats.rhs_calls} "
               f"h_min={stats.h_min:.3e} h_max={stats.h_max:.3e}",
               file=sys.stderr)
-        for name, seconds in report.seconds.items():
-            print(f"time {name}: {seconds:.4f} s", file=sys.stderr)
-    out.write(json.dumps(report.to_dict(), indent=2) + "\n")
-    if not report.all_pass:
-        first = report.first_failure
-        print(f"verification failed: {first.name}", file=sys.stderr)
+        for name, s in seconds.items():
+            print(f"time {name}: {s:.4f} s", file=sys.stderr)
+    out.write(json.dumps(report, indent=2) + "\n")
+    if not report["all_pass"]:
+        first = next(c for c in report["checks"] if c["status"] == "fail")
+        print(f"verification failed: {first['check']}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     return EXIT_OK
 

@@ -11,7 +11,6 @@ so verify never compiles it.
 from __future__ import annotations
 
 import errno
-import json
 import os
 
 import numpy as np
@@ -147,6 +146,9 @@ def write_json(out, head, key, rows_of, n, names=None):
     rows lists the n rows of rows_of, each a list or, given `names`, a dict
     of them.  The list is dumped one evaluation block at a time, each
     indented one level deeper, as it sits in the whole dump."""
+    # imported here, so that CSV output never loads json
+    import json
+
     out.write(json.dumps({**head, key: []}, indent=2)[:-len("]\n}")])
     # a block is dumped without indent, by json's C encoder; the row
     # separators, the item separators and the brackets of each row then

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields
 from operator import mul
 
 import numpy as np
 
-from .config import ModelParams
+from .config import ModelParams, Record
 from .series import SeriesCoefficients, expand
 
 
@@ -82,10 +81,10 @@ def second_derivatives(a, b, c, da, db, dc):
             _d2_component(c, a, b, dc, da, db))
 
 
-@dataclass(frozen=True)
-class CoefficientSample:
+class CoefficientSample(Record):
     """The metric's full local data at one radius, or at an array of radii
-    when every field is an array of the same shape.
+    when every field is an array of the same shape; the constructor takes
+    the fields in the order of __slots__.
 
     gap carries c - a at full relative precision (it underflows the plain
     float subtraction c - a beyond r ~ 12 m).  log_gap = log(gap / m) stays
@@ -93,20 +92,8 @@ class CoefficientSample:
     and second r-derivatives.
     """
 
-    r: float
-    a: float
-    b: float
-    c: float
-    da: float
-    db: float
-    dc: float
-    dda: float
-    ddb: float
-    ddc: float
-    gap: float
-    log_gap: float
-    dlog_gap: float
-    ddlog_gap: float
+    __slots__ = ("r", "a", "b", "c", "da", "db", "dc", "dda", "ddb", "ddc",
+                 "gap", "log_gap", "dlog_gap", "ddlog_gap")
 
     def __len__(self) -> int:
         """Number of radii of an array sample."""
@@ -161,16 +148,16 @@ _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -
 _MAX_NODES = 1_000_000
 
 
-@dataclass(frozen=True)
-class IntegrationStats:
+class IntegrationStats(Record):
     """What the stepper did in one `integrate` run.  Steps are the accepted
-    r-increments (the last one is cut to land on r_max)."""
+    r-increments (the last one is cut to land on r_max); rhs_calls counts
+    evaluations of the flow, one per RK stage."""
 
-    accepted: int
-    rejected: int
-    rhs_calls: int  # evaluations of the flow, one per RK stage
-    h_min: float
-    h_max: float
+    __slots__ = ("accepted", "rejected", "rhs_calls", "h_min", "h_max")
+
+    def __init__(self, accepted: int, rejected: int, rhs_calls: int,
+                 h_min: float, h_max: float):
+        super().__init__(accepted, rejected, rhs_calls, h_min, h_max)
 
 
 def integrate(params: ModelParams) -> "MetricProfile":
@@ -314,21 +301,20 @@ def _quintic_hermite_weights(t, h):
     return w, dw
 
 
-@dataclass(frozen=True)
-class MetricProfile:
+class MetricProfile(Record):
     """Numerically constructed metric: the accepted integration steps over
     [r0, r_max] as one sample of arrays, plus the series used below r0, and
     the stepper's statistics when `integrate` built it.  Immutable after
     construction; evaluation is safe from concurrent readers."""
 
-    params: ModelParams
-    bootstrap: SeriesCoefficients
-    samples: CoefficientSample
-    stats: IntegrationStats | None = None
+    __slots__ = ("params", "bootstrap", "samples", "stats")
 
-    def __post_init__(self):
-        if not np.all(np.diff(self.samples.r) > 0):
+    def __init__(self, params: ModelParams, bootstrap: SeriesCoefficients,
+                 samples: CoefficientSample,
+                 stats: IntegrationStats | None = None):
+        if not np.all(np.diff(samples.r) > 0):
             raise ValueError("profile samples must have strictly increasing r")
+        super().__init__(params, bootstrap, samples, stats)
 
     @property
     def r0(self) -> float:
@@ -388,8 +374,8 @@ class MetricProfile:
         below = r < self.r0
         if below.any():
             series = sample_from_series(self.bootstrap, r[below])
-            for f in fields(out):
-                getattr(out, f.name)[below] = getattr(series, f.name)
+            for name in out.__slots__:
+                getattr(out, name)[below] = getattr(series, name)
         return out
 
     def at(self, r: float) -> CoefficientSample:
@@ -398,8 +384,8 @@ class MetricProfile:
         profile this way; it stays while perfbench/traced.py times it as its
         `ode.query` span, and goes once that tracer wraps `eval` instead."""
         one = self.eval(r)
-        return CoefficientSample(*(getattr(one, f.name).item()
-                                   for f in fields(one)))
+        return CoefficientSample(*(getattr(one, name).item()
+                                   for name in one.__slots__))
 
     def grid(self, n: int) -> np.ndarray:
         """Evenly spaced radii r_max * i/n for i = 1..n."""

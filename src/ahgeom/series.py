@@ -28,9 +28,10 @@ ever computed; m enters through that scaling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .config import Record
 
 _F0 = Fraction(0)
 
@@ -161,28 +162,25 @@ def _horner012(coeffs, s):
     return v, d, 2.0 * d2
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
+class SeriesCoefficients(Record):
     """Truncated series of (a, p, q) about r = 0 for sphere radius m.
 
     unit_* hold the exact m = 1 rationals; the coefficient of r^k for
     parameter m is unit_*[k] * m**(1-k).
     """
 
-    m: float
-    order: int
-    unit_a: tuple
-    unit_p: tuple
-    unit_q: tuple
+    __slots__ = ("m", "order", "unit_a", "unit_p", "unit_q")
 
-    def __post_init__(self):
-        for k in range(self.order + 1):
-            if k % 2 == 0 and (self.unit_a[k] != 0 or self.unit_p[k] != 0):
+    def __init__(self, m: float, order: int, unit_a: tuple, unit_p: tuple,
+                 unit_q: tuple):
+        for k in range(order + 1):
+            if k % 2 == 0 and (unit_a[k] != 0 or unit_p[k] != 0):
                 raise ValueError(f"parity violated: even-order term in a or p at k={k}")
-            if k % 2 == 1 and self.unit_q[k] != 0:
+            if k % 2 == 1 and unit_q[k] != 0:
                 raise ValueError(f"parity violated: odd-order term in q at k={k}")
-        if self.unit_a[1] != 2 or self.unit_p[1] != 1 or self.unit_q[0] != 2:
+        if unit_a[1] != 2 or unit_p[1] != 1 or unit_q[0] != 2:
             raise ValueError("leading series terms do not match the model")
+        super().__init__(m, order, unit_a, unit_p, unit_q)
 
     def _scaled(self, unit):
         mf = Fraction(self.m)

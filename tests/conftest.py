@@ -4,6 +4,15 @@ from ahgeom.config import ModelParams
 from ahgeom.ode import integrate
 
 
+def replace(record, **changes):
+    """A new record of record's type with the given fields changed and the
+    rest copied: the fields are its __slots__, which its constructor takes
+    in that order, so its validators run again."""
+    assert set(changes) <= set(record.__slots__), changes
+    return type(record)(*(changes.get(name, getattr(record, name))
+                          for name in record.__slots__))
+
+
 @pytest.fixture(scope="session")
 def profile1():
     """Default-scale profile: m = 1, r_max = 20, tol = 1e-10."""

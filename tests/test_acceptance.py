@@ -26,7 +26,8 @@ def _verify(m=1.0, r_max=None, tol=1e-10, grid_points=1000):
     """The report of `ahgeom verify` at these inputs; each default is the
     CLI's."""
     return run_verification(
-        ModelParams(m, 20.0 * m if r_max is None else r_max, tol), grid_points)
+        ModelParams(m, 20.0 * m if r_max is None else r_max, tol),
+        grid_points)[0]
 
 
 @pytest.fixture(scope="module")
@@ -36,22 +37,22 @@ def report():
 
 @pytest.mark.parametrize("index,name", CRITERIA)
 def test_criterion(report, index, name):
-    check = next(c for c in report.checks if c.name == name)
-    status = "PASS" if check.passed else "FAIL"
+    check = next(c for c in report["checks"] if c["check"] == name)
+    status = "PASS" if check["status"] == "pass" else "FAIL"
     print(f"ACCEPTANCE {index:02d} {name}: {status} "
-          f"worst={check.worst:.3e} ({check.direction} {check.budget:g}) "
-          f"[{check.note}]")
-    assert check.passed, f"{name}: {check.note}"
+          f"worst={check['worst']:.3e} "
+          f"({check['direction']} {check['budget']:g}) [{check['note']}]")
+    assert check["status"] == "pass", f"{name}: {check['note']}"
 
 
 def test_every_criterion_reported_once(report):
-    names = [c.name for c in report.checks]
+    names = [c["check"] for c in report["checks"]]
     assert names == [name for _, name in CRITERIA]
     assert len(set(names)) == len(names)
 
 
 def test_all_pass(report):
-    assert report.all_pass
+    assert report["all_pass"]
 
 
 @pytest.mark.parametrize("values, failing", [
@@ -80,6 +81,7 @@ def test_verify_at_input_corners(values, failing):
     # accepted inputs at the corners of the input box, with every other
     # value at its default; only the named checks fail
     report = _verify(**values)
-    assert [c.name for c in report.checks if not c.passed] == failing
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["check"] for c in failed] == failing
     if failing:
-        assert report.first_failure.note.endswith("(0 bracketed)")
+        assert failed[0]["note"].endswith("(0 bracketed)")

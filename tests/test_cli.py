@@ -1,6 +1,6 @@
 """CLI contracts: table formats, exit codes, determinism, config precedence."""
+import ast
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -22,6 +22,7 @@ from ahgeom.cli import main
 from ahgeom.config import M_MAX, M_MIN, ModelParams
 from ahgeom.curvature import (asd_residual, curvature_components,
                               fiber_gauss_curvature, kappa_at_zero)
+from conftest import replace
 
 FAST = ["--r-max", "6", "--grid", "60"]
 
@@ -363,7 +364,7 @@ class TestVerify:
         for n in (1, 2):
             _force_cpus(monkeypatch, n)
             reports.append(json.dumps(
-                verify.run_verification(params, 1000, 7).to_dict()))
+                verify.run_verification(params, 1000, 7)[0]))
         assert reports[0] == reports[1]
 
     def test_timings_on_stderr_only(self, verify_report, tmp_path, capsys):
@@ -401,9 +402,10 @@ class TestVerify:
         assert runs[0] == runs[1]
         assert "time integrate: <t> s" in runs[0][2]
 
-def _verify_context(m):
+def _check_args(m):
+    """A check's arguments at m and the defaults: profile, grid and seed."""
     profile = ode.integrate(ModelParams(m=m, r_max=20.0 * m, tol=1e-10))
-    return verify.VerifyContext(profile, profile.grid(1000), 0)
+    return profile, profile.grid(1000), 0
 
 
 class TestScaleFreeResiduals:
@@ -413,53 +415,51 @@ class TestScaleFreeResiduals:
     @pytest.mark.parametrize("check", [verify.check_ode_residuals,
                                        verify.check_hyperkahler_certificate])
     def test_worst_equals_unit_scale(self, profile1, grid1, check, m):
-        unit = check(verify.VerifyContext(profile1, grid1, 0))
-        scaled = check(_verify_context(m))
-        assert scaled.worst == unit.worst
-        assert scaled.note == unit.note  # each term of the ratio, too
-        assert scaled.passed
+        unit = check(profile1, grid1, 0)
+        scaled = check(*_check_args(m))
+        assert scaled["worst"] == unit["worst"]
+        assert scaled["note"] == unit["note"]  # each term of the ratio, too
+        assert scaled["status"] == "pass"
 
     def test_ode_residuals_pass_at_large_m(self):
         # the midpoint residual is a length: an absolute budget failed here
-        result = verify.check_ode_residuals(_verify_context(1e4))
-        assert result.passed, result.note
+        result = verify.check_ode_residuals(*_check_args(1e4))
+        assert result["status"] == "pass", result["note"]
 
     @pytest.mark.parametrize("m", [2.0 ** -10, 2.0 ** 10])
     def test_zero_section_limits_unit_scale(self, profile1, grid1, m):
-        unit = verify.check_zero_section_limits(
-            verify.VerifyContext(profile1, grid1, 0))
-        scaled = verify.check_zero_section_limits(_verify_context(m))
-        assert scaled.passed, scaled.note
-        assert scaled.worst == unit.worst
+        unit = verify.check_zero_section_limits(profile1, grid1, 0)
+        scaled = verify.check_zero_section_limits(*_check_args(m))
+        assert scaled["status"] == "pass", scaled["note"]
+        assert scaled["worst"] == unit["worst"]
 
     @pytest.mark.parametrize("m", [2.0 ** -10, 2.0 ** 10])
     def test_calibration_bound_unit_scale(self, profile1, grid1, m):
         # worst is the excess (bc + m^2)/m^2 and the note names only the
         # verdict's conditions, so both read as at m = 1
-        unit = verify.check_calibration_bound(
-            verify.VerifyContext(profile1, grid1, 0))
-        scaled = verify.check_calibration_bound(_verify_context(m))
-        assert scaled.passed, scaled.note
-        assert scaled.worst == unit.worst
-        assert scaled.note == unit.note
+        unit = verify.check_calibration_bound(profile1, grid1, 0)
+        scaled = verify.check_calibration_bound(*_check_args(m))
+        assert scaled["status"] == "pass", scaled["note"]
+        assert scaled["worst"] == unit["worst"]
+        assert scaled["note"] == unit["note"]
 
     def test_zero_section_limits_catch_second_derivative_at_large_m(
             self, monkeypatch):
         # b''(0) = -3/(4m) is -7.5e-31 at m = 1e30: held to an absolute
         # 1e-13, a zeroed b''(0) passed; against its scale 1/m it reads 0.75
-        ctx = _verify_context(1e30)
-        assert verify.check_zero_section_limits(ctx).passed
+        args = _check_args(1e30)
+        assert verify.check_zero_section_limits(*args)["status"] == "pass"
         evaluate = ode.MetricProfile.eval
 
         def zeroed_ddb(self, r):
             s = evaluate(self, r)
             ddb = s.ddb.copy()
             ddb[0] = 0.0
-            return dataclasses.replace(s, ddb=ddb)
+            return replace(s, ddb=ddb)
         monkeypatch.setattr(ode.MetricProfile, "eval", zeroed_ddb)
-        result = verify.check_zero_section_limits(ctx)
-        assert not result.passed
-        assert result.worst == pytest.approx(0.75)
+        result = verify.check_zero_section_limits(*args)
+        assert result["status"] == "fail"
+        assert result["worst"] == pytest.approx(0.75)
 
 
 class TestConfigHandling:
@@ -552,9 +552,10 @@ class TestConfigHandling:
     def test_scale_covariance_at_top_of_m_range(self):
         # 2m would leave the accepted range, so the check compares the
         # profile at m/2 against this one; the rescaling is exact
-        result = verify.check_scale_covariance(_verify_context(M_MAX))
-        assert result.passed and result.worst == 0.0
-        assert result.note.endswith("at parameter m/2, as 2m is out of range")
+        result = verify.check_scale_covariance(*_check_args(M_MAX))
+        assert result["status"] == "pass" and result["worst"] == 0.0
+        assert result["note"].endswith(
+            "at parameter m/2, as 2m is out of range")
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_output(self, tmp_path, capsys, monkeypatch, where):
@@ -778,3 +779,43 @@ def test_only_verify_loads_the_checks(tmp_path, args):
     assert done.stdout.split("\n")[:3] == [
         str(checks if args[0] == "verify" else []), "[]",
         str(args[0] != "verify")]
+
+
+# json and dataclasses in sys.modules after each command in turn, in one
+# fresh interpreter that imports neither itself
+COMMANDS_IN_TURN = [["solve", "--grid", "10"], ["curvature", "--grid", "10"],
+                    ["verify", "--grid", "50"]]
+
+
+@pytest.fixture(scope="module")
+def loaded_in_turn(tmp_path_factory):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = str(tmp_path_factory.mktemp("loads") / "out")
+    code = ("import sys, ahgeom.cli\n"
+            f"for argv in {COMMANDS_IN_TURN!r}:\n"
+            f"    assert ahgeom.cli.main(argv + ['--output', {out!r}]) == 0\n"
+            "    print(sorted({'dataclasses', 'json'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    return done.stdout.splitlines()
+
+
+def test_json_only_where_json_is_written(loaded_in_turn):
+    # CSV output never loads json; verify's report does
+    assert loaded_in_turn == ["[]", "[]", "['json']"]
+
+
+def test_no_module_uses_dataclasses(loaded_in_turn):
+    # the records are __slots__ classes and the report is a dict, so no
+    # command pays for importing dataclasses or generating its methods
+    users = set()
+    for path in (pathlib.Path(cli.__file__).parent).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import)
+                    and any(a.name == "dataclasses" for a in node.names)
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module == "dataclasses"):
+                users.add(path.name)
+    assert users == set()
+    assert not any("dataclasses" in line for line in loaded_in_turn)

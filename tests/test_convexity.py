@@ -278,8 +278,7 @@ class TestBruteForce:
             # the exact line minima of d, then the sampled ones of -d
             return np.r_[np.min(d[:, :10], axis=0), got[10:]]
         monkeypatch.setattr(verify, "brute_force_plane_min", spy)
-        ctx = verify.VerifyContext(profile1, grid1, 7)
-        result = verify.check_kplane_oracle(ctx)
+        result = verify.check_kplane_oracle(profile1, grid1, 7)
         assert calls == [((4, 20), 1, 1007), ((4, 10), 2, 2007)]
         radii = 0.2 + (20.0 - 0.2) * SplitMix64(7).uniform(10)
         d = hessian_r2_diagonal(profile1.eval(radii))
@@ -288,7 +287,7 @@ class TestBruteForce:
         assert lines[0][10:].tobytes() == alone.tobytes()
         errs = (np.sum(d, axis=0) + alone
                 - min_trace_over_kplanes(hessian_r2(profile1.eval(radii)), 3))
-        assert result.worst == np.max(np.abs(errs))
+        assert result["worst"] == np.max(np.abs(errs))
 
     def test_pure_sampling_converges_from_above(self, profile1):
         s = profile1.at(1.0)
@@ -362,8 +361,7 @@ class TestBruteForce:
             return brute_force_plane_min(d, k, trials=1000, seed=seed)
         monkeypatch.setattr(verify, "brute_force_plane_min", spy)
         monkeypatch.setattr(convexity, "brute_force_plane_min", spy)
-        ctx = verify.VerifyContext(profile1, grid1, 7)
-        verify.check_kplane_oracle(ctx)
+        verify.check_kplane_oracle(profile1, grid1, 7)
         assert calls == [((4, 20), 1, 1007), ((4, 10), 2, 2007)]
 
 
@@ -663,8 +661,8 @@ class TestOracle:
                 (draws.ctypes.data, out.ctypes.data))
             return traces(draws, weights, shifts, out)
         monkeypatch.setattr(convexity, "_plane_traces", spy)
-        ctx = verify.VerifyContext(profile1, grid1, 7)
-        assert verify.check_kplane_oracle(ctx).passed
+        result = verify.check_kplane_oracle(profile1, grid1, 7)
+        assert result["status"] == "pass"
         assert sizes == {20: 100_000, 10: 100_000}
         assert {n: len(b) for n, b in buffers.items()} == {20: 1, 10: 1}
 
@@ -672,10 +670,9 @@ class TestOracle:
     def test_hard_seeds(self, profile1, grid1, seed):
         # the two worst seeds of 0-499 (1.77e-4 and 1.36e-4), where the
         # polish must split the near-equal 2nd and 3rd eigenvalues
-        ctx = verify.VerifyContext(profile1, grid1, seed)
-        result = verify.check_kplane_oracle(ctx)
-        assert result.passed
-        assert result.worst <= 2.5e-4
+        result = verify.check_kplane_oracle(profile1, grid1, seed)
+        assert result["status"] == "pass"
+        assert result["worst"] <= 2.5e-4
 
     @pytest.mark.slow
     def test_every_seed(self, profile1, grid1):
@@ -683,10 +680,9 @@ class TestOracle:
         # 2.5e-4, a quarter of the 1e-3 budget
         worst = {}
         for seed in range(500):
-            result = verify.check_kplane_oracle(
-                verify.VerifyContext(profile1, grid1, seed))
-            assert result.passed, seed
-            worst[seed] = result.worst
+            result = verify.check_kplane_oracle(profile1, grid1, seed)
+            assert result["status"] == "pass", seed
+            worst[seed] = result["worst"]
         assert max(worst.values()) <= 2.5e-4
         assert sorted(worst, key=worst.get)[-2:] == [336, 246]
 
@@ -742,12 +738,12 @@ class TestSignReport:
         # at 1000 points the grid starts at r_max/1000 > 1.7176 m, past the
         # crossing: c'' is bracketed from r = 0, where it is 3/(4m) > 0
         profile = integrate(ModelParams(m=1.0, r_max=r_max, tol=1e-10))
-        ctx = verify.VerifyContext(profile, profile.grid(1000), 0)
-        assert ctx.grid[0] > C_CROSSING_M1
+        grid = profile.grid(1000)
+        assert grid[0] > C_CROSSING_M1
         max_dda, max_ddb, changes, crossing = second_derivative_signs(
-            ctx.profile, ctx.grid)
+            profile, grid)
         assert max_dda < 0 and max_ddb < 0
         assert changes == 1
         assert crossing == pytest.approx(C_CROSSING_M1, abs=1e-7)
-        result = verify.check_second_derivative_signs(ctx)
-        assert result.passed, result.note
+        result = verify.check_second_derivative_signs(profile, grid, 0)
+        assert result["status"] == "pass", result["note"]

@@ -9,6 +9,7 @@ from ahgeom.curvature import (asd_residual, curvature_components,
                               kappa_term_scale)
 from ahgeom.ode import sample_from_series
 from ahgeom.series import expand
+from conftest import replace
 
 nz = st.floats(min_value=0.1, max_value=10.0).flatmap(
     lambda v: st.sampled_from([v, -v]))
@@ -67,7 +68,6 @@ class TestAsdResidual:
         assert worst <= 1e-9
 
     def test_linear_in_perturbation(self, profile1):
-        from dataclasses import replace
         s = profile1.at(1.0)
         e1, _, _ = asd_residual(s)
         e1p, _, _ = asd_residual(replace(s, da=s.da + 0.01))

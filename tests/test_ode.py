@@ -4,7 +4,6 @@ import itertools
 import math
 import re
 import time
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from ahgeom.ode import (IntegrationError, MetricProfile, integrate,
                         product_identity_residual, region_margins, rhs,
                         sample_from_series)
 from ahgeom.series import expand
+from conftest import replace
 
 nonzero = st.floats(min_value=0.05, max_value=50.0).flatmap(
     lambda v: st.sampled_from([v, -v]))
@@ -443,8 +443,9 @@ class TestEval:
         # at t = 0 and t = 1 the Hermite weights select one node
         nodes = profile1.samples
         got = profile1.eval(nodes.r)
-        for f in fields(nodes):
-            assert getattr(got, f.name).tobytes() == getattr(nodes, f.name).tobytes()
+        for name in nodes.__slots__:
+            assert (getattr(got, name).tobytes()
+                    == getattr(nodes, name).tobytes())
 
     def test_batch_matches_scalar(self, profile1):
         # eval of an array is at() of each radius, bit for bit, on both
@@ -455,9 +456,9 @@ class TestEval:
                        r_max * (1 + 1e-13)])
         batch = profile1.eval(rs)
         scalars = [profile1.at(float(r)) for r in rs]
-        for f in fields(batch):
-            stacked = np.array([getattr(s, f.name) for s in scalars])
-            assert stacked.tobytes() == getattr(batch, f.name).tobytes(), f.name
+        for name in batch.__slots__:
+            stacked = np.array([getattr(s, name) for s in scalars])
+            assert stacked.tobytes() == getattr(batch, name).tobytes(), name
 
     @given(n=st.integers(min_value=2, max_value=3000), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -470,9 +471,9 @@ class TestEval:
         whole = profile1.eval(r)
         pieces = [profile1.eval(r[lo:hi])
                   for lo, hi in zip([0, *cuts], [*cuts, n])]
-        for f in fields(whole):
-            joined = np.concatenate([getattr(p, f.name) for p in pieces])
-            assert joined.tobytes() == getattr(whole, f.name).tobytes(), f.name
+        for name in whole.__slots__:
+            joined = np.concatenate([getattr(p, name) for p in pieces])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
 
     def test_quintic_exact_on_degree_five(self):
         # nodes holding degree-5 polynomials in a, b and l = log(gap / m)
@@ -543,9 +544,9 @@ class TestEval:
         ref = profile1.samples
         power = dict(r=1, a=1, b=1, c=1, gap=1, dda=-1, ddb=-1, ddc=-1,
                      dlog_gap=-1, ddlog_gap=-2)
-        for fld in fields(nodes):
-            want = getattr(ref, fld.name) * f ** power.get(fld.name, 0)
-            assert getattr(nodes, fld.name).tobytes() == want.tobytes(), fld.name
+        for name in nodes.__slots__:
+            want = getattr(ref, name) * f ** power.get(name, 0)
+            assert getattr(nodes, name).tobytes() == want.tobytes(), name
 
 
 class TestProductIdentities:
@@ -564,3 +565,22 @@ class TestProductIdentities:
         bad = MetricProfile(params=profile1.params, bootstrap=profile1.bootstrap,
                             samples=flipped)
         assert product_identity_residual(bad, nodes.r[:: 50]) > 0.1
+
+
+@pytest.mark.parametrize("owner, kind", [
+    ("params", "ModelParams"), ("bootstrap", "SeriesCoefficients"),
+    ("stats", "IntegrationStats"), (None, "MetricProfile")])
+def test_records_are_read_only(profile1, owner, kind):
+    # as the frozen dataclasses they replace: no field can be assigned or
+    # deleted, and no other attribute added
+    record = profile1 if owner is None else getattr(profile1, owner)
+    assert type(record).__name__ == kind
+    for name in record.__slots__:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1

@@ -9,6 +9,7 @@ from ahgeom.ode import sample_from_series
 from ahgeom.series import expand
 from ahgeom.zero_section import (calibration_check, second_fundamental_form,
                                  stability_operator)
+from conftest import replace
 
 SLACK = verify.tolerances(1e-10)["calibration_slack"]
 
@@ -66,9 +67,8 @@ class TestStabilityOperator:
                             lambda tol: {**tols, "stability_rel": 10.0})
         monkeypatch.setattr(verify, "stability_operator",
                             lambda m: np.array(operator) / m ** 2)
-        result = verify.check_strong_stability(
-            verify.VerifyContext(profile1, grid1, 0))
-        assert result.passed == passed
+        result = verify.check_strong_stability(profile1, grid1, 0)
+        assert (result["status"] == "pass") == passed
 
     def test_assembly_arithmetic(self):
         # 2 * (3/(4m^2)) - 2 * (1/(2m))^2 = 1/m^2, in exact rationals
@@ -90,25 +90,22 @@ class TestCalibration:
         assert bc[0] == -1.0
         assert np.min(np.abs(bc)) == pytest.approx(1.0, abs=1e-12)
         assert np.max(bc[1:] + 1.0) <= 0.0
-        result = verify.check_calibration_bound(
-            verify.VerifyContext(profile1, grid1, 0))
-        assert result.passed
-        assert result.note == ("bc(0) = -m^2: True, monotone=True, "
+        result = verify.check_calibration_bound(profile1, grid1, 0)
+        assert result["status"] == "pass"
+        assert result["note"] == ("bc(0) = -m^2: True, monotone=True, "
                                "strict for r>0: True")
 
     def test_worst_is_measured_over_r_positive(self, profile1, grid1):
         # the report's worst is bc + m^2 at the grid's r > 0, -r1^2/2 at its
         # first radius r1 = 0.02, not the 0.0 of the equality at r = 0
-        result = verify.check_calibration_bound(
-            verify.VerifyContext(profile1, grid1, 0))
-        assert result.passed
-        assert result.worst < 0.0
-        assert result.worst == pytest.approx(-0.5 * grid1[0] ** 2, rel=1e-3)
+        result = verify.check_calibration_bound(profile1, grid1, 0)
+        assert result["status"] == "pass"
+        assert result["worst"] < 0.0
+        assert result["worst"] == pytest.approx(-0.5 * grid1[0] ** 2, rel=1e-3)
 
     def test_equality_at_zero_is_required(self, profile1, grid1):
         # bc(0) = -m^2 exactly: against m one ulp above 1, the r = 0 value
         # fails the check though every r > 0 still passes
-        from dataclasses import replace
         params = replace(profile1.params, m=1.0 + 2.0 ** -52)
         bad = replace(profile1, params=params)
         m2 = params.m ** 2
@@ -117,14 +114,12 @@ class TestCalibration:
         assert np.all(dbc[1:] < 0.0) and np.all(bc[1:] < bc[:-1])
         assert np.all(bc[1:] < -m2)
         assert bc[0] != -m2
-        ctx = verify.VerifyContext(bad, grid1, 0)
-        result = verify.check_calibration_bound(ctx)
-        assert not result.passed
-        assert result.note == ("bc(0) = -m^2: False, monotone=True, "
+        result = verify.check_calibration_bound(bad, grid1, 0)
+        assert result["status"] == "fail"
+        assert result["note"] == ("bc(0) = -m^2: False, monotone=True, "
                                "strict for r>0: True")
 
     def test_negative_control_flipped_sign(self, profile1, grid1):
-        from dataclasses import replace
         from ahgeom.ode import MetricProfile
         nodes = profile1.samples
         flipped = replace(nodes, b=-nodes.b)
@@ -132,8 +127,8 @@ class TestCalibration:
                             samples=flipped)
         bc, _ = calibration_check(bad, grid1[100::200])
         assert np.any(bc > -(1.0 - SLACK))
-        ctx = verify.VerifyContext(bad, grid1[100::200], 0)
-        assert not verify.check_calibration_bound(ctx).passed
+        assert verify.check_calibration_bound(
+            bad, grid1[100::200], 0)["status"] == "fail"
 
     def test_pinned_slack_is_honoured(self, profile1, grid1, monkeypatch):
         # a negative slack demands bc <= -m^2 (1 + 1e-3), which fails near
@@ -141,8 +136,8 @@ class TestCalibration:
         pinned = verify.tolerances
         monkeypatch.setattr(verify, "tolerances", lambda tol: {
             **pinned(tol), "calibration_slack": -1e-3})
-        ctx = verify.VerifyContext(profile1, grid1, 0)
-        assert not verify.check_calibration_bound(ctx).passed
+        assert verify.check_calibration_bound(
+            profile1, grid1, 0)["status"] == "fail"
 
     def test_small_r_expansion_coefficient(self):
         # bc = -m^2 - r^2/2 + O(r^4): the quadratic coefficient is exactly

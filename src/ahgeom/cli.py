@@ -121,6 +121,10 @@ def cmd_verify(params: ModelParams, grid_points: int, seed: int | None, out,
               file=sys.stderr)
         for name, s in seconds.items():
             print(f"time {name}: {s:.4f} s", file=sys.stderr)
+        # user+sys of every thread so far, so that CPU burnt beside the
+        # checks (a BLAS worker polling, say) shows against their wall times
+        cpu = os.times()
+        print(f"time cpu: {cpu.user + cpu.system:.4f} s", file=sys.stderr)
     out.write(json.dumps(report, indent=2) + "\n")
     if not report["all_pass"]:
         first = next(c for c in report["checks"] if c["status"] == "fail")

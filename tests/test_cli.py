@@ -370,16 +370,20 @@ class TestVerify:
     def test_timings_on_stderr_only(self, verify_report, tmp_path, capsys):
         # the report is the fixture's, byte for byte; after the checks'
         # lines stderr gains the integrator's statistics, then one time line
-        # for integrate and one per check, in run order
+        # for integrate and one per check, in run order, then the process's
+        # user+sys CPU
         timed = tmp_path / "timed.json"
+        cpu = [sum(os.times()[:2])]
         code, out, err = run(VERIFY_ARGS + ["--timings", "--output",
                                             str(timed)], capsys)
+        cpu.append(sum(os.times()[:2]))
         assert code == 0 and out == ""
         assert timed.read_bytes() == verify_report[2]
         lines = err.splitlines()
         assert [line.split(":")[0] for line in lines] == (
             [f"PASS {name}" for name in self.EXPECTED] + ["integrate"]
-            + [f"time {name}" for name in ["integrate"] + self.EXPECTED])
+            + [f"time {name}" for name in ["integrate"] + self.EXPECTED]
+            + ["time cpu"])
         stats = ode.integrate(ModelParams(m=1.0, r_max=10.0, tol=1e-10)).stats
         assert lines[12] == (
             f"integrate: accepted={stats.accepted} rejected={stats.rejected} "
@@ -387,7 +391,8 @@ class TestVerify:
             f"h_max={stats.h_max:.3e}")
         assert all(re.fullmatch(r"time \w+: \d+\.\d{4} s", line)
                    for line in lines[13:])
-
+        # the CPU line is this process's user+sys when the command wrote it
+        assert cpu[0] - 5e-5 <= float(lines[-1].split()[-2]) <= cpu[1] + 5e-5
 
     def test_timings_from_config_file(self, tmp_path, capsys):
         # a switch is set from the file by true: the same report and, the
@@ -401,6 +406,7 @@ class TestVerify:
                                            flags=re.M)))
         assert runs[0] == runs[1]
         assert "time integrate: <t> s" in runs[0][2]
+        assert runs[0][2].endswith("time cpu: <t> s\n")
 
 def _check_args(m):
     """A check's arguments at m and the defaults: profile, grid and seed."""

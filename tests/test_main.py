@@ -1,6 +1,7 @@
 """The program's entry, ahgeom.__main__.main: `python -m ahgeom` and the
-console script both run it, it ends a run with the collector frozen, and it
-is the only code in the package that touches the collector."""
+console script both run it, it runs a command on one thread and ends it with
+the collector frozen, and it is the only code in the package that touches
+the collector or the environment."""
 import ast
 import gc
 import importlib
@@ -28,29 +29,47 @@ EXITS = {
     "numerical": (["solve", "--r-max", "1e7"], 3),
 }
 
+# the variables OpenBLAS reads for its thread count, in its order of
+# precedence; the harness's child starts with none of them
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 # Runs every command through both launchers in one interpreter, thawing the
-# collector between runs.  runpy goes first: it warns when ahgeom.__main__
-# was imported before it runs the package.
+# collector and dropping OPENBLAS_NUM_THREADS between runs, and records the
+# process's threads after each (None without /proc/self/task).  runpy goes
+# first: it warns when ahgeom.__main__ was imported before it runs the
+# package.  Last, one more command runs with OPENBLAS_NUM_THREADS=3 set.
 LAUNCH = """
 import gc, importlib, json, os, runpy, sys
 entry, commands = sys.argv[1], json.loads(sys.argv[2])
+
+def run(launcher, argv):
+    sys.argv = ["ahgeom", *argv, "--output", os.devnull]
+    try:
+        if launcher == "runpy":
+            runpy.run_module("ahgeom", run_name="__main__")
+        else:
+            module, _, attr = entry.partition(":")
+            sys.exit(getattr(importlib.import_module(module), attr)())
+    except SystemExit as exc:
+        return exc.code
+
+def threads():
+    task = "/proc/self/task"
+    return len(os.listdir(task)) if os.path.isdir(task) else None
+
 results = {}
 for launcher in ("runpy", "script"):
     for name, argv in commands.items():
-        before = [gc.get_freeze_count(), gc.isenabled()]
-        sys.argv = ["ahgeom", *argv, "--output", os.devnull]
-        try:
-            if launcher == "runpy":
-                runpy.run_module("ahgeom", run_name="__main__")
-            else:
-                module, _, attr = entry.partition(":")
-                sys.exit(getattr(importlib.import_module(module), attr)())
-            code = None
-        except SystemExit as exc:
-            code = exc.code
-        results[f"{launcher}-{name}"] = [before, code,
-                                         gc.get_freeze_count() > 0]
+        before = [gc.get_freeze_count(), gc.isenabled(),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]
+        code = run(launcher, argv)
+        results[f"{launcher}-{name}"] = [
+            before, code, gc.get_freeze_count() > 0, threads(),
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)]
         gc.unfreeze()
+os.environ["OPENBLAS_NUM_THREADS"] = "3"
+results["preset"] = [run("script", commands["ok"]),
+                     os.environ["OPENBLAS_NUM_THREADS"]]
 print(json.dumps(results))
 """
 
@@ -58,20 +77,37 @@ print(json.dumps(results))
 @pytest.fixture(scope="module")
 def launched():
     commands = {name: argv for name, (argv, _) in EXITS.items()}
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
     done = subprocess.run(
         [sys.executable, "-c", LAUNCH, ENTRY, json.dumps(commands)],
         capture_output=True, text=True, timeout=120, check=True,
-        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        env=dict(env, PYTHONPATH=str(REPO / "src")))
     return json.loads(done.stdout)
 
 
 @pytest.mark.parametrize("launcher", ["runpy", "script"])
 @pytest.mark.parametrize("name", list(EXITS))
 def test_entry_exits_with_the_collector_frozen(launched, launcher, name):
-    before, code, frozen = launched[f"{launcher}-{name}"]
-    assert before == [0, True]
+    before, code, frozen, _, _ = launched[f"{launcher}-{name}"]
+    assert before == [0, True, None]
     assert code == EXITS[name][1]
     assert frozen
+
+
+@pytest.mark.parametrize("launcher", ["runpy", "script"])
+@pytest.mark.parametrize("name", list(EXITS))
+def test_entry_runs_on_one_thread(launched, launcher, name):
+    # numpy loads in the first run; unless told otherwise, OpenBLAS then
+    # starts a worker per further CPU, which polls beside the command
+    _, code, _, threads, blas_threads = launched[f"{launcher}-{name}"]
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert code == EXITS[name][1]
+    assert (threads, blas_threads) == (1, "1")
+
+
+def test_entry_keeps_the_callers_blas_threads(launched):
+    assert launched["preset"] == [0, "3"]
 
 
 def test_console_script_is_the_module_entry():
@@ -92,16 +128,37 @@ def test_console_script_is_the_module_entry():
     ["verify", "--r-max", "6", "--grid", "60"]],
     ids=["solve", "curvature", "verify"])
 def test_cli_main_leaves_the_collector_alone(tmp_path, argv):
+    before = gc.get_freeze_count(), gc.isenabled(), dict(os.environ)
     importlib.import_module("ahgeom.__main__")  # the import runs nothing
-    before = gc.get_freeze_count(), gc.isenabled()
     assert cli.main(argv + ["--output", str(tmp_path / "out")]) == 0
-    assert (gc.get_freeze_count(), gc.isenabled()) == before
+    assert (gc.get_freeze_count(), gc.isenabled(), dict(os.environ)) == before
+
+
+# what writes the process's environment: assigning or deleting a key of
+# os.environ, its mutating methods, os.putenv and os.unsetenv
+ENV_WRITERS = {"setdefault", "update", "pop", "popitem", "clear",
+               "__setitem__", "__delitem__"}
+
+
+def _writes_environ(node) -> bool:
+    if (isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))):
+        return ast.unparse(node.value) == "os.environ"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        return (ast.unparse(func.value) == "os.environ"
+                and func.attr in ENV_WRITERS
+                or ast.unparse(func) in ("os.putenv", "os.unsetenv"))
+    return (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in ("environ", "putenv", "unsetenv")
+                    for a in node.names))
 
 
 def test_only_the_entry_touches_the_collector():
-    # importing any module of the package must leave a caller's collector
-    # as it was, so gc appears in the entry module alone
-    users = set()
+    # importing any module of the package, or calling cli.main, must leave
+    # a caller's collector and environment as they were, so gc appears, and
+    # os.environ is written, in the entry module alone
+    users, writers = set(), set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Import)
@@ -109,4 +166,7 @@ def test_only_the_entry_touches_the_collector():
                     or isinstance(node, ast.ImportFrom) and node.module == "gc"
                     or isinstance(node, ast.Name) and node.id == "gc"):
                 users.add(path.name)
+            if _writes_environ(node):
+                writers.add(path.name)
     assert users == {"__main__.py"}
+    assert writers == {"__main__.py"}

@@ -221,8 +221,9 @@ def main(argv=None) -> int:
                                   "(unset: 0, echoed as null)")
             cmd.add_argument("--timings", action="store_true",
                              help="also write the integrator's statistics, "
-                                  "the integrate time and each check's wall "
-                                  "time to stderr")
+                                  "the integrate time, each check's wall "
+                                  "time and, last, the process's user+sys "
+                                  "time ('time cpu') to stderr")
         cmd.add_argument("--format", dest="fmt", choices=formats,
                          default=formats[0],
                          help="output format (default %(default)s)")

@@ -163,10 +163,11 @@ _WIDTH = {1: 4, 2: 6}
 # trace array, 320 KB; at 4 096 (640 KB) `verify`'s peak RSS read 33.1 MB
 # against 32.2 MB (numpy 2.4, x86-64).  No minimum depends on the block size
 _BLOCK = 2048
-# heavy-ball weight of the polish: the previous step, carried along, lets
-# planes split nearly equal eigenvalues (gaps of 0.003-0.01 at r ~ 3 m)
-# that 200 plain gradient steps barely separate
-_MOMENTUM = 0.9
+# steps of the polish, which cost the same at any count: over seeds 0-499
+# the oracle's worst error reads 1.1e-3 at 200 steps (three seeds over the
+# 1e-3 budget), 5.5e-4 at 10^3, 1.25e-5 at 10^5 and 1.8e-6 at 10^6, as
+# planes split eigenvalue gaps of 0.003-0.01 at r ~ 3 m
+_STEPS = 100_000
 
 
 def _plane_weights(cols: np.ndarray):
@@ -215,41 +216,34 @@ def _plane_traces(draws: np.ndarray, weights: np.ndarray, shifts,
 
 
 def _polish(draws: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Smallest trace met by each unit-point draw p of a (p, 4) or (p, 6)
-    stack, for the diagonal d[p] of a (p, 4) stack, over 200 steps of
-    projected gradient descent with heavy-ball momentum on the draws' own
-    spheres.
+    """Trace reached by each unit-point draw p of a (p, 4) or (p, 6)
+    stack, for the diagonal d[p] of a (p, 4) stack, after _STEPS descent
+    steps taken in closed form: the traced operator is diagonal, so a step
+    only rescales the draw's coordinates.
 
-    A line x of S^3 has tr = sum_i d_i x_i^2, and descends along d x, half
-    the Euclidean gradient (a Rayleigh-quotient descent).  A 2-plane (u, v)
-    of S^2 x S^2 has tr = s/2 + sum_i h_i u_i v_i (`_plane_weights`), whose
-    Euclidean gradient is (h v, h u).  On each sphere the gradient and the
-    previous displacement, carried _MOMENTUM times, are projected onto the
-    tangent space, and the retraction normalizes the point.  The step is
-    0.5 / (d_max - d_min) per draw: the product metric of S^2 x S^2 is
-    twice that of Gr(2, 4), so this step moves a plane as far as the same
-    step along half the Riemannian gradient moves an orthonormal frame.
-    Every iterate is a genuine subspace."""
-    p = len(draws)
+    A line x of S^3 has tr = sum_i d_i x_i^2; a power step on
+    diag(d_max - d) takes it to x w, normalized, w = (d_max - d) /
+    (d_max - d_min).  A 2-plane (u, v) of S^2 x S^2 has tr = s/2 +
+    sum_i h_i u_i v_i (`_plane_weights`), whose minimum over u at fixed v
+    is s/2 - |h v|; that minimization and the same one over v at fixed u
+    take v to h^2 v, normalized, so there w = h^2 / max h^2.  N steps give
+    y = x w^N (x = v on a plane), of trace d_max - (e y, y) / (y, y) on a
+    line, e = d_max - d, and s/2 - sqrt((e y, y) / (y, y)) on a plane,
+    e = h^2.  Each step lowers the trace, so none exceeds the draw's own,
+    and each point is a genuine subspace, whose trace never undercuts the
+    Ky Fan sum (beyond rounding).  w = 1 - (max e - e) / max e is exactly 1
+    where e is largest, and everywhere when e = 0."""
     if draws.shape[1] == 4:
-        x, weights, shift = draws.reshape(p, 1, 4), d, 0.0
+        top, x = d.max(axis=1), draws
+        e = top[:, None] - d
     else:
-        x, (weights, shift) = draws.reshape(p, 2, 3), _plane_weights(d)
-    w = weights[:, None]
-    step = 0.5 / np.maximum(np.ptp(d, axis=1), 1e-300)[:, None, None]
-    move = np.zeros_like(x)
-    best = np.full(p, np.inf)
-    for _ in range(200):
-        # x[:, ::-1] is x itself on a line and (v, u) on a plane
-        grad = w * x[:, ::-1]
-        grad -= np.einsum("pmi,pmi->pm", x, grad)[..., None] * x
-        move -= np.einsum("pmi,pmi->pm", x, move)[..., None] * x
-        new = x + (_MOMENTUM * move - step * grad)
-        new /= np.sqrt(np.einsum("pmi,pmi->pm", new, new))[..., None]
-        move, x = new - x, new
-        np.minimum(best, shift + np.einsum("pi,pi,pi->p", weights, x[:, 0],
-                                           x[:, -1]), out=best)
-    return best
+        (h, top), x = _plane_weights(d), draws[:, 3:]
+        e = h * h
+    big = e.max(axis=1)[:, None]
+    y = x * (1.0 - (big - e) / np.maximum(big, 1e-300)) ** _STEPS
+    y *= y
+    rayleigh = np.sum(e * y, axis=1) / np.sum(y, axis=1)
+    return top - (rayleigh if draws.shape[1] == 4 else np.sqrt(rayleigh))
 
 
 def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000, *,
@@ -266,13 +260,13 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000, *,
     tr d plus the line minimum for -d is the 3-plane minimum.  Every column
     scores the same stream in closed form, with no orthonormalization and
     no eigensolver, so its minimum is bitwise that of a one-column call at
-    the same seed.  Each column keeps its 8 best draws, and with
-    polish=True `_polish` refines them where they were drawn, all columns
-    in one batch.  Every value is the trace of a genuine subspace, so the
-    result never undercuts the true minimum (beyond rounding), and pure
-    sampling (polish=False) converges to it from above as trials grow.
-    trials is capped at 200 000 to bound the time of a call; the buffers
-    hold one block at any trials.
+    the same seed.  Each column keeps its best draw (the earliest on ties),
+    and with polish=True `_polish` refines it, all columns in one batch.
+    Every value is the trace of a genuine subspace, so the result never
+    undercuts the true minimum (beyond rounding), and pure sampling
+    (polish=False) converges to it from above as trials grow.  trials is
+    capped at 200 000 to bound the time of a call; the buffers hold one
+    block at any trials.
     """
     d = np.array(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != 4 or not np.all(np.isfinite(d)):
@@ -287,37 +281,21 @@ def brute_force_plane_min(d: np.ndarray, k: int, trials: int = 100_000, *,
     stream = SplitMix64(seed)
     block = np.empty((min(trials, _BLOCK), _WIDTH[k]))
     tr = np.empty((len(cols), len(block)))
-    # each column's 8 best draws so far, and their traces
-    cand = np.empty((len(cols), 8, _WIDTH[k]))
-    cand_tr = np.full((len(cols), 8), np.inf)
+    rows = np.arange(len(cols))
+    # each column's best draw so far, and its trace
+    best = np.full(len(cols), np.inf)
+    pick = np.empty((len(cols), _WIDTH[k]))
     for lo in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - lo)
         stream.unit_points(block[:n], lo)
         _plane_traces(block[:n], weights, shifts, tr[:, :n])
-        # only a column whose block minimum beats its 8th best takes in new
-        # candidates: the 8 best of its old 8 and the block's 8 best
-        j = np.flatnonzero(tr[:, :n].min(axis=1) < cand_tr.max(axis=1))
-        if not j.size:
-            continue
-        # rows j are copied only when at most half the columns qualify: the
-        # copy and its index array then take no more than the whole
-        # array's index array
-        whole = 2 * len(j) > len(tr)
-        keep = np.argpartition(tr[:, :n] if whole else tr[j, :n],
-                               min(8, n) - 1, axis=1)[:, :8]
-        if whole:
-            keep = keep[j]
-        pool_tr = np.hstack([cand_tr[j], tr[j[:, None], keep]])
-        pool = np.hstack([cand[j], block[keep]])
-        top = np.argpartition(pool_tr, 7, axis=1)[:, :8]
-        cand_tr[j] = np.take_along_axis(pool_tr, top, axis=1)
-        cand[j] = np.take_along_axis(pool, top[..., None], axis=1)
-    best = cand_tr.min(axis=1)
+        i = tr[:, :n].argmin(axis=1)
+        low = tr[rows, i]
+        j = low < best
+        best[j] = low[j]
+        pick[j] = block[i[j]]
     if polish:
-        # row 8i + j of the stack is draw j of column i, with that column's d
-        polished = _polish(cand.reshape(-1, _WIDTH[k]),
-                           np.repeat(cols, 8, axis=0))
-        best = np.minimum(best, polished.reshape(-1, 8).min(axis=1))
+        best = np.minimum(best, _polish(pick, cols))
     return best
 
 

@@ -13,6 +13,12 @@ def replace(record, **changes):
                           for name in record.__slots__))
 
 
+def at(profile, r):
+    """`profile.eval` at the one radius r, as a sample of floats."""
+    one = profile.eval(r)
+    return type(one)(*(getattr(one, name).item() for name in one.__slots__))
+
+
 @pytest.fixture(scope="session")
 def profile1():
     """Default-scale profile: m = 1, r_max = 20, tol = 1e-10."""

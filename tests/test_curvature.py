@@ -9,7 +9,7 @@ from ahgeom.curvature import (asd_residual, curvature_components,
                               kappa_term_scale)
 from ahgeom.ode import sample_from_series
 from ahgeom.series import expand
-from conftest import replace
+from conftest import at, replace
 
 nz = st.floats(min_value=0.1, max_value=10.0).flatmap(
     lambda v: st.sampled_from([v, -v]))
@@ -68,13 +68,13 @@ class TestAsdResidual:
         assert worst <= 1e-9
 
     def test_linear_in_perturbation(self, profile1):
-        s = profile1.at(1.0)
+        s = at(profile1, 1.0)
         e1, _, _ = asd_residual(s)
         e1p, _, _ = asd_residual(replace(s, da=s.da + 0.01))
         assert e1p - e1 == pytest.approx(0.01, abs=1e-12)
 
     def test_along_profile(self, profile1, grid1):
-        worst = max(max(abs(e) for e in asd_residual(profile1.at(r)))
+        worst = max(max(abs(e) for e in asd_residual(at(profile1, r)))
                     for r in grid1)
         assert worst <= 1e-6
 
@@ -83,7 +83,7 @@ class TestCurvatureComponents:
     def test_second_derivative_certificate(self, profile1, grid1):
         worst = 0.0
         for r in grid1[:: 5]:
-            s = profile1.at(r)
+            s = at(profile1, r)
             k1, k2, k3 = curvature_components(s)
             for du, u, ki in ((s.dda, s.a, k1), (s.ddb, s.b, k2),
                               (s.ddc, s.c, k3)):
@@ -92,7 +92,7 @@ class TestCurvatureComponents:
 
     def test_ricci_flat_along_profile(self, profile1, grid1):
         for r in grid1[:: 25]:
-            s = profile1.at(r)
+            s = at(profile1, r)
             k1, k2, k3 = curvature_components(s)
             assert abs(k1 + k2 + k3) <= 1e-12 * kappa_term_scale(s.a, s.b, s.c)
 
@@ -104,24 +104,24 @@ class TestCurvatureComponents:
     def test_regression_at_half(self, profile1):
         # frozen from this construction; cross-checked against an
         # independent DOP853 integration of the same system
-        k1, k2, k3 = curvature_components(profile1.at(0.5))
+        k1, k2, k3 = curvature_components(at(profile1, 0.5))
         assert k1 == pytest.approx(-0.9012366790567108, rel=1e-8)
         assert k2 == pytest.approx(0.4615829914102433, rel=1e-8)
         assert k3 == pytest.approx(0.4396536876464677, rel=1e-8)
 
     def test_domain_error_at_zero(self, profile1):
         with pytest.raises(ValueError):
-            curvature_components(profile1.at(0.0))
+            curvature_components(at(profile1, 0.0))
 
 
 class TestFiberCurvature:
     def test_zero_section_value(self, profile1):
-        assert fiber_gauss_curvature(profile1.at(0.0)) == 1.5
+        assert fiber_gauss_curvature(at(profile1, 0.0)) == 1.5
 
     def test_positive_along_profile(self, profile1, grid1):
         for r in grid1[:: 10]:
-            assert fiber_gauss_curvature(profile1.at(r)) > 0
+            assert fiber_gauss_curvature(at(profile1, r)) > 0
 
     def test_regression_at_one(self, profile1):
-        got = fiber_gauss_curvature(profile1.at(1.0))
+        got = fiber_gauss_curvature(at(profile1, 1.0))
         assert got == pytest.approx(0.29198973105500375, rel=1e-8)

@@ -16,7 +16,7 @@ from ahgeom.ode import (IntegrationError, MetricProfile, integrate,
                         product_identity_residual, region_margins, rhs,
                         sample_from_series)
 from ahgeom.series import expand
-from conftest import replace
+from conftest import at, replace
 
 nonzero = st.floats(min_value=0.05, max_value=50.0).flatmap(
     lambda v: st.sampled_from([v, -v]))
@@ -108,19 +108,19 @@ class TestIntegrate:
 
     def test_against_series_at_r_01(self, profile1):
         ref = sample_from_series(expand(1.0, 16), 0.1)
-        got = profile1.at(0.1)
+        got = at(profile1, 0.1)
         assert got.a == pytest.approx(ref.a, abs=1e-10)
         assert got.b == pytest.approx(ref.b, abs=1e-10)
         assert got.c == pytest.approx(ref.c, abs=1e-10)
 
     def test_against_independent_integrator(self, profile1):
         scipy_integrate = pytest.importorskip("scipy.integrate")
-        s0 = profile1.at(profile1.r0)
+        s0 = at(profile1, profile1.r0)
         sol = scipy_integrate.solve_ivp(
             lambda r, y: rhs(*y), (s0.r, 20.0), [s0.a, s0.b, s0.c],
             method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
         for r in (0.5, 1.0, 5.0, 20.0):
-            mine = profile1.at(r)
+            mine = at(profile1, r)
             ref = sol.sol(r)
             assert mine.a == pytest.approx(ref[0], abs=1e-10)
             assert mine.b == pytest.approx(ref[1], abs=1e-10)
@@ -130,7 +130,7 @@ class TestIntegrate:
         # the tol 1e-12 profile at nodes and off them, within the solve
         # gate's budget of 10*tol relative to max(1, |y|)
         scipy_integrate = pytest.importorskip("scipy.integrate")
-        s0 = profile1_tight.at(profile1_tight.r0)
+        s0 = at(profile1_tight, profile1_tight.r0)
         sol = scipy_integrate.solve_ivp(
             lambda r, y: rhs(*y), (s0.r, 20.0), [s0.a, s0.b, s0.c],
             method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
@@ -208,7 +208,7 @@ class TestIntegrate:
         # the integrated profile just past the bootstrap radius against a
         # longer series, at the hold-out budget of 10*tol
         two = 2 * profile1.r0
-        si, ref = profile1.at(two), sample_from_series(expand(1.0, 16), two)
+        si, ref = at(profile1, two), sample_from_series(expand(1.0, 16), two)
         tol = profile1.params.tol
         for u, v in ((si.a, ref.a), (si.b, ref.b), (si.c, ref.c)):
             assert abs(u - v) <= 10 * tol * max(1.0, abs(v))
@@ -273,29 +273,29 @@ class TestIntegrate:
         assert all(np.all(margin > 0) for margin in region_margins(s, 1.0))
 
     def test_shape_at_zero_and_small_r(self, profile1):
-        s0 = profile1.at(0.0)
+        s0 = at(profile1, 0.0)
         assert (s0.a / s0.c, s0.b / s0.c) == (0.0, -1.0)
         # x ~ 2r - r^2 and y ~ -1 + r - r^2/2 for m = 1
         r = 0.01
-        s = profile1.at(r)
+        s = at(profile1, r)
         assert s.a / s.c == pytest.approx(2 * r - r * r, abs=5 * r ** 3)
         assert s.b / s.c == pytest.approx(-1 + r - r * r / 2, abs=5 * r ** 3)
 
     def test_gap_matches_plain_difference_where_representable(self, profile1):
         for r in (0.3, 1.0, 3.0, 6.0):
-            s = profile1.at(r)
+            s = at(profile1, r)
             assert abs(s.gap - (s.c - s.a)) <= 1e-12 * s.c
 
     def test_positivity_and_ap_monotone(self, profile1, grid1):
         prev_ap = 0.0
         for r in grid1:
-            s = profile1.at(r)
+            s = at(profile1, r)
             p, q = s.c + s.b, s.c - s.b
             assert q > 0 and p > 0
             ap = s.a * p
             assert ap > prev_ap
             prev_ap = ap
-        s0 = profile1.at(0.0)
+        s0 = at(profile1, 0.0)
         assert s0.c - s0.b == 2.0
 
 
@@ -434,7 +434,7 @@ class TestStepper:
 
 class TestEval:
     def test_zero_limit_exact(self, profile1):
-        s = profile1.at(0.0)
+        s = at(profile1, 0.0)
         assert (s.a, s.b, s.c) == (0.0, -1.0, 1.0)
         assert (s.da, s.db, s.dc) == (2.0, 0.5, 0.5)
         assert (s.dda, s.ddb, s.ddc) == (0.0, -0.75, 0.75)
@@ -521,7 +521,7 @@ class TestEval:
         rng = np.random.default_rng(5)
         budget = 10 * profile1.params.tol
         for r in rng.uniform(profile1.r0, 20.0, 150):
-            s, t = profile1.at(float(r)), profile1_tight.at(float(r))
+            s, t = at(profile1, float(r)), at(profile1_tight, float(r))
             for u, v in ((s.a, t.a), (s.b, t.b), (s.c, t.c)):
                 assert abs(u - v) <= budget * max(1.0, abs(v))
 
@@ -529,7 +529,7 @@ class TestEval:
         worst = 0.0
         for i in range(1, 101):
             r = 40.0 * i / 100
-            s2, s1 = profile2.at(r), profile1.at(r / 2)
+            s2, s1 = at(profile2, r), at(profile1, r / 2)
             for v2, v1 in ((s2.a, s1.a), (s2.b, s1.b), (s2.c, s1.c)):
                 worst = max(worst, abs(v2 - 2 * v1) / max(2.0, abs(v2)))
         assert worst <= 100 * profile1.params.tol

@@ -9,7 +9,7 @@ from ahgeom.ode import sample_from_series
 from ahgeom.series import expand
 from ahgeom.zero_section import (calibration_check, second_fundamental_form,
                                  stability_operator)
-from conftest import replace
+from conftest import at, replace
 
 SLACK = verify.tolerances(1e-10)["calibration_slack"]
 
@@ -78,7 +78,7 @@ class TestStabilityOperator:
 
 class TestCalibration:
     def test_bc_at_zero_exact(self, profile1):
-        s = profile1.at(0.0)
+        s = at(profile1, 0.0)
         assert s.b * s.c == -1.0
 
     def test_bound_and_monotonicity(self, profile1, grid1):
@@ -151,6 +151,6 @@ class TestCalibration:
 
     def test_numeric_expansion_matches(self, profile1):
         for r in (1e-3, 5e-3):
-            s = profile1.at(r)
+            s = at(profile1, r)
             assert s.b * s.c == pytest.approx(-1.0 - 0.5 * r * r, abs=r ** 4)
 

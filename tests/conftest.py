@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ahgeom.config import ModelParams
@@ -17,6 +19,12 @@ def at(profile, r):
     """`profile.eval` at the one radius r, as a sample of floats."""
     one = profile.eval(r)
     return type(one)(*(getattr(one, name).item() for name in one.__slots__))
+
+
+def force_cpus(monkeypatch, n):
+    """Let the process see n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
 
 
 @pytest.fixture(scope="session")

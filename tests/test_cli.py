@@ -22,7 +22,7 @@ from ahgeom.cli import main
 from ahgeom.config import M_MAX, M_MIN, ModelParams
 from ahgeom.curvature import (asd_residual, curvature_components,
                               fiber_gauss_curvature, kappa_at_zero)
-from conftest import replace
+from conftest import force_cpus, replace
 
 FAST = ["--r-max", "6", "--grid", "60"]
 
@@ -107,11 +107,6 @@ BLOCK, EVAL = export._BLOCK_ROWS, export._EVAL_ROWS
 SHRINK = 32
 
 
-def _force_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
 def _reference_rows(command, grid):
     """The header and rows of a WRITER_ARGS run, from columns of the whole
     grid."""
@@ -186,7 +181,7 @@ class TestCsvWriter:
         monkeypatch.setattr(os, "fork", counted_fork)
         want = _reference_csv(command, grid)
         for cpus in (1, 2, 3):
-            _force_cpus(monkeypatch, cpus)
+            force_cpus(monkeypatch, cpus)
             forks.clear()
             code, out, err = run([command, "--grid", str(grid), *WRITER_ARGS],
                                  capsys)
@@ -207,7 +202,7 @@ class TestCsvWriter:
                 raise MemoryError("in a formatting process")
             return format_blocks(rows_of, lo, hi)
         monkeypatch.setattr(export, "_format_blocks", fail_in_child)
-        _force_cpus(monkeypatch, 2)
+        force_cpus(monkeypatch, 2)
         path = tmp_path / "out.csv"
         dest = "<stdout>" if output == "stdout" else str(path)
         extra = [] if output == "stdout" else ["--output", dest]
@@ -261,7 +256,7 @@ class TestWriteFailures:
                         reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["solve", "curvature", "verify"])
     def test_device_full(self, capsys, monkeypatch, command):
-        _force_cpus(monkeypatch, 2)
+        force_cpus(monkeypatch, 2)
         grid = "60" if command == "verify" else str(4 * EVAL)
         code, _, err = run([command, "--grid", grid, *WRITER_ARGS,
                             "--output", "/dev/full"], capsys)
@@ -362,7 +357,7 @@ class TestVerify:
         params = ModelParams(m=1.0, r_max=20.0, tol=1e-10)
         reports = []
         for n in (1, 2):
-            _force_cpus(monkeypatch, n)
+            force_cpus(monkeypatch, n)
             reports.append(json.dumps(
                 verify.run_verification(params, 1000, 7)[0]))
         assert reports[0] == reports[1]

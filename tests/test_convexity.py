@@ -1,6 +1,6 @@
 """Convexity machinery: Hessian spectrum, derivative chain, k-plane minima."""
+import functools
 import math
-import os
 import re
 from fractions import Fraction
 from itertools import combinations, product
@@ -17,7 +17,7 @@ from ahgeom.convexity import (SplitMix64, _plane_traces, _plane_weights,
                               hessian_r2_diagonal, min_trace_over_kplanes,
                               second_derivative_signs)
 from ahgeom.ode import integrate
-from conftest import at
+from conftest import at, force_cpus
 
 C_CROSSING_M1 = 1.7175933153182266  # frozen; stable under tol 1e-10 -> 1e-12
 
@@ -265,16 +265,19 @@ class TestBruteForce:
         # line call on the 20 columns d and -d from seed + 1000 and one
         # 2-plane call on d from seed + 2000.  Its k = 3 minima are bitwise
         # tr d plus the line minima of -d: with k = 1 and k = 2 answered
-        # exactly by the spy, the worst error is theirs alone
-        _force_cpus(monkeypatch, cpus)
+        # exactly by the spy, the worst error is theirs alone, polished or
+        # sampled
+        force_cpus(monkeypatch, cpus)
+        minimize = (brute_force_plane_min if polish else
+                    functools.partial(_sampled, monkeypatch,
+                                      brute_force_plane_min))
         calls, lines = [], []
 
         def spy(d, k, trials, seed):
             calls.append((d.shape, k, seed))
             if k == 2:
                 return min_trace_over_kplanes(np.sort(d, axis=0), 2)
-            got = brute_force_plane_min(d, 1, trials=1000, seed=seed,
-                                        polish=polish)
+            got = minimize(d, 1, trials=1000, seed=seed)
             lines.append(got)
             # the exact line minima of d, then the sampled ones of -d
             return np.r_[np.min(d[:, :10], axis=0), got[10:]]
@@ -283,20 +286,19 @@ class TestBruteForce:
         assert calls == [((4, 20), 1, 1007), ((4, 10), 2, 2007)]
         radii = 0.2 + (20.0 - 0.2) * SplitMix64(7).uniform(10)
         d = hessian_r2_diagonal(profile1.eval(radii))
-        alone = brute_force_plane_min(-d, 1, trials=1000, seed=1007,
-                                      polish=polish)
+        alone = minimize(-d, 1, trials=1000, seed=1007)
         assert lines[0][10:].tobytes() == alone.tobytes()
         errs = (np.sum(d, axis=0) + alone
                 - min_trace_over_kplanes(hessian_r2(profile1.eval(radii)), 3))
         assert result["worst"] == np.max(np.abs(errs))
 
-    def test_pure_sampling_converges_from_above(self, profile1):
+    def test_pure_sampling_converges_from_above(self, profile1, monkeypatch):
         s = at(profile1, 1.0)
         exact = min_trace_over_kplanes(hessian_r2(s), 2)
         d = hessian_r2_diagonal(s)[:, None]
         excesses = [
-            brute_force_plane_min(d, 2, trials=n, seed=9, polish=False)[0]
-            - exact
+            _sampled(monkeypatch, brute_force_plane_min, d, 2, trials=n,
+                     seed=9)[0] - exact
             for n in (1_000, 10_000, 100_000)]
         assert all(e >= -1e-8 for e in excesses)
         assert excesses[2] < excesses[0]
@@ -313,28 +315,31 @@ class TestBruteForce:
             brute_force_plane_min(d, 2, trials=10, seed=0)
         with pytest.raises(ValueError):
             brute_force_plane_min(d, 2, trials=200_001, seed=0)
+        # the trial count has one home, verify's `kplane_trials`
+        with pytest.raises(TypeError):
+            brute_force_plane_min(d, 2, seed=0)
         # at r = 0 the co-frame rates are 0/0
         with np.errstate(invalid="ignore"):
             d0 = hessian_r2_diagonal(profile1.eval([0.0]))
         assert np.isnan(d0).any()
         with pytest.raises(ValueError):
-            brute_force_plane_min(d0, 2, seed=0)
+            brute_force_plane_min(d0, 2, trials=1000, seed=0)
         with pytest.raises(ValueError):
-            brute_force_plane_min(d[:3], 2, seed=0)
+            brute_force_plane_min(d[:3], 2, trials=1000, seed=0)
 
-    def test_batch_matches_single_radius_calls(self, profile1):
+    def test_batch_matches_single_radius_calls(self, profile1, monkeypatch):
         # every column of a (4, n) diagonal scores the call's one stream and
         # is polished together with the others, bitwise as n one-radius
-        # calls at the same seed
+        # calls at the same seed, and so is its best sampled trace
         d = hessian_r2_diagonal(profile1.eval([0.5, 1.0, 3.0, 7.0]))
-        for k, polish in product((1, 2), (True, False)):
+        sampled = functools.partial(_sampled, monkeypatch,
+                                    brute_force_plane_min)
+        for k, minimize in product((1, 2), (brute_force_plane_min, sampled)):
             # lines score the columns d and -d at once, as the oracle's do
             cols = np.hstack([d, -d]) if k == 1 else d
-            batch = brute_force_plane_min(cols, k, trials=5_000, seed=10 * k,
-                                          polish=polish)
+            batch = minimize(cols, k, trials=5_000, seed=10 * k)
             assert batch.shape == (len(cols.T),)
-            single = [brute_force_plane_min(c[:, None], k, trials=5_000,
-                                            seed=10 * k, polish=polish)
+            single = [minimize(c[:, None], k, trials=5_000, seed=10 * k)
                       for c in cols.T]
             assert np.array_equal(batch, np.concatenate(single))
 
@@ -343,12 +348,12 @@ class TestBruteForce:
             d = hessian_r2_diagonal(profile1.eval([1.0, 0.0, 2.0]))
         assert np.isnan(d[:, 1]).any()
         with pytest.raises(ValueError):
-            brute_force_plane_min(d, 2, seed=0)
+            brute_force_plane_min(d, 2, trials=1000, seed=0)
         d = np.delete(d, 1, axis=1)
         # one radius is a (4, 1) stack, never a bare (4,) diagonal
         for bad in (d[:3], d[:, :, None], d[:, 0]):
             with pytest.raises(ValueError, match=r"shape \(4, n\)"):
-                brute_force_plane_min(bad, 2, seed=0)
+                brute_force_plane_min(bad, 2, trials=1000, seed=0)
 
     def test_oracle_calls_once_per_k(self, profile1, grid1, monkeypatch):
         # the k-plane oracle hands all ten radii to one call per sampled k:
@@ -373,6 +378,16 @@ def _kplane_min(d, k, **kwargs):
     if k == 3:
         return np.sum(d, axis=0) + brute_force_plane_min(-d, 1, **kwargs)
     return brute_force_plane_min(d, k, **kwargs)
+
+
+def _sampled(monkeypatch, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with `_polish` stubbed to +inf, so that each
+    minimizer call keeps its columns' best sampled traces: the sampling
+    alone, without the polish that every call applies."""
+    with monkeypatch.context() as m:
+        m.setattr(convexity, "_polish",
+                  lambda draws, d: np.full(len(d), np.inf))
+        return fn(*args, **kwargs)
 
 
 def _qr_traces(frames, d):
@@ -512,9 +527,11 @@ class TestPlaneTraces:
         assert [g.drawn for g in generators] == [words * 20_000]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_unpolished_minima_match_gram_schmidt(self, profile1, k):
+    def test_unpolished_minima_match_gram_schmidt(self, profile1,
+                                                  monkeypatch, k):
         d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
-        got = _kplane_min(d, k, trials=5_000, seed=50 * k, polish=False)
+        got = _sampled(monkeypatch, _kplane_min, d, k, trials=5_000,
+                       seed=50 * k)
         draws, c, offset = _draws(50 * k, 5_000, k, d)
         want = offset + np.array([_qr_traces(_frames(draws), ci).min()
                                   for ci in c.T])
@@ -540,9 +557,10 @@ class TestPlaneTraces:
                                                 polish):
         # nothing is orthonormalized, and only the best draw per radius is
         # refined: `_polish` sees them once, as (3, 4) unit normal-line
-        # draws, and never without the polish; each trace call scores one
-        # draw block for every radius, so no scoring temporary exceeds the
-        # block, and every block reuses one draw buffer and one trace array
+        # draws (the stub of `_sampled` stands in for it when False); each
+        # trace call scores one draw block for every radius, so no scoring
+        # temporary exceeds the block, and every block reuses one draw
+        # buffer and one trace array, with the polish or without
         seen, sizes, buffers = [], [], set()
         polish_draws = convexity._polish
         traces = convexity._plane_traces
@@ -559,7 +577,9 @@ class TestPlaneTraces:
         monkeypatch.setattr(convexity, "_polish", spy_polish)
         monkeypatch.setattr(convexity, "_plane_traces", spy_traces)
         d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
-        _kplane_min(d, 3, trials=40_000, seed=1, polish=polish)
+        minimize = (_kplane_min if polish else
+                    functools.partial(_sampled, monkeypatch, _kplane_min))
+        minimize(d, 3, trials=40_000, seed=1)
         assert seen == ([(3, 4)] if polish else [])
         assert sum(sizes) == 40_000
         assert max(sizes) <= convexity._BLOCK
@@ -591,15 +611,9 @@ class TestPlaneTraces:
         assert got[-1].tobytes() == draws[0].tobytes()
 
 
-def _force_cpus(monkeypatch, n):
-    """Let the process see n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
 class TestSamplingThreads:
-    # the sampler runs on the calling thread, reads no CPU count and draws
-    # in blocks; no minimum may depend on either
+    # the sampler reads no CPU count and draws in blocks; no minimum, the
+    # polished one or the best sampled trace, may depend on either
     @pytest.mark.parametrize("trials", [5_000, 16_390, 100_000])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_minima_independent_of_workers(self, profile1, monkeypatch, k,
@@ -609,10 +623,10 @@ class TestSamplingThreads:
         d = hessian_r2_diagonal(profile1.eval([0.5, 2.0, 9.0]))
         got = {}
         for cpus in (1, 2):
-            _force_cpus(monkeypatch, cpus)
-            for polish in (True, False):
-                got[cpus, polish] = _kplane_min(
-                    d, k, trials=trials, seed=70 * k, polish=polish)
+            force_cpus(monkeypatch, cpus)
+            got[cpus, True] = _kplane_min(d, k, trials=trials, seed=70 * k)
+            got[cpus, False] = _sampled(monkeypatch, _kplane_min, d, k,
+                                        trials=trials, seed=70 * k)
         for polish in (True, False):
             assert np.array_equal(got[1, polish], got[2, polish])
         # bitwise the traces of one full-length stream, read by every radius
@@ -702,13 +716,21 @@ class TestOracle:
         assert sizes == {20: 100_000, 10: 100_000}
         assert {n: len(b) for n, b in buffers.items()} == {20: 1, 10: 1}
 
-    @pytest.mark.parametrize("seed", [212, 233])
-    def test_hard_seeds(self, profile1, grid1, seed):
-        # the two worst seeds of 0-499 (1.25e-5 and 1.22e-5), where the
-        # polish must split the near-equal 2nd and 3rd eigenvalues
+    @pytest.mark.parametrize("seed", [212, 233, 149])
+    def test_hard_seeds(self, profile1, grid1, monkeypatch, seed):
+        # 212 and 233 are the two worst seeds of 0-499 (1.25e-5 and
+        # 1.22e-5), where the polish must split the near-equal 2nd and 3rd
+        # eigenvalues.  149 is the one whose best draws are worst (2.25e-2):
+        # the sampling alone fails the 1e-3 budget there, and the polish
+        # carries the check
         result = verify.check_kplane_oracle(profile1, grid1, seed)
         assert result["status"] == "pass"
         assert result["worst"] <= 5e-5
+        if seed == 149:
+            sampled = _sampled(monkeypatch, verify.check_kplane_oracle,
+                               profile1, grid1, seed)
+            assert sampled["status"] == "fail"
+            assert sampled["worst"] > result["budget"] == 1e-3
 
     @pytest.mark.slow
     def test_every_seed(self, profile1, grid1):

@@ -18,9 +18,10 @@ import numpy as np
 from .csvnum import csv_bytes
 
 # Rows per call of the number formatter (csvnum), whose arrays peak at
-# about 190 bytes per number, 0.28 MB at 128 rows of 12 columns.  At 256
-# rows, the 1 000-row solve at tol 1e-12, which holds its profile while it
-# formats, peaked 0.4 MB higher (wait4, 2-vCPU VM).
+# about 140 bytes per number (tracemalloc), 0.21 MB at 128 rows of 12
+# columns.  At 256 rows, the 1 000-row solve at tol 1e-12, which holds its
+# profile while it formats, peaked 0.4 MB higher (wait4, 2-vCPU VM, with
+# the pair-digit formatter of 190 bytes per number).
 _BLOCK_ROWS = 128
 # Rows per evaluation: a table is evaluated, derived and stacked this many
 # rows at a time, so no column of the whole table is built.  One block

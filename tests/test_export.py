@@ -90,6 +90,79 @@ def test_fixed_and_scientific_forms():
     _assert_same(np.concatenate([values, -values]), cols=5)
 
 
+def test_group_tables():
+    # the "%04d" text of every 4-digit group, and, per group k = 1..4 of the
+    # 17 digits, the significant digits that its last nonzero digit makes
+    _, _, ascii4, nsig, *_ = csvnum._tables()
+    texts = [b"%04d" % v for v in range(10_000)]
+    assert ascii4.tobytes() == b"".join(texts)
+    for k, counts in enumerate(nsig, 1):
+        assert counts.tolist() == [
+            4 * (k - 1) + 1 + len(text.rstrip(b"0")) if text != b"0000" else 0
+            for text in texts]
+
+
+def _spans():
+    """Every double whose top 16 bits are those of a double in the kernel's
+    range, at both ends of the span those bits cover."""
+    tens = csvnum._tables()[0]
+    tops = np.arange(*tens[[0, -1]].view("<u2")[3::4] + [0, 1], dtype=np.uint64)
+    first = tops << np.uint64(48)
+    return np.concatenate([first, first + np.uint64((1 << 48) - 1)]).view(
+        np.float64)
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(_ulps(POWERS[:-1], 3), id="powers-of-ten-3-ulps"),
+    pytest.param(_ulps(np.ldexp(1.0, np.arange(-931, 968)), 2),
+                 id="binade-edges-2-ulps"),
+    pytest.param(np.random.default_rng(7).integers(
+        0, 2**63, 200_000, dtype=np.uint64).view(np.float64),
+                 id="bit-patterns"),
+    pytest.param(_spans(), id="every-top-16-bits-span"),
+])
+def test_exponent_index(values):
+    # the index that the top 16 bits and one compare give is the search's
+    tens = csvnum._tables()[0]
+    ax = np.abs(values)
+    ax = ax[(ax >= tens[0]) & (ax < tens[-1])]
+    assert ax.size
+    np.testing.assert_array_equal(
+        csvnum._index(ax), np.searchsorted(tens, ax, "right") - 1)
+
+
+def _rows_of(monkeypatch, command, params, n):
+    """The rows_of that command(params, n) hands to write_csv."""
+    tables = []
+    monkeypatch.setattr(export, "write_csv",
+                        lambda out, header, rows_of, n: tables.append(rows_of))
+    assert command(params, n, "csv", None) == 0
+    rows_of, = tables
+    return rows_of
+
+
+@pytest.mark.parametrize("command", [cli.cmd_solve, cli.cmd_curvature])
+def test_export_dense_tables(monkeypatch, command):
+    # the tables of the export-dense input: their first 8 192 rows have the
+    # bytes of "%.17g", and fewer than 1 in 10^4 of all their numbers go to
+    # Python's "%.17g", so no quiet detour to the slow path goes unseen
+    m = 0.731245
+    params = ModelParams(m=m, r_max=20 * m, tol=1e-8)
+    rows_of = _rows_of(monkeypatch, command, params, 50_000)
+    slow = total = 0
+    for table in export._tables(rows_of, 0, 50_000):
+        if total < 8192 * table.shape[1]:
+            assert b"".join(
+                csvnum.csv_bytes(table[start:start + export._BLOCK_ROWS])
+                for start in range(0, len(table), export._BLOCK_ROWS)
+            ) == _reference(table)
+        *_, ok = csvnum._decimal(table.ravel())
+        slow += np.count_nonzero(~ok)
+        total += table.size
+    assert total == 50_000 * table.shape[1]
+    assert slow * 10_000 < total, (slow, total)
+
+
 @pytest.mark.parametrize("command", [cli.cmd_solve, cli.cmd_curvature])
 def test_formatting_never_sets_the_peak(monkeypatch, command):
     # with a block of rows in hand, formatting it takes less than

@@ -14,7 +14,9 @@ hi + lo: hi the double nearest 10^k, lo the double nearest 10^k - hi, so
 |x| * hi = ph + pl exactly, and r = pl + |x| * lo adds two roundings.  With
 P < 2^57, ph + r is within 2^-47, below 1e-14, of P; where lo = 0
 (0 <= k <= 22) it is exact.  For P >= 10^16, ph >= 2^53 is an integer, so
-D = ph + rint(r), with residue r - rint(r).  Python's own "%.17g" writes an
+D = ph + rint(r), with residue r - rint(r), and D < 10^17 < 2^63 is an
+int64, exactly: four divmods by 10^4 cut it into digit 0 and four 4-digit
+groups.  Python's own "%.17g" writes an
 element whose residue lies within _MARGIN of a tie (1/2), or whose P is not
 above 10^16 by more than _MARGIN; and NaN, +-inf and |x| outside the
 tables.  The margin is 0 where the product is exact, so of those elements
@@ -22,8 +24,8 @@ only exact ties, and doubles that round a power of ten down, go to Python.
 
 The top 16 bits of |x| give e up to one compare; tables give the text and
 significant digits of D's 4-digit groups, and a layout per e and count.
-All is exact: float64 arithmetic on integers, compares, copies, integer
-min and max, loops that evaluating rows runs anyway.
+All is exact: float64 arithmetic on integers, int64 sums and divmods,
+compares, copies, integer min and max.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ _E_MIN, _E_MAX = -280, 290
 _DECADE = 0.018814374728998825  # log10(2) / 16
 _OFFSET = 1 - _E_MIN - 16368 * _DECADE
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for 53-bit doubles
-_ROUND = 6755399441055744.0  # 1.5 * 2^52: (y + _ROUND) - _ROUND is rint(y)
 # A number's 32-byte slot, whose NULs are dropped: the sign at byte 0 (as
 # 1, translated to "-"), a lead "0." and zeros at 1..5, the digits at 6..23,
 # the exponent at 24..28 and "," or "\n" at 29.  Digits before the point
@@ -138,28 +139,15 @@ def _decimal(x):
     r += hi_lo
     r += lo
     del ax, hi, lo, x_hi, x_lo, hi_hi, hi_lo
-    d = r + _ROUND
-    d -= _ROUND
+    # D = ph + rint(r) as an int64, 0 outside the tables
+    d = np.rint(r)
     r -= d  # the residue
-    # D = ph + d = q * 10^8 + low, exactly: q * 10^8 is exact for q < 10^10
-    qlow = np.empty((2, x.size))
-    q, low = qlow
-    np.multiply(ph, 1e-8, out=q)
-    q += _ROUND
-    q -= _ROUND
-    np.multiply(q, 1e8, out=low)
-    np.subtract(ph, low, out=low)
-    low += d
+    D = np.where(tabled, ph, 0.0).astype(np.int64)
+    D += d.astype(np.int64)
     del ph, d
-    borrow = np.floor(low * 1e-8)  # -1 where low < 0, else 0
-    q += borrow
-    borrow *= 1e8
-    low -= borrow
     # D + r - 10^16, whose rounding keeps its sign and any part >= 1/2
     margin = by_e[4][i]
-    above = q - 1e8
-    above *= 1e8
-    above += low
+    above = (D - 10**16).astype(np.float64)
     above += r
     ok = tabled & (above >= margin)
     np.abs(r, out=r)
@@ -167,18 +155,11 @@ def _decimal(x):
     ok &= r < 0.5
     ok |= x == 0
     del above, r, margin
-    qlow = np.where(tabled, qlow, 0.0)
-    # digit 0 and groups 1..4 of D: part // 10^4 and part % 10^4 of q, low
-    # and q // 10^4, with a bias above the rounding of part * 1e-4
-    groups = np.empty((5, x.size), np.intp)
-    high = qlow * 1e-4
-    high += 1e-10
-    np.floor(high, out=high)
-    np.subtract(qlow, high * 1e4, out=groups[2::2], casting="unsafe")
-    del qlow
-    groups[3], high = high[1], high[0]
-    groups[0] = np.floor(high * 1e-4 + 1e-10)
-    groups[1] = high - groups[0] * 1e4
+    # groups 4..1 of D, each D % 10^4 as D goes to D // 10^4; then digit 0
+    groups = np.empty((5, x.size), np.int64)
+    for k in range(4, 0, -1):
+        np.divmod(D, 10**4, out=(D, groups[k]))
+    groups[0] = D
     return groups, i, ok
 
 

@@ -55,6 +55,7 @@ def _format_blocks(rows_of, lo, hi):
     for table in _tables(rows_of, lo, hi):
         for start in range(0, len(table), _BLOCK_ROWS):
             yield csv_bytes(table[start:start + _BLOCK_ROWS])
+        del table  # not held while the next table is evaluated
 
 
 def _fork_formatter(rows_of, blocks, children):
@@ -168,4 +169,5 @@ def write_json(out, head, key, rows_of, n, names=None):
                   .replace(start, start + item[1:])
                   .replace(end, "\n    " + end))
         sep = ",\n"
+        del table, rows  # not held while the next table is evaluated
     out.write("\n  ]\n}\n")

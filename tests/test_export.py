@@ -1,6 +1,11 @@
 """The CSV number kernel: the bytes of "%.17g" for every double, and a
 working set that never exceeds that of evaluating the rows."""
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,6 +136,44 @@ def test_exponent_index(values):
         csvnum._index(ax), np.searchsorted(tens, ax, "right") - 1)
 
 
+def _below_powers():
+    """The largest double below each power of ten in POWERS."""
+    return np.array([p if Fraction(p) < Fraction(10) ** k
+                     else np.nextafter(p, 0.0)
+                     for k, p in zip(range(csvnum._E_MIN, csvnum._E_MAX + 2),
+                                     POWERS)])
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(_ulps(POWERS, 3), id="powers-of-ten-3-ulps"),
+    pytest.param(_below_powers(), id="below-powers-of-ten"),
+    pytest.param(np.random.default_rng(8).integers(
+        0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+                 id="bit-patterns"),
+])
+def test_digit_groups(values):
+    # where the kernel writes an element, digit 0 and its four 4-digit
+    # groups are the 17 digits of "%.16e" % |x|
+    groups, _, ok = csvnum._decimal(values)
+    assert ok.mean() > 0.5
+    texts = ["%.16e" % v for v in np.abs(values[ok]).tolist()]
+    expected = [[int(t[0])] + [int(t[k:k + 4]) for k in range(2, 18, 4)]
+                for t in texts]
+    np.testing.assert_array_equal(groups[:, ok].T, expected)
+
+
+def test_digit_groups_of_zero_and_unwritten():
+    # +-0 are written, with every group 0; NaN, +-inf and subnormals are not
+    groups, _, ok = csvnum._decimal(np.array([0.0, -0.0]))
+    assert ok.all()
+    assert not groups.any()
+    subnormals = [5e-324, 1e-310, 2.2250738585072009e-308]
+    values = np.array([np.nan, -np.nan, np.inf, -np.inf, *subnormals,
+                       *np.negative(subnormals)])
+    *_, ok = csvnum._decimal(values)
+    assert not ok.any()
+
+
 def _rows_of(monkeypatch, command, params, n):
     """The rows_of that command(params, n) hands to write_csv."""
     tables = []
@@ -190,6 +233,74 @@ def test_formatting_never_sets_the_peak(monkeypatch, command):
         tracemalloc.stop()
     evaluate, format_ = peaks
     assert format_ <= evaluate, peaks
+
+
+@pytest.mark.parametrize("command", [cli.cmd_solve, cli.cmd_curvature])
+def test_later_blocks_hold_no_earlier_table(monkeypatch, command):
+    # each evaluated table is dropped before the next is evaluated: the
+    # traced peak over blocks 2-4 of the export-dense table exceeds that
+    # over block 1 by less than a tenth of a table (a few hundred bytes of
+    # bookkeeping), where a table held over would add all of it
+    m = 0.731245
+    params = ModelParams(m=m, r_max=20 * m, tol=1e-8)
+    rows_of = _rows_of(monkeypatch, command, params, 50_000)
+    csvnum._tables()  # built at the first call, which is not measured
+    blocks = export._format_blocks(rows_of, 0, 4 * export._EVAL_ROWS)
+    per_table = export._EVAL_ROWS // export._BLOCK_ROWS
+    peaks = []
+    tracemalloc.start()
+    try:
+        for count in (per_table, 3 * per_table):
+            for _ in range(count):
+                next(blocks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+    finally:
+        tracemalloc.stop()
+    first, later = peaks
+    table = np.column_stack(rows_of(0, export._EVAL_ROWS))
+    assert later < first + table.nbytes / 10, (peaks, table.nbytes)
+
+
+# the dispatched CPU features above numpy's baseline that this CPU has, and
+# the sha256 of csv_bytes of a fixed table of random bit patterns
+_SIMD_HASH = """
+import hashlib
+import numpy as np
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+from ahgeom import csvnum
+table = np.random.default_rng(9).integers(
+    0, 2**64, (256, 12), dtype=np.uint64).view(np.float64)
+print(" ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]))
+print(hashlib.sha256(csvnum.csv_bytes(table)).hexdigest())
+"""
+
+
+def _simd_hash(**env):
+    """The features and hash that _SIMD_HASH prints, run with env."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    base = {k: v for k, v in os.environ.items()
+            if k != "NPY_DISABLE_CPU_FEATURES"}
+    done = subprocess.run([sys.executable, "-c", _SIMD_HASH],
+                          capture_output=True, text=True, timeout=60,
+                          check=True, env=dict(base, PYTHONPATH=str(src),
+                                               **env))
+    return done.stdout.splitlines()
+
+
+def test_bytes_at_any_simd_level():
+    # the kernel runs only exact operations, so its bytes do not depend on
+    # the SIMD loops numpy dispatches to; NPY_DISABLE_CPU_FEATURES acts only
+    # on the process it is set in
+    features, default = _simd_hash()
+    if not features:
+        pytest.skip("numpy dispatches nothing above its baseline here")
+    left, baseline = _simd_hash(NPY_DISABLE_CPU_FEATURES=features)
+    assert left == ""
+    assert baseline == default
 
 
 @pytest.mark.slow

@@ -239,8 +239,8 @@ def test_formatting_never_sets_the_peak(monkeypatch, command):
 def test_later_blocks_hold_no_earlier_table(monkeypatch, command):
     # each evaluated table is dropped before the next is evaluated: the
     # traced peak over blocks 2-4 of the export-dense table exceeds that
-    # over block 1 by less than a tenth of a table (a few hundred bytes of
-    # bookkeeping), where a table held over would add all of it
+    # over block 1 by less than a tenth of a table (1-2 KB of bookkeeping
+    # today), where a table held over would add all of it
     m = 0.731245
     params = ModelParams(m=m, r_max=20 * m, tol=1e-8)
     rows_of = _rows_of(monkeypatch, command, params, 50_000)
@@ -258,8 +258,8 @@ def test_later_blocks_hold_no_earlier_table(monkeypatch, command):
     finally:
         tracemalloc.stop()
     first, later = peaks
-    table = np.column_stack(rows_of(0, export._EVAL_ROWS))
-    assert later < first + table.nbytes / 10, (peaks, table.nbytes)
+    table_bytes = 8 * export._EVAL_ROWS * len(rows_of(0, 1))
+    assert later < first + table_bytes / 10, (peaks, table_bytes)
 
 
 # the dispatched CPU features above numpy's baseline that this CPU has, and

@@ -15,8 +15,9 @@ hi + lo: hi the double nearest 10^k, lo the double nearest 10^k - hi, so
 P < 2^57, ph + r is within 2^-47, below 1e-14, of P; where lo = 0
 (0 <= k <= 22) it is exact.  For P >= 10^16, ph >= 2^53 is an integer, so
 D = ph + rint(r), with residue r - rint(r), and D < 10^17 < 2^63 is an
-int64, exactly: four divmods by 10^4 cut it into digit 0 and four 4-digit
-groups.  Python's own "%.17g" writes an
+int64, exactly: four floor divisions by 10^4 give D // 10^4, D // 10^8,
+D // 10^12 and digit 0 = D // 10^16, and each less 10^4 times the next
+leaves D's four 4-digit groups.  Python's own "%.17g" writes an
 element whose residue lies within _MARGIN of a tie (1/2), or whose P is not
 above 10^16 by more than _MARGIN; and NaN, +-inf and |x| outside the
 tables.  The margin is 0 where the product is exact, so of those elements
@@ -24,8 +25,8 @@ only exact ties, and doubles that round a power of ten down, go to Python.
 
 The top 16 bits of |x| give e up to one compare; tables give the text and
 significant digits of D's 4-digit groups, and a layout per e and count.
-All is exact: float64 arithmetic on integers, int64 sums and divmods,
-compares, copies, integer min and max.
+All is exact: float64 arithmetic on integers, int64 sums, products and
+floor divisions, compares, copies, integer min and max.
 """
 from __future__ import annotations
 
@@ -112,7 +113,8 @@ def _index(ax):
     # the top 16 bits, 16 (E + 1023) + m with 2^E (1 + m / 16) <= |x|, times
     # log10(2) / 16 are log10|x| less 0 to 0.053: i is the index or one more
     i = np.floor(ax.view("<u2")[3::4] * _DECADE + _OFFSET).astype(np.intp)
-    return np.where(ax < tens[i], i - 1, i)
+    i -= ax < tens[i]
+    return i
 
 
 def _decimal(x):
@@ -155,11 +157,15 @@ def _decimal(x):
     ok &= r < 0.5
     ok |= x == 0
     del above, r, margin
-    # groups 4..1 of D, each D % 10^4 as D goes to D // 10^4; then digit 0
+    # row k of groups is first D // 10^(16 - 4k), by floor divisions by
+    # 10^4 down from row 4 = D; less 10^4 times the row above, rows 4..1
+    # are then D's 4-digit groups, and row 0 is digit 0
     groups = np.empty((5, x.size), np.int64)
-    for k in range(4, 0, -1):
-        np.divmod(D, 10**4, out=(D, groups[k]))
-    groups[0] = D
+    groups[4] = D
+    del D
+    for k in range(3, -1, -1):
+        np.floor_divide(groups[k + 1], 10**4, out=groups[k])
+    groups[1:] -= groups[:-1] * 10**4
     return groups, i, ok
 
 
@@ -184,9 +190,12 @@ def csv_bytes(table):
     del i
     flat = out.reshape(-1)
     mask = np.empty(n * _SLOT, np.uint8)
-    # a mask byte is 255 or 0, so min(mask, digit) keeps or drops the digit
+    # a mask byte is 255 or 0, so min(mask, digit) keeps or drops the digit;
+    # every template is in range, and with mode="clip" take writes straight
+    # to its out= array, where "raise" first fills a buffer as large
     for masks, source in ((shifted, digits[1:]), (stored, digits[:-1])):
-        np.take(masks, template, axis=0, out=mask.reshape(n, _SLOT))
+        np.take(masks, template, axis=0, out=mask.reshape(n, _SLOT),
+                mode="clip")
         np.maximum(flat, np.minimum(mask, source, out=mask), out=flat)
     del mask, digits, template
     out[:, 0] = np.signbit(x).view(np.uint8)
@@ -197,4 +206,6 @@ def csv_bytes(table):
         text = b"%.17g" % x[k]
         out[k, :29] = 0
         out[k, :len(text)] = np.frombuffer(text, np.uint8)
-    return out.tobytes().translate(_MINUS, b"\0")
+    text = out.tobytes()
+    del out, flat, ends  # not held while translate builds the result
+    return text.translate(_MINUS, b"\0")

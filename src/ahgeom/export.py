@@ -18,19 +18,28 @@ import numpy as np
 from .csvnum import csv_bytes
 
 # Rows per call of the number formatter (csvnum), whose arrays peak at
-# about 140 bytes per number (tracemalloc), 0.21 MB at 128 rows of 12
-# columns.  At 256 rows, the 1 000-row solve at tol 1e-12, which holds its
-# profile while it formats, peaked 0.4 MB higher (wait4, 2-vCPU VM, with
-# the pair-digit formatter of 190 bytes per number).
-_BLOCK_ROWS = 128
+# about 107 bytes per number (tracemalloc), 0.33 MB at 256 rows of 12
+# columns; each call's fixed cost, some 80 numpy calls, is spread over the
+# block.  Each 32-byte-slot array of a block stays within 128 KiB, glibc's
+# mmap threshold: at 512 rows the kernel was slower than at 256.  256-row
+# blocks raised solve-tight's peak RSS by about 0.3 MB while the series
+# loaded fractions and decimal, which it no longer does.
+_BLOCK_ROWS = 256
 # Rows per evaluation: a table is evaluated, derived and stacked this many
 # rows at a time, so no column of the whole table is built.  One block
-# peaks at about 1.1 MB of arrays; 256-row blocks made the 50 000-row
-# solve 5 % and curvature 14 % slower (2-vCPU VM).  A table goes to no
-# more processes than it has full blocks: 4 096 rows of 12 columns take
-# about 15 ms to format, a fork and reap about 2.4 ms, and smaller tables
-# such as the 1 000-row default stay in one process.
+# peaks at about 1.1 MB of arrays; 256-row evaluation blocks made the
+# 50 000-row solve 5 % and curvature 14 % slower (2-vCPU VM).  A table
+# goes to no more processes than it has full blocks: 4 096 rows of 12
+# columns take about 6 ms to format, a fork and reap about 2.4 ms, and
+# smaller tables such as the 1 000-row default stay in one process.
 _EVAL_ROWS = 4096
+# Rows per json.dumps: a slice's rows as Python objects and the five copies
+# of its text that the dump and the line breaks make are held at once.  In
+# whole evaluation blocks they peaked at 8.5 MB (solve, row dicts) and
+# 5.3 MB (curvature), 5-8x a CSV export's 1.1 MB; in 512-row slices the
+# 50 000-row commands peak at 1.9 and 1.1 MB (tracemalloc), with the same
+# bytes.
+_JSON_ROWS = 512
 _PIPE_READ = 1 << 16
 
 
@@ -146,13 +155,14 @@ def write_csv(out, header, rows_of, n):
 def write_json(out, head, key, rows_of, n, names=None):
     """Write json.dumps({**head, key: rows}, indent=2) and a newline, where
     rows lists the n rows of rows_of, each a list or, given `names`, a dict
-    of them.  The list is dumped one evaluation block at a time, each
-    indented one level deeper, as it sits in the whole dump."""
+    of them.  The list is dumped _JSON_ROWS rows of an evaluation block at
+    a time, each slice indented one level deeper, as it sits in the whole
+    dump."""
     # imported here, so that CSV output never loads json
     import json
 
     out.write(json.dumps({**head, key: []}, indent=2)[:-len("]\n}")])
-    # a block is dumped without indent, by json's C encoder; the row
+    # a slice is dumped without indent, by json's C encoder; the row
     # separators, the item separators and the brackets of each row then
     # take the line breaks and indents of the whole dump.  Floats and the
     # column names hold no ", ", bracket or brace.
@@ -160,14 +170,16 @@ def write_json(out, head, key, rows_of, n, names=None):
     item = ",\n      "
     sep = "\n"
     for table in _tables(rows_of, 0, n):
-        rows = table.tolist()
-        if names is not None:
-            rows = [dict(zip(names, row)) for row in rows]
-        out.write(sep + "    " + json.dumps(rows)[1:-1]
-                  .replace(", ", item)
-                  .replace(end + item + start, end + ",\n    " + start)
-                  .replace(start, start + item[1:])
-                  .replace(end, "\n    " + end))
-        sep = ",\n"
-        del table, rows  # not held while the next table is evaluated
+        for lo in range(0, len(table), _JSON_ROWS):
+            rows = table[lo:lo + _JSON_ROWS].tolist()
+            if names is not None:
+                rows = [dict(zip(names, row)) for row in rows]
+            out.write(sep + "    " + json.dumps(rows)[1:-1]
+                      .replace(", ", item)
+                      .replace(end + item + start, end + ",\n    " + start)
+                      .replace(start, start + item[1:])
+                      .replace(end, "\n    " + end))
+            sep = ",\n"
+            del rows  # not held while the next slice is built
+        del table  # not held while the next table is evaluated
     out.write("\n  ]\n}\n")

@@ -21,24 +21,28 @@ lists filled one degree at a time: an evaluation at degree k finds the lower
 degrees final and takes one convolution per product at degree k, so the
 series through degree n costs O(n^2) exact products, not O(n^3).
 
-All arithmetic in this module is exact rational.  Floating point enters only
-when a finished series is evaluated at a numerical radius.  The k-th
-coefficient scales exactly as m**(1-k), so only the m = 1 coefficients are
-ever computed; m enters through that scaling.
+The m = 1 coefficients are dyadic rationals with small numerators, so the
+recurrence runs in float64 and every sum, product and quotient in it is
+exact through order 30 (order 31 is the first to round); expand refuses
+higher orders.  verify's series check proves the stored floats exact: it
+converts them to Fractions, which is exact, and substitutes them into the
+cleared identities in rationals (formal_residual_ok), so only that check
+loads fractions.  The k-th coefficient scales exactly as m**(1-k), so only
+the m = 1 coefficients are ever computed; m enters through that scaling.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .config import Record
 
-_F0 = Fraction(0)
+# the highest order whose float recurrence is exact
+_MAX_ORDER = 30
 
 
 def _mul(u, v, deg):
     """Product of coefficient lists, truncated at degree `deg`."""
-    out = [_F0] * (deg + 1)
+    out = [0] * (deg + 1)
     for i, ui in enumerate(u):
         if ui == 0 or i > deg:
             continue
@@ -53,7 +57,7 @@ def _mul(u, v, deg):
 
 def _sub(u, v):
     n = max(len(u), len(v))
-    return [(u[k] if k < len(u) else _F0) - (v[k] if k < len(v) else _F0)
+    return [(u[k] if k < len(u) else 0) - (v[k] if k < len(v) else 0)
             for k in range(n)]
 
 
@@ -74,7 +78,7 @@ def _cleared_residuals(A, P, Q, deg):
               _scale(_sub(_mul(A, A, deg), _mul(Q, Q, deg)), 2))
     e2 = _sub(_mul(dQ, a_p2q2, deg),
               _scale(_mul(Q, _sub(_mul(P, P, deg), _mul(A, A, deg)), deg), 2))
-    dPm2 = list(dP) if dP else [_F0]
+    dPm2 = list(dP) if dP else [0]
     dPm2[0] = dPm2[0] - 2
     e3 = _sub(_mul(dPm2, a_p2q2, deg),
               _scale(_mul(P, _sub(_mul(Q, Q, deg), _mul(A, A, deg)), deg), 2))
@@ -84,7 +88,7 @@ def _cleared_residuals(A, P, Q, deg):
 def _at(u, v, k):
     """Coefficient of r^k in the product of u and v, coefficient lists that
     reach degree k: one convolution at one degree."""
-    out = _F0
+    out = 0.0
     for i in range(k + 1):
         if u[i] and v[k - i]:
             out += u[i] * v[k - i]
@@ -93,7 +97,7 @@ def _at(u, v, k):
 
 def _at_diff(u, v, k):
     """Coefficient of r^k in u' v, with u reaching degree k + 1."""
-    out = _F0
+    out = 0.0
     for i in range(k + 1):
         if u[i + 1] and v[k - i]:
             out += (i + 1) * u[i + 1] * v[k - i]
@@ -107,8 +111,8 @@ def _unit_coefficients(order: int):
     degree.  A zero linear coefficient would mean the recurrence is
     degenerate, which the leading terms rule out."""
     # one spare slot: the derivative's r^k coefficient reads degree k + 1
-    A, P, Q, s, t, u, v = ([_F0] * (order + 2) for _ in range(7))
-    A[1], P[1], Q[0] = Fraction(2), Fraction(1), Fraction(2)
+    A, P, Q, s, t, u, v = ([0.0] * (order + 2) for _ in range(7))
+    A[1], P[1], Q[0] = 2.0, 1.0, 2.0
 
     def products_at(k):
         pp, qq, aa = _at(P, P, k), _at(Q, Q, k), _at(A, A, k)
@@ -126,9 +130,9 @@ def _unit_coefficients(order: int):
         return _at_diff(P, t, k) - 2 * t[k] - 2 * _at(P, v, k)
 
     def solve(which, k, target, index):
-        target[index] = _F0
+        target[index] = 0.0
         r0 = identity_at(which, k)
-        target[index] = Fraction(1)
+        target[index] = 1.0
         lam = identity_at(which, k) - r0
         if lam == 0:
             raise ArithmeticError(
@@ -147,11 +151,6 @@ def _unit_coefficients(order: int):
     return tuple(A[:-1]), tuple(P[:-1]), tuple(Q[:-1])
 
 
-@lru_cache(maxsize=None)
-def _floats(coeffs: tuple) -> tuple:
-    return tuple(float(c) for c in coeffs)
-
-
 def _horner012(coeffs, s):
     """Value and first two derivatives of sum(c_k s^k) at s."""
     v = d = d2 = 0.0
@@ -165,8 +164,9 @@ def _horner012(coeffs, s):
 class SeriesCoefficients(Record):
     """Truncated series of (a, p, q) about r = 0 for sphere radius m.
 
-    unit_* hold the exact m = 1 rationals; the coefficient of r^k for
-    parameter m is unit_*[k] * m**(1-k).
+    unit_* hold the m = 1 coefficients, floats that are exact rationals; the
+    coefficient of r^k for parameter m is unit_*[k] * m**(1-k), which
+    coeff_* give as Fractions.
     """
 
     __slots__ = ("m", "order", "unit_a", "unit_p", "unit_q")
@@ -183,8 +183,11 @@ class SeriesCoefficients(Record):
         super().__init__(m, order, unit_a, unit_p, unit_q)
 
     def _scaled(self, unit):
+        # imported here, so that only verify's series check loads fractions
+        from fractions import Fraction
+
         mf = Fraction(self.m)
-        return tuple(c * mf ** (1 - k) for k, c in enumerate(unit))
+        return tuple(Fraction(c) * mf ** (1 - k) for k, c in enumerate(unit))
 
     @property
     def coeff_a(self) -> tuple:
@@ -205,9 +208,9 @@ class SeriesCoefficients(Record):
         binary multiple this makes the m-scaling of the result exact.
         """
         s = r / self.m
-        a, da, dda = _horner012(_floats(self.unit_a), s)
-        p, dp, ddp = _horner012(_floats(self.unit_p), s)
-        q, dq, ddq = _horner012(_floats(self.unit_q), s)
+        a, da, dda = _horner012(self.unit_a, s)
+        p, dp, ddp = _horner012(self.unit_p, s)
+        q, dq, ddq = _horner012(self.unit_q, s)
         m = self.m
         return (m * a, m * p, m * q, da, dp, dq, dda / m, ddp / m, ddq / m)
 
@@ -222,14 +225,14 @@ class SeriesCoefficients(Record):
             expo = k - shift
             if expo <= 0:
                 continue
-            s0 = min(s0, (bound / abs(float(unit[k]))) ** (1.0 / expo))
+            s0 = min(s0, (bound / abs(unit[k])) ** (1.0 / expo))
         return self.m * s0
 
 
 def expand(m: float, order: int = 10) -> SeriesCoefficients:
     """Series solution of the coefficient system through degree `order`."""
-    if order < 4:
-        raise ValueError(f"order must be >= 4, got {order}")
+    if not 4 <= order <= _MAX_ORDER:
+        raise ValueError(f"order must be in [4, {_MAX_ORDER}], got {order}")
     if not m > 0:
         raise ValueError(f"m must be positive, got {m}")
     A, P, Q = _unit_coefficients(order)
@@ -237,11 +240,13 @@ def expand(m: float, order: int = 10) -> SeriesCoefficients:
 
 
 def formal_residual_ok(series: SeriesCoefficients) -> bool:
-    """Substitute the series into the cleared identities and confirm that all
-    coefficients through r^(order-1) vanish exactly."""
-    A = list(series.coeff_a)
-    P = list(series.coeff_p)
-    Q = list(series.coeff_q)
+    """Substitute the series, as exact rationals, into the cleared identities
+    and confirm that every coefficient that fixes a stored unknown vanishes:
+    those of the second and third identities through r^order, and of the
+    first, whose r^order coefficient needs a_(order+1), through r^(order-1).
+    So a stored coefficient that is off by one ulp fails."""
     n = series.order
-    e1, e2, e3 = _cleared_residuals(A, P, Q, n - 1)
-    return all(c == 0 for e in (e1, e2, e3) for c in e[:n])
+    e1, e2, e3 = _cleared_residuals(list(series.coeff_a),
+                                    list(series.coeff_p),
+                                    list(series.coeff_q), n)
+    return all(c == 0 for c in (*e1[:n], *e2[:n + 1], *e3[:n + 1]))

@@ -156,14 +156,14 @@ class TestCsvWriter:
     # dealt in turn over forked processes: the bytes are those of one
     # "%.17g" per row of the whole grid at any CPU count; no process gets
     # less than a full EVAL block, so two CPUs fork from two full blocks on.
-    # Each id is a row count at the real sizes, two BLOCKs (256 rows) and
-    # EVAL (4 096); the case runs at 1/SHRINK of both, which crosses the
+    # Each id is a row count at the real sizes, BLOCK (256 rows) and EVAL
+    # (4 096); the case runs at 1/SHRINK of both, which crosses the
     # same boundaries in a few hundred rows, except 8192, which runs at
     # the real sizes
     @pytest.mark.parametrize("grid, scale", [
         pytest.param(2, SHRINK, id="2"),
-        pytest.param(2 * BLOCK // SHRINK - 1, SHRINK, id="255"),
-        pytest.param(2 * BLOCK // SHRINK + 1, SHRINK, id="257"),
+        pytest.param(BLOCK // SHRINK - 1, SHRINK, id="255"),
+        pytest.param(BLOCK // SHRINK + 1, SHRINK, id="257"),
         pytest.param(2 * EVAL // SHRINK - 1, SHRINK, id="8191"),
         pytest.param(2 * EVAL, 1, id="8192"),
         pytest.param(2 * EVAL // SHRINK + 1, SHRINK, id="8193"),
@@ -214,11 +214,13 @@ class TestCsvWriter:
         _no_child_left()
 
 
-    @pytest.mark.parametrize("grid", [2, 7, EVAL + 1])
+    @pytest.mark.parametrize("grid", [2, 7, 2 * export._JSON_ROWS + 1,
+                                      EVAL + 1])
     @pytest.mark.parametrize("command", ["solve", "curvature"])
     def test_json_is_one_dump(self, capsys, command, grid):
-        # dumped one evaluation block at a time, the same bytes as one
-        # json.dumps of every row
+        # dumped in slices of an evaluation block, the same bytes as one
+        # json.dumps of every row: at 1 025 rows two slices end inside the
+        # block, and a third holds its last row
         code, out, err = run([command, "--grid", str(grid), *WRITER_ARGS,
                               "--format", "json"], capsys)
         assert (code, err) == (0, "")
@@ -248,6 +250,28 @@ class TestCsvWriter:
                 finally:
                     tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("command", [cli.cmd_solve, cli.cmd_curvature])
+    def test_json_peak_near_csv_peak(self, monkeypatch, command):
+        # JSON rows are dumped in slices of _JSON_ROWS, so a slice's row
+        # objects and copies of its text peak at less than twice the CSV
+        # export, whose peak evaluating a block sets (1.76x for solve's row
+        # dicts, 1.0x for curvature; 7.8x and 4.9x in whole blocks).
+        # integrate is left out of the trace
+        monkeypatch.setattr(export, "usable_cpus", lambda: 1)
+        params = ModelParams(m=1.0, r_max=20.0, tol=1e-8)
+        profile = ode.integrate(params)
+        monkeypatch.setattr(cli, "integrate", lambda _: profile)
+        peaks = {}
+        for fmt in ("csv", "json"):
+            with open(os.devnull, "w") as out:
+                tracemalloc.start()
+                try:
+                    assert command(params, 2 * EVAL, fmt, out) == 0
+                    peaks[fmt] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks["json"] <= 2 * peaks["csv"], peaks
 
 
 class TestWriteFailures:

@@ -206,6 +206,26 @@ def test_export_dense_tables(monkeypatch, command):
     assert slow * 10_000 < total, (slow, total)
 
 
+def test_kernel_working_set():
+    # one call on a block of _BLOCK_ROWS x 12 numbers peaks at 110 traced
+    # bytes per number or less (about 107 today).  And each 32-byte-slot
+    # array of a block stays within 128 KiB, glibc's default mmap
+    # threshold: an array above it is mapped afresh, as zeroed pages, at
+    # every call, and at 512 rows the kernel was slower than at 256
+    assert export._BLOCK_ROWS * 12 * csvnum._SLOT <= 128 * 1024
+    rng = np.random.default_rng(10)
+    shape = (export._BLOCK_ROWS, 12)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    csvnum.csv_bytes(table)  # the tables are built at the first call
+    tracemalloc.start()
+    try:
+        csvnum.csv_bytes(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 110 * table.size, peak / table.size
+
+
 @pytest.mark.parametrize("command", [cli.cmd_solve, cli.cmd_curvature])
 def test_formatting_never_sets_the_peak(monkeypatch, command):
     # with a block of rows in hand, formatting it takes less than

@@ -170,3 +170,38 @@ def test_only_the_entry_touches_the_collector():
                 writers.add(path.name)
     assert users == {"__main__.py"}
     assert writers == {"__main__.py"}
+
+
+# Imports ahgeom.cli, then runs each command through the module launcher,
+# in one fresh interpreter, and records after each step which of fractions
+# and decimal (which fractions imports) are loaded
+RATIONALS = """
+import json, os, runpy, sys
+
+def loaded():
+    return sorted({"fractions", "decimal"} & set(sys.modules))
+
+import ahgeom.cli
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["ahgeom", *argv, "--output", os.devnull]
+    try:
+        runpy.run_module("ahgeom", run_name="__main__")
+    except SystemExit as exc:
+        seen[" ".join(argv)] = [exc.code, loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_export_commands_load_no_rationals():
+    # the series recurrence runs in floats, so only verify's series check
+    # loads fractions, and with it decimal
+    commands = [[cmd, "--grid", "600", "--format", fmt]
+                for cmd in ("solve", "curvature") for fmt in ("csv", "json")]
+    done = subprocess.run(
+        [sys.executable, "-c", RATIONALS, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    seen = json.loads(done.stdout)
+    assert seen.pop("import") == []
+    assert seen == {" ".join(argv): [0, []] for argv in commands}

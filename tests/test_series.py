@@ -1,4 +1,6 @@
 """Series oracle: exact coefficients, parity, formal residuals, scaling."""
+import functools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -46,13 +48,27 @@ def _full_residual_coefficients(order):
     return tuple(A), tuple(P), tuple(Q)
 
 
-@pytest.mark.parametrize("order", range(4, 17))
+@functools.cache
+def _reference_31():
+    return _full_residual_coefficients(31)
+
+
+@pytest.mark.parametrize("order", range(4, series._MAX_ORDER + 1))
 def test_single_degree_solver_matches_full_residuals(order):
-    # the solver evaluates one coefficient of one identity per unknown; the
-    # full polynomials give the same exact rationals
-    got = series._unit_coefficients(order)
-    assert got == _full_residual_coefficients(order)
-    assert all(type(c) is F for coeffs in got for c in coeffs)
+    # the float recurrence gives the full polynomials' exact rationals at
+    # every order expand takes.  A coefficient does not depend on the order
+    # the series is cut at, so the order-31 reference's first order + 1
+    # coefficients are _full_residual_coefficients(order)
+    want = tuple(c[:order + 1] for c in _reference_31())
+    assert series._unit_coefficients(order) == want
+
+
+def test_float_recurrence_rounds_past_max_order():
+    # order 31 is the first whose floats are not the exact rationals, and
+    # expand refuses it
+    assert series._unit_coefficients(31) != _reference_31()
+    with pytest.raises(ValueError, match="order"):
+        expand(1.0, series._MAX_ORDER + 1)
 
 
 def test_printed_leading_terms_b_c():
@@ -118,12 +134,32 @@ def test_series_check_certifies_full_formal_residual(profile1, grid1):
         assert (result["status"] == "pass") is ok
 
 
+def test_series_check_fails_one_ulp_off(profile1, grid1):
+    # the check proves the stored floats exact: moving any one coefficient
+    # that the recurrence solved for by one ulp, the top-degree ones
+    # included, fails it
+    ser = profile1.bootstrap
+    moved = 0
+    for name in ("unit_a", "unit_p", "unit_q"):
+        for k, c in enumerate(getattr(ser, name)):
+            if c == 0 or k <= 1:  # parity zeros; the leading terms are pinned
+                continue
+            bad = list(getattr(ser, name))
+            bad[k] = math.nextafter(c, math.inf)
+            result = verify.check_series_expansion(
+                replace(profile1, bootstrap=replace(ser, **{name: tuple(bad)})),
+                grid1, 0)
+            assert result["status"] == "fail", (name, k)
+            moved += 1
+    assert ser.order == 10 and moved == 13  # q2..q10, a3..a9, p3..p9
+
+
 def test_m_scaling_equals_unit_rescaling():
     s1, s3 = expand(1.0, 8), expand(3.0, 8)
     for k in range(9):
-        assert s3.coeff_a[k] == s1.unit_a[k] * F(3) ** (1 - k)
-        assert s3.coeff_p[k] == s1.unit_p[k] * F(3) ** (1 - k)
-        assert s3.coeff_q[k] == s1.unit_q[k] * F(3) ** (1 - k)
+        assert s3.coeff_a[k] == F(s1.unit_a[k]) * F(3) ** (1 - k)
+        assert s3.coeff_p[k] == F(s1.unit_p[k]) * F(3) ** (1 - k)
+        assert s3.coeff_q[k] == F(s1.unit_q[k]) * F(3) ** (1 - k)
 
 
 def test_order_validation():

@@ -6,9 +6,8 @@ A command is a short-lived process on one thread.  Before numpy loads,
 makes no BLAS call, yet OpenBLAS otherwise starts a worker pool as numpy
 loads, and its worker polls for work on a CPU of its own for about 0.1 s
 before it sleeps.  With no pool, a command's user+sys CPU falls by about
-that much, and a CSV writer forked by `solve` or `curvature` starts from a
-smaller process.  So the import of cli, and with it of numpy, happens in
-`main`, and importing this module runs nothing.
+that much.  So the import of cli, and with it of numpy, happens in `main`,
+and importing this module runs nothing.
 
 `main` ends a command with the collector's tracked objects frozen
 (gc.freeze).  The interpreter's shutdown runs a full collection even with
@@ -17,8 +16,8 @@ the freeze fills, and most of the exit time of a command went into that
 collection.  A frozen object that is garbage in a cycle is never
 finalized; nothing a command leaves needs it to be: its output is closed
 by a `with` before cli.main returns, the interpreter still flushes stdout
-and stderr and runs atexit handlers, forked CSV writers leave through
-os._exit, and after a broken pipe stdout is already devnull.
+and stderr and runs atexit handlers, and after a broken pipe stdout is
+already devnull.
 """
 import os
 import sys

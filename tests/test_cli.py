@@ -151,11 +151,15 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the CSV writer must not fork or read the CPU set")
+
+
 class TestCsvWriter:
-    # rows evaluated in blocks, formatted in smaller blocks, the blocks
-    # dealt in turn over forked processes: the bytes are those of one
-    # "%.17g" per row of the whole grid at any CPU count; no process gets
-    # less than a full EVAL block, so two CPUs fork from two full blocks on.
+    # rows evaluated in blocks and formatted in smaller blocks, all in the
+    # command's own process, which neither forks nor reads the CPU count:
+    # the bytes are those of one "%.17g" per row of the whole grid at any
+    # CPU count, whichever block boundaries the grid crosses.
     # Each id is a row count at the real sizes, BLOCK (256 rows) and EVAL
     # (4 096); the case runs at 1/SHRINK of both, which crosses the
     # same boundaries in a few hundred rows, except 8192, which runs at
@@ -173,46 +177,13 @@ class TestCsvWriter:
                                     scale):
         monkeypatch.setattr(export, "_BLOCK_ROWS", BLOCK // scale)
         monkeypatch.setattr(export, "_EVAL_ROWS", EVAL // scale)
-        fork, forks = os.fork, []
-
-        def counted_fork():
-            forks.append(1)
-            return fork()
-        monkeypatch.setattr(os, "fork", counted_fork)
-        want = _reference_csv(command, grid)
-        for cpus in (1, 2, 3):
-            force_cpus(monkeypatch, cpus)
-            forks.clear()
-            code, out, err = run([command, "--grid", str(grid), *WRITER_ARGS],
-                                 capsys)
-            assert (code, err) == (0, "")
-            assert out == want
-            procs = min(cpus, max(1, grid // export._EVAL_ROWS))
-            assert len(forks) == procs - 1
-            _no_child_left()
-
-    @pytest.mark.parametrize("output", ["stdout", "file"])
-    def test_child_failure_exits_2(self, tmp_path, capsys, monkeypatch,
-                                   output):
-        # a block lost in a child is an error, never a shorter file
-        parent, format_blocks = os.getpid(), export._format_blocks
-
-        def fail_in_child(rows_of, lo, hi):
-            if os.getpid() != parent:
-                raise MemoryError("in a formatting process")
-            return format_blocks(rows_of, lo, hi)
-        monkeypatch.setattr(export, "_format_blocks", fail_in_child)
-        force_cpus(monkeypatch, 2)
-        path = tmp_path / "out.csv"
-        dest = "<stdout>" if output == "stdout" else str(path)
-        extra = [] if output == "stdout" else ["--output", dest]
-        code, _, err = run(["curvature", "--grid", str(2 * EVAL),
-                            *WRITER_ARGS, *extra], capsys)
-        assert code == 2
-        assert err == (f"ahgeom: cannot write {dest}: a CSV formatting "
-                       "process exited with status 1\n")
+        monkeypatch.setattr(os, "fork", _refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", _refuse, raising=False)
+        code, out, err = run([command, "--grid", str(grid), *WRITER_ARGS],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert out == _reference_csv(command, grid)
         _no_child_left()
-
 
     @pytest.mark.parametrize("grid", [2, 7, 2 * export._JSON_ROWS + 1,
                                       EVAL + 1])
@@ -230,13 +201,12 @@ class TestCsvWriter:
     def test_memory_does_not_grow_with_the_grid(self, monkeypatch, command):
         # rows are evaluated and formatted a block at a time, so no array or
         # text of the whole grid is held: the traced peak of the export at
-        # 50 000 rows is that at 8 192, in one process.  The case runs at
-        # 1/8 of the rows and of EVAL and BLOCK, and integrate is left out
-        # of the trace, so its own peak cannot hide the export's
+        # 50 000 rows is that at 8 192.  The case runs at 1/8 of the rows
+        # and of EVAL and BLOCK, and integrate is left out of the trace, so
+        # its own peak cannot hide the export's
         scale = 8
         monkeypatch.setattr(export, "_BLOCK_ROWS", BLOCK // scale)
         monkeypatch.setattr(export, "_EVAL_ROWS", EVAL // scale)
-        monkeypatch.setattr(export, "usable_cpus", lambda: 1)
         params = ModelParams(m=1.0, r_max=6.0, tol=1e-6)
         profile = ode.integrate(params)
         monkeypatch.setattr(cli, "integrate", lambda _: profile)
@@ -258,7 +228,6 @@ class TestCsvWriter:
         # export, whose peak evaluating a block sets (1.76x for solve's row
         # dicts, 1.0x for curvature; 7.8x and 4.9x in whole blocks).
         # integrate is left out of the trace
-        monkeypatch.setattr(export, "usable_cpus", lambda: 1)
         params = ModelParams(m=1.0, r_max=20.0, tol=1e-8)
         profile = ode.integrate(params)
         monkeypatch.setattr(cli, "integrate", lambda _: profile)
@@ -279,8 +248,7 @@ class TestWriteFailures:
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["solve", "curvature", "verify"])
-    def test_device_full(self, capsys, monkeypatch, command):
-        force_cpus(monkeypatch, 2)
+    def test_device_full(self, capsys, command):
         grid = "60" if command == "verify" else str(4 * EVAL)
         code, _, err = run([command, "--grid", grid, *WRITER_ARGS,
                             "--output", "/dev/full"], capsys)
@@ -769,8 +737,8 @@ class TestConfigHandling:
 
 def test_cli_import_leaves_out_logging():
     # concurrent.futures pulls in logging, about 10 ms of every start-up;
-    # no command starts a thread (the k-plane oracle runs on the calling
-    # thread, the CSV writer forks)
+    # no command starts a thread (the k-plane oracle and the CSV writer run
+    # on the calling thread)
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, ahgeom.cli; "
             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")

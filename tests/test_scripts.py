@@ -73,10 +73,12 @@ def test_traced_runner_wraps_every_layer(tmp_path):
     assert "ode.integrate" in _traced_matches_plain(tmp_path, flags)
 
 
-def test_traced_runner_with_forked_csv_writer(tmp_path):
-    # enough rows for the CSV writer to fork on two or more CPUs
+def test_traced_runner_sees_every_csv_block(tmp_path):
+    # every block is evaluated in the traced process: 3 curvature.eval
+    # calls for each of the five 4 096-row blocks of 20 000 rows
     flags = ["curvature", "--grid", "20000", "--tol", "1e-6", "--output"]
-    assert "curvature.eval" in _traced_matches_plain(tmp_path, flags)
+    spans = _traced_matches_plain(tmp_path, flags)
+    assert spans["curvature.eval"]["calls"] == 15
 
 
 def test_traced_runner_with_verify(tmp_path):
